@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-portable race vet lint lint-concurrency fuzz-short bench bench-datapath bench-smoke telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke check clean
+.PHONY: all build test test-portable race vet import-guard lint lint-concurrency fuzz-short bench bench-datapath bench-smoke telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke check clean
 
 all: build
 
@@ -22,6 +22,16 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Import direction (DESIGN.md §4.4): telemetry and peertab are leaves below
+# transport — that is what lets transport use the registry and the peer
+# table instead of hand copies — and the message layer does not link the
+# simulator.
+import-guard:
+	@if $(GO) list -deps ./internal/telemetry ./internal/peertab | grep -qx repro/internal/transport; then \
+		echo "import-guard: internal/telemetry and internal/peertab must not depend on internal/transport"; exit 1; fi
+	@if $(GO) list -deps ./internal/msg | grep -qx repro/internal/simnet; then \
+		echo "import-guard: internal/msg must not depend on internal/simnet"; exit 1; fi
 
 # Custom invariants compiled into one vettool: the datapath analyzers
 # (DESIGN.md §4.5: poolcheck, hotpath, wirecheck, errflow) and the
@@ -59,12 +69,17 @@ bench-datapath:
 # the 0 allocs/op receive bar (TestRecvPathAllocFree runs alongside).
 # The transport pass covers the kernel batch tiers: its alloc tests skip
 # cleanly when the kernel lacks sendmmsg or the UDP_SEGMENT/UDP_GRO
-# offloads (the capability probe decides at runtime).
+# offloads (the capability probe decides at runtime). Then every benchmark
+# in the tree runs once, and the one whose set-up scales with b.N runs at a
+# default-sized N, so a benchmark that no longer builds or runs fails here
+# instead of at the next `make bench`.
 bench-smoke:
 	$(GO) test -bench='BenchmarkUDSendPath|BenchmarkUDRecvPath' -benchtime=0.2s -benchmem \
 		-run='TestRecvPathAllocFree|TestSendPathAllocFree' ./internal/ddp/
 	$(GO) test -bench='BenchmarkUDPSendBatch|BenchmarkUDPRecvBatch' -benchtime=0.2s -benchmem \
 		-run='TestUDPSendBatchAllocFree|TestUDPRecvBatchAllocFreeKernel' ./internal/transport/
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+	$(GO) test -run='^$$' -bench=BenchmarkAblationRUDP -benchtime=2000x .
 
 # Boot the daemon over a 1%-lossy simnet, scrape its own /metrics, and
 # fail unless the datapath counters show traffic, loss, and rudp recovery
@@ -99,7 +114,7 @@ soak-smoke:
 	$(GO) run ./cmd/iwarpd -soak-peers 1000 -duration 2s
 
 # What CI should run.
-check: build vet test test-portable race lint lint-concurrency telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke
+check: build vet import-guard test test-portable race lint lint-concurrency telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke
 
 clean:
 	rm -rf bin

@@ -236,6 +236,9 @@ func BenchmarkAblationCRC(b *testing.B) {
 // (rudp) service under loss: the price of the paper's "reliable UDP"
 // supplement for loss-intolerant applications.
 func BenchmarkAblationRUDP(b *testing.B) {
+	// Every receive is posted up front, so the message count may not
+	// exceed the receive queue's depth.
+	const recvDepth = 512
 	net := NewSimNetwork(SimConfig{LossRate: 0.01, Seed: 3})
 	mk := func(name string, reliable bool) (*Node, *UDQP) {
 		n := NewNode()
@@ -247,7 +250,7 @@ func BenchmarkAblationRUDP(b *testing.B) {
 		if reliable {
 			ep = Reliable(ep)
 		}
-		qp, err := n.OpenUD(ep, UDConfig{RecvDepth: 512, BlockOnRNR: reliable})
+		qp, err := n.OpenUD(ep, UDConfig{RecvDepth: recvDepth, BlockOnRNR: reliable})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,7 +266,7 @@ func BenchmarkAblationRUDP(b *testing.B) {
 			_, aqp := mk(label+"_a", reliable)
 			bn, bqp := mk(label+"_b", reliable)
 			const size = 4 << 10
-			count := max(min(b.N, 1024), 32)
+			count := max(min(b.N, recvDepth), 32)
 			payload := make([]byte, size)
 			for i := 0; i < count; i++ {
 				if err := bqp.PostRecv(uint64(i%256), make([]byte, size)); err != nil {

@@ -26,6 +26,7 @@ import (
 	iwarp "repro/internal/core"
 	"repro/internal/memreg"
 	"repro/internal/nio"
+	"repro/internal/pcap"
 	"repro/internal/rudp"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -43,7 +44,7 @@ func main() {
 		count   = flag.Int("count", 10, "ping round trips")
 
 		metrics = flag.String("metrics", "", "serve telemetry HTTP endpoints on this host:port (port 0 = ephemeral)")
-		pcap    = flag.String("pcap", "", "write a .pcap capture of transport traffic to this file")
+		pcapOut = flag.String("pcap", "", "write a .pcap capture of transport traffic to this file")
 		sim     = flag.Bool("sim", false, "soak mode: run the stack over an in-process lossy simnet instead of kernel UDP")
 		loss    = flag.Float64("loss", 0.01, "simnet per-fragment loss rate (with -sim)")
 		dur     = flag.Duration("duration", 2*time.Second, "soak traffic duration (with -sim)")
@@ -71,7 +72,7 @@ func main() {
 		return
 	}
 	if *sim {
-		if err := runSim(*loss, *dur, *msgSize, *metrics, *pcap, *smoke); err != nil {
+		if err := runSim(*loss, *dur, *msgSize, *metrics, *pcapOut, *smoke); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -83,12 +84,12 @@ func main() {
 		}
 		log.Printf("metrics on http://%s/metrics (json: /metrics.json, trace: /trace.json)", bound)
 	}
-	if *pcap != "" {
-		f, err := os.Create(*pcap)
+	if *pcapOut != "" {
+		f, err := os.Create(*pcapOut)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pcapTap, err = telemetry.NewPcapWriter(f)
+		pcapTap, err = pcap.NewWriter(f)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func main() {
 }
 
 // pcapTap, when non-nil, taps every endpoint openQP creates.
-var pcapTap *telemetry.PcapWriter
+var pcapTap *pcap.Writer
 
 func openQP(host string, port uint16) (*iwarp.UDQP, *memreg.PD, *memreg.Table, *iwarp.CQ, *iwarp.CQ, error) {
 	var ep transport.Datagram
@@ -115,7 +116,7 @@ func openQP(host string, port uint16) (*iwarp.UDQP, *memreg.PD, *memreg.Table, *
 		return nil, nil, nil, nil, nil, err
 	}
 	if pcapTap != nil {
-		ep = telemetry.TapDatagram(ep, pcapTap)
+		ep = pcap.TapDatagram(ep, pcapTap)
 	}
 	pd := memreg.NewPD()
 	tbl := memreg.NewTable()

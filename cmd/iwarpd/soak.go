@@ -12,6 +12,7 @@ import (
 	iwarp "repro/internal/core"
 	"repro/internal/memreg"
 	"repro/internal/nio"
+	"repro/internal/pcap"
 	"repro/internal/rudp"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
@@ -36,21 +37,21 @@ func runSim(loss float64, duration time.Duration, msgSize int, metricsAddr, pcap
 	}
 
 	srvEp, cliEp := transport.Datagram(srvRaw), transport.Datagram(cliRaw)
-	var pw *telemetry.PcapWriter
+	var pw *pcap.Writer
 	if pcapPath != "" {
 		f, err := os.Create(pcapPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		pw, err = telemetry.NewPcapWriter(f)
+		pw, err = pcap.NewWriter(f)
 		if err != nil {
 			return err
 		}
 		defer pw.Close()
 		// One shared writer: both directions interleave into one capture.
-		srvEp = telemetry.TapDatagram(srvEp, pw)
-		cliEp = telemetry.TapDatagram(cliEp, pw)
+		srvEp = pcap.TapDatagram(srvEp, pw)
+		cliEp = pcap.TapDatagram(cliEp, pw)
 	}
 
 	// Reliability above the tap: retransmissions cross the tap and show in

@@ -50,7 +50,7 @@ func main() {
 		tensors   = flag.Int("tensors", 64, "tensors sent per sending worker")
 		mixSpec   = flag.String("mix", "16k=0.5,256k=0.35,1m=0.15", "tensor size distribution: size=weight[,...] with k/m suffixes")
 		mode      = flag.String("mode", "msg", "datapath: msg | eager | direct")
-		threshold = flag.Int("threshold", 0, "eager threshold for -mode msg (0 = library default, -1 = auto-probe crossover)")
+		threshold = flag.Int("threshold", 0, "eager threshold for -mode msg (0 = library default)")
 		udp       = flag.Bool("udp", false, "run over kernel UDP loopback instead of in-process simnet")
 		seed      = flag.Int64("seed", 1, "base seed for the per-worker size samplers")
 		compare   = flag.Bool("compare", false, "run direct, eager, and msg modes back to back and print a table")
@@ -412,8 +412,6 @@ func openMsgNode(cfg benchConfig, ep *rudp.Endpoint, maxSize int, col *collector
 	case cfg.mode == "eager":
 		mc.EagerThreshold = maxSize
 		mc.RecvDepth = 16
-	case cfg.threshold == -1:
-		mc.AutoProbe = true
 	case cfg.threshold > 0:
 		mc.EagerThreshold = cfg.threshold
 	}

@@ -69,10 +69,24 @@ func (cq *CQ) Poll(timeout time.Duration) (CQE, error) {
 	}
 	t := time.NewTimer(timeout)
 	defer t.Stop()
+	return cq.await(t.C)
+}
+
+// await blocks for the next completion until tch fires.
+func (cq *CQ) await(tch <-chan time.Time) (CQE, error) {
 	select {
 	case e := <-cq.ch:
 		return e, nil
-	case <-t.C:
+	case <-tch:
+	}
+	// One last look: select picks at random among ready cases, so a fired
+	// timer does not mean the queue is empty, and a posted completion must
+	// never surface as ErrCQEmpty — the paper makes the poll timeout the
+	// loss signal.
+	select {
+	case e := <-cq.ch:
+		return e, nil
+	default:
 		return CQE{}, ErrCQEmpty
 	}
 }

@@ -596,6 +596,27 @@ func TestCQSemantics(t *testing.T) {
 	}
 }
 
+// TestPollTimeoutNeverHidesCompletion: a poll whose deadline has already
+// passed when a completion is queued must return the completion. select
+// picks at random among ready cases, so without the last look after the
+// timer fires about half of these iterations report ErrCQEmpty — which the
+// paper's polling discipline reads as a lost datagram.
+func TestPollTimeoutNeverHidesCompletion(t *testing.T) {
+	cq := NewCQ(4)
+	fired := make(chan time.Time)
+	close(fired) // a timer that expired before the wait began
+	for i := 0; i < 1000; i++ {
+		cq.post(CQE{WRID: uint64(i)})
+		e, err := cq.await(fired)
+		if err != nil || e.WRID != uint64(i) {
+			t.Fatalf("iteration %d: await = %+v, %v with a completion queued", i, e, err)
+		}
+	}
+	if _, err := cq.await(fired); !errors.Is(err, ErrCQEmpty) {
+		t.Fatalf("empty queue, expired timer: %v; want ErrCQEmpty", err)
+	}
+}
+
 func TestUDRecvQueueDepthLimit(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	a := newUDNode(t, net, "a", UDConfig{RecvDepth: 2})

@@ -195,6 +195,17 @@ func (d *dropNthEndpoint) SendTo(p []byte, to transport.Addr) error {
 	return d.Datagram.SendTo(p, to)
 }
 
+// SendBatch routes the burst through SendTo, so the promoted batch method
+// cannot bypass the drop.
+func (d *dropNthEndpoint) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
+	for i, p := range pkts {
+		if err := d.SendTo(p, to); err != nil {
+			return i, err
+		}
+	}
+	return len(pkts), nil
+}
+
 func TestUDReadPartialTimeoutReportsValidity(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	a := newUDNode(t, net, "a", UDConfig{ReassemblyTimeout: 150 * time.Millisecond})

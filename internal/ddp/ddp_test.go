@@ -142,13 +142,21 @@ func dgramPair(t *testing.T, cfg simnet.Config) (*DatagramChannel, *DatagramChan
 	return ca, cb
 }
 
+// recvOne pulls one segment: RecvBatch with room for one.
+func recvOne(ch *DatagramChannel, timeout time.Duration) (Segment, transport.Addr, error) {
+	var seg [1]Segment
+	var from [1]transport.Addr
+	_, err := ch.RecvBatch(seg[:], from[:], timeout)
+	return seg[0], from[0], err
+}
+
 func TestDatagramUntaggedSingleSegment(t *testing.T) {
 	a, b := dgramPair(t, simnet.Config{})
 	msg := []byte("single segment untagged")
 	if err := a.SendUntagged(b.LocalAddr(), QNSend, 9, 0x03, nio.VecOf(msg)); err != nil {
 		t.Fatal(err)
 	}
-	seg, from, err := b.Recv(time.Second)
+	seg, from, err := recvOne(b, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +186,7 @@ func TestDatagramMultiSegmentReassembly(t *testing.T) {
 	var got []byte
 	segs := 0
 	for got == nil {
-		seg, from, err := b.Recv(time.Second)
+		seg, from, err := recvOne(b, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +216,7 @@ func TestDatagramTaggedSegments(t *testing.T) {
 	var placed int
 	sink := make([]byte, 5000+len(payload))
 	for placed < len(payload) {
-		seg, _, err := b.Recv(time.Second)
+		seg, _, err := recvOne(b, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +236,7 @@ func TestDatagramTaggedSegments(t *testing.T) {
 
 func TestDatagramRecvTimeout(t *testing.T) {
 	_, b := dgramPair(t, simnet.Config{})
-	if _, _, err := b.Recv(20 * time.Millisecond); !errors.Is(err, transport.ErrTimeout) {
+	if _, _, err := recvOne(b, 20*time.Millisecond); !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -252,7 +260,7 @@ func TestDatagramRecvDropsCorrupt(t *testing.T) {
 	if err := rawA.SendTo(good, rawB.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
-	seg, _, err := b.Recv(time.Second)
+	seg, _, err := recvOne(b, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,18 @@ import (
 	"repro/internal/transport"
 )
 
-// maxBatchSegments bounds how many segment buffers one message holds out of
-// the pool at once. A full batch at the 64 KB datagram limit is ~2 MB of
-// pooled memory per in-flight send — enough to amortize the per-batch costs
-// (one BatchSender call, one queue lock) without letting a 1 GB message pin
-// a gigabyte of buffers.
-const maxBatchSegments = 32
+// maxBatchSegments and maxBatchBytes bound the segment buffers one message
+// holds out of the pool at once — a send burst — by count and by the memory
+// they add up to: enough to amortize the per-burst costs (one SendBatch
+// call, one queue lock) without letting a 1 GB message pin a gigabyte of
+// buffers. The byte bound keeps a burst of 64 KB segments inside the cache:
+// every LLP reads each buffer again (simnet and rudp copy it, rudp CRCs it),
+// and a 2 MB burst written whole before the first is read back measured 9%
+// less goodput on a 1 MiB message than four-segment bursts.
+const (
+	maxBatchSegments = 32
+	maxBatchBytes    = 256 << 10
+)
 
 // DatagramChannel binds DDP to an unreliable datagram LLP: the paper's
 // datagram-iWARP datapath (Figure 4, right column). There is no MPA layer —
@@ -35,20 +41,18 @@ const maxBatchSegments = 32
 //
 // The send path is a batched, pool-backed pipeline: each segment is encoded
 // into its own buffer drawn from a per-channel pool, CRC'd, and the burst is
-// handed to the LLP through transport.BatchSender where available. There is
+// handed to the LLP's SendBatch; the receive path pulls bursts through its
+// RecvBatch and hands consumed buffers back through its Recycle. There is
 // no per-channel send lock and no shared send buffer, so concurrent posters
 // on one QP proceed independently — they contend only on the pool's
 // lock-free free list and (under simnet) one queue lock per batch.
 type DatagramChannel struct {
-	ep     transport.Datagram
-	batch  transport.BatchSender   // non-nil when ep supports batched sends
-	brecv  transport.BatchRecver   // non-nil when ep supports batched receives
-	pstats transport.RecvPoolStats // non-nil when ep reports receive-pool stats
+	ep transport.Datagram
 
-	pool      *nio.Pool // segment wire buffers, capacity ep.MaxDatagram()
-	batchBuf  sync.Pool // *[][]byte scratch, capacity maxBatchSegments
-	recvBuf   sync.Pool // *recvScratch staging for RecvBatch
-	recvBurst int       // scratch width: maxRecvBurst, widened under GRO
+	pool     *nio.Pool // segment wire buffers, capacity ep.MaxDatagram()
+	burst    int       // segments per send burst: both bounds, at this LLP's MaxDatagram
+	batchBuf sync.Pool // *[][]byte scratch, capacity maxBatchSegments
+	recvBuf  sync.Pool // *recvScratch staging for RecvBatch
 
 	// lastPoolHits/Misses are the endpoint pool counters as of the last
 	// pull; RecvBatch exports the per-batch delta into the registry handles
@@ -77,15 +81,6 @@ type DatagramChannel struct {
 // side's maxBatchSegments so a full send burst drains in one receive burst.
 const maxRecvBurst = maxBatchSegments
 
-// maxRecvBurstGRO is the burst bound against an LLP doing UDP_GRO receive
-// coalescing (transport.BatchFeatures.GRO): one recvmmsg there can split
-// back into up to 64 datagrams per super-segment (the kernel's
-// UDP_MAX_SEGMENTS), so a maxRecvBurst-sized pull would leave split-back
-// overflow queued in the endpoint and re-enter the syscall path half-fed.
-// Doubling the scratch lets one pull drain a full GSO burst's worth of
-// coalesced traffic in one hop.
-const maxRecvBurstGRO = 2 * maxRecvBurst
-
 // recvScratch is the staging area RecvBatch pulls raw datagrams into before
 // CRC verification; pooled per channel so the receive path allocates nothing.
 type recvScratch struct {
@@ -99,6 +94,7 @@ func NewDatagramChannel(ep transport.Datagram) *DatagramChannel {
 	ch := &DatagramChannel{
 		ep:            ep,
 		pool:          nio.NewPool(ep.MaxDatagram()),
+		burst:         max(1, min(maxBatchSegments, maxBatchBytes/ep.MaxDatagram())),
 		batches:       telemetry.Default.Counter("diwarp_ddp_batches_total"),
 		segments:      telemetry.Default.Counter("diwarp_ddp_segments_total"),
 		crcFail:       telemetry.Default.Counter("diwarp_ddp_crc_fail_total"),
@@ -110,21 +106,14 @@ func NewDatagramChannel(ep transport.Datagram) *DatagramChannel {
 		recvPoolHit:   telemetry.Default.Counter("diwarp_ddp_recv_pool_hits_total"),
 		recvPoolMiss:  telemetry.Default.Counter("diwarp_ddp_recv_pool_misses_total"),
 	}
-	ch.batch, _ = ep.(transport.BatchSender)
-	ch.brecv, _ = ep.(transport.BatchRecver)
-	ch.pstats, _ = ep.(transport.RecvPoolStats)
-	ch.recvBurst = maxRecvBurst
-	if bc, ok := ep.(transport.BatchCapabilities); ok && bc.BatchFeatures().GRO {
-		ch.recvBurst = maxRecvBurstGRO
-	}
 	ch.batchBuf.New = func() any {
 		b := make([][]byte, 0, maxBatchSegments)
 		return &b
 	}
 	ch.recvBuf.New = func() any {
 		return &recvScratch{
-			pkts:  make([][]byte, ch.recvBurst),
-			addrs: make([]transport.Addr, ch.recvBurst),
+			pkts:  make([][]byte, maxRecvBurst),
+			addrs: make([]transport.Addr, maxRecvBurst),
 		}
 	}
 	return ch
@@ -145,7 +134,7 @@ func (ch *DatagramChannel) LocalAddr() transport.Addr { return ch.ep.LocalAddr()
 func (ch *DatagramChannel) Close() error { return ch.ep.Close() }
 
 // SendStats reports the channel's send-side counters: bursts handed to the
-// LLP's BatchSender, total wire segments emitted, and the segment-buffer
+// LLP's SendBatch, total wire segments emitted, and the segment-buffer
 // pool's hit/miss counts.
 func (ch *DatagramChannel) SendStats() (batches, segments, poolHits, poolMisses int64) {
 	poolHits, poolMisses = ch.pool.Stats()
@@ -153,15 +142,13 @@ func (ch *DatagramChannel) SendStats() (batches, segments, poolHits, poolMisses 
 }
 
 // Recycle returns a fully-consumed receive buffer (a Segment's Raw field)
-// to the transport when it supports recycling; otherwise it is a no-op.
+// to the LLP.
 func (ch *DatagramChannel) Recycle(raw []byte) {
 	if raw == nil {
 		return
 	}
-	if r, ok := ch.ep.(transport.Recycler); ok {
-		r.Recycle(raw)
-		ch.recycled.Inc()
-	}
+	ch.ep.Recycle(raw)
+	ch.recycled.Inc()
 }
 
 // SendUntagged segments one untagged message to the destination. Segments
@@ -193,17 +180,13 @@ func (ch *DatagramChannel) send(to transport.Addr, proto *Segment, payload nio.V
 	proto.MsgLen = uint32(total)
 	maxSeg := ch.ep.MaxDatagram() - proto.HeaderLen() - crcx.Size
 
-	if ch.batch == nil {
-		return ch.sendUnbatched(to, proto, payload, maxSeg, total)
-	}
-
 	pktsp := ch.batchBuf.Get().(*[][]byte)
 	pkts := (*pktsp)[:0]
 	flush := func() error {
 		if len(pkts) == 0 {
 			return nil
 		}
-		_, err := ch.batch.SendBatch(pkts, to)
+		_, err := ch.ep.SendBatch(pkts, to)
 		ch.batches.Inc()
 		ch.segments.Add(int64(len(pkts)))
 		ch.batchHist.Observe(int64(len(pkts)))
@@ -228,7 +211,7 @@ func (ch *DatagramChannel) send(to transport.Addr, proto *Segment, payload nio.V
 		} else {
 			proto.MO += uint32(n)
 		}
-		if proto.Last || len(pkts) == maxBatchSegments {
+		if proto.Last || len(pkts) == ch.burst {
 			if err := flush(); err != nil {
 				*pktsp = pkts
 				ch.batchBuf.Put(pktsp)
@@ -249,67 +232,6 @@ func errTooBig(n int) error {
 	return fmt.Errorf("%w: %d bytes", ErrTooBig, n)
 }
 
-// sendUnbatched is the per-packet fallback for LLPs without BatchSender:
-// one pooled buffer is reused across the message's segments, with no shared
-// channel state, so concurrent senders still do not serialize.
-//
-//diwarp:hotpath
-func (ch *DatagramChannel) sendUnbatched(to transport.Addr, proto *Segment, payload nio.Vec, maxSeg, total int) error {
-	buf := ch.pool.Get()
-	defer ch.pool.Put(buf)
-	off := 0
-	for {
-		n := min(maxSeg, total-off)
-		proto.Last = off+n == total
-		pkt := AppendHeader(buf[:0], proto)
-		pkt = payload.AppendRange(pkt, off, n)
-		pkt = nio.PutU32(pkt, crcx.Checksum(pkt))
-		ch.segments.Inc()
-		if err := ch.ep.SendTo(pkt, to); err != nil {
-			return err
-		}
-		off += n
-		if proto.Tagged {
-			proto.TO += uint64(n)
-		} else {
-			proto.MO += uint32(n)
-		}
-		if proto.Last {
-			return nil
-		}
-	}
-}
-
-// Recv returns the next CRC-valid DDP segment and its source. Segments
-// failing CRC are dropped and counted, per the paper's UD error model
-// (errors are reported, the channel stays usable). A zero timeout blocks.
-func (ch *DatagramChannel) Recv(timeout time.Duration) (Segment, transport.Addr, error) {
-	deadline := time.Time{}
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	for {
-		remaining := time.Duration(0)
-		if !deadline.IsZero() {
-			remaining = time.Until(deadline)
-			if remaining <= 0 {
-				return Segment{}, transport.Addr{}, transport.ErrTimeout
-			}
-		}
-		pkt, from, err := ch.ep.Recv(remaining)
-		if err != nil {
-			return Segment{}, transport.Addr{}, err
-		}
-		seg, err := Parse(pkt, true)
-		if err != nil {
-			ch.dropBad(pkt, from, err)
-			continue
-		}
-		seg.Raw = pkt
-		return seg, from, nil
-	}
-}
-
 // dropBad disposes of a corrupt or runt datagram: drop and keep receiving.
 // The QP does not error out (paper §IV.B item 2). CRC failures are the UD
 // error model's one observable, so they are counted and traced. Outlined
@@ -323,30 +245,20 @@ func (ch *DatagramChannel) dropBad(pkt []byte, from transport.Addr, err error) {
 }
 
 // RecvBatch fills segs and froms with up to min(len(segs), len(froms))
-// CRC-valid segments pulled from the LLP in one burst: a single BatchRecver
-// call pulls the raw datagrams, the burst is verified segment-by-segment
+// CRC-valid segments pulled from the LLP in one burst: a single RecvBatch
+// call below pulls the raw datagrams, the burst is verified segment-by-segment
 // (crcx dispatches to hardware CRC32C), and valid segments are handed up
 // in place — each Segment's Payload aliases its Raw buffer, so nothing is
-// re-copied. Corrupt datagrams are dropped and counted exactly as in Recv;
-// a burst that was ALL corrupt pulls again until the deadline. Returns the
-// number of valid segments; n ≥ 1 on nil error.
-//
-// On an LLP without BatchRecver this degrades to one Recv per call, so
-// callers need no fallback of their own.
+// re-copied. Segments failing CRC are dropped and counted, per the paper's
+// UD error model (errors are reported, the channel stays usable); a burst
+// that was ALL corrupt pulls again until the deadline. A zero timeout
+// blocks. Returns the number of valid segments; n ≥ 1 on nil error.
 func (ch *DatagramChannel) RecvBatch(segs []Segment, froms []transport.Addr, timeout time.Duration) (int, error) {
 	max := min(len(segs), len(froms))
 	if max == 0 {
 		return 0, nil
 	}
-	if ch.brecv == nil {
-		seg, from, err := ch.Recv(timeout)
-		if err != nil {
-			return 0, err
-		}
-		segs[0], froms[0] = seg, from
-		return 1, nil
-	}
-	burst := min(max, ch.recvBurst)
+	burst := min(max, maxRecvBurst)
 	deadline := time.Time{}
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
@@ -361,7 +273,7 @@ func (ch *DatagramChannel) RecvBatch(segs []Segment, froms []transport.Addr, tim
 				return 0, transport.ErrTimeout
 			}
 		}
-		n, err := ch.brecv.RecvBatch(sc.pkts[:burst], sc.addrs[:burst], remaining)
+		n, err := ch.ep.RecvBatch(sc.pkts[:burst], sc.addrs[:burst], remaining)
 		if err != nil {
 			return 0, err
 		}
@@ -373,7 +285,7 @@ func (ch *DatagramChannel) RecvBatch(segs []Segment, froms []transport.Addr, tim
 		if m > 0 {
 			return m, nil
 		}
-		// Whole burst failed CRC: keep pulling, like Recv's drop-and-retry.
+		// Whole burst failed CRC: drop and keep pulling.
 	}
 }
 
@@ -405,10 +317,7 @@ func (ch *DatagramChannel) parseBatch(pkts [][]byte, addrs []transport.Addr, seg
 // channel observes the same underlying counters, so the registry sum over
 // channels can multiply-count; per-channel RecvStats reads stay exact.
 func (ch *DatagramChannel) pullPoolStats() {
-	if ch.pstats == nil {
-		return
-	}
-	hits, misses := ch.pstats.RecvPoolStats()
+	hits, misses := ch.ep.RecvPoolStats()
 	ch.pstatsMu.Lock()
 	dh, dm := hits-ch.lastPoolHits, misses-ch.lastPoolMisses
 	ch.lastPoolHits, ch.lastPoolMisses = hits, misses
@@ -422,7 +331,7 @@ func (ch *DatagramChannel) pullPoolStats() {
 }
 
 // RecvStats reports the channel's receive-side counters: bursts pulled from
-// the LLP's BatchRecver, CRC-valid segments delivered, buffers recycled to
+// the LLP's RecvBatch, CRC-valid segments delivered, buffers recycled to
 // the LLP, and the endpoint receive pool's hit/miss counts as last pulled.
 func (ch *DatagramChannel) RecvStats() (batches, segments, recycled, poolHits, poolMisses int64) {
 	ch.pstatsMu.Lock()

@@ -12,7 +12,8 @@ import (
 
 // discardEP is a sink Datagram endpoint: SendTo accepts and drops every
 // packet. It isolates the send path's own cost (segmentation, CRC, buffer
-// management) from any real or simulated wire below it.
+// management) from any real or simulated wire below it. Its SendBatch is a
+// loop over SendTo — the shape of a per-datagram LLP such as rudp.
 type discardEP struct {
 	maxDgram int
 	pkts     atomic.Int64
@@ -28,13 +29,27 @@ func (d *discardEP) Recv(timeout time.Duration) ([]byte, transport.Addr, error) 
 	return nil, transport.Addr{}, transport.ErrTimeout
 }
 
+func (d *discardEP) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
+	for _, p := range pkts {
+		d.SendTo(p, to)
+	}
+	return len(pkts), nil
+}
+
+func (d *discardEP) RecvBatch([][]byte, []transport.Addr, time.Duration) (int, error) {
+	return 0, transport.ErrTimeout
+}
+
+func (d *discardEP) Recycle([]byte)                {}
+func (d *discardEP) RecvPoolStats() (int64, int64) { return 0, 0 }
+
 func (d *discardEP) LocalAddr() transport.Addr { return transport.Addr{Node: "bench", Port: 1} }
 func (d *discardEP) MaxDatagram() int          { return d.maxDgram }
 func (d *discardEP) PathMTU() int              { return transport.DefaultMTU }
 func (d *discardEP) Close() error              { return nil }
 
-// discardBatchEP additionally implements transport.BatchSender, accepting
-// whole batches the way simnet and the UDP endpoint do.
+// discardBatchEP accepts whole batches in one step, the way simnet and the
+// UDP endpoint do.
 type discardBatchEP struct{ discardEP }
 
 func (d *discardBatchEP) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {

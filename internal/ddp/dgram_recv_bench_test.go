@@ -12,9 +12,9 @@ import (
 )
 
 // replayEP is a feeder endpoint for receive-path benchmarks: it serves
-// pre-encoded datagrams from a fixed ring, implementing BatchRecver,
-// Recycler and RecvPoolStats so the full batched path is exercised with
-// the wire taken out of the measurement. Buffers recycle through a
+// pre-encoded datagrams from a fixed ring through RecvBatch, Recycle and
+// RecvPoolStats, so the full batched path is exercised with the wire taken
+// out of the measurement. Buffers recycle through a
 // freelist, so a warmed feeder allocates nothing.
 type replayEP struct {
 	discardEP

@@ -115,46 +115,6 @@ func TestRecvBatchDropsCorrupt(t *testing.T) {
 	}
 }
 
-// singleRecvEP wraps a datagram endpoint hiding its BatchRecver, to pin
-// RecvBatch's degradation path for LLPs without the seam (e.g. rudp).
-type singleRecvEP struct {
-	transport.Datagram
-}
-
-// TestRecvBatchFallbackSingleRecv: without BatchRecver underneath,
-// RecvBatch degrades to one segment per call — callers need no fallback of
-// their own.
-func TestRecvBatchFallbackSingleRecv(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	a, err := net.OpenDatagram("a", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := net.OpenDatagram("b", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca, cb := NewDatagramChannel(a), NewDatagramChannel(&singleRecvEP{b})
-	defer ca.Close()
-	defer cb.Close()
-	if cb.brecv != nil {
-		t.Fatal("wrapper unexpectedly batch-capable")
-	}
-	for i := 0; i < 3; i++ {
-		if err := ca.SendUntagged(cb.LocalAddr(), QNSend, uint32(i), 0, nio.VecOf([]byte("m"))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segs := make([]Segment, 8)
-	froms := make([]transport.Addr, 8)
-	for i := 0; i < 3; i++ {
-		n, err := cb.RecvBatch(segs, froms, 2*time.Second)
-		if err != nil || n != 1 {
-			t.Fatalf("call %d: n=%d err=%v, want exactly 1", i, n, err)
-		}
-	}
-}
-
 // TestRecvBatchZeroCap: zero-length destination slices return immediately.
 func TestRecvBatchZeroCap(t *testing.T) {
 	_, cb := recvPair(t)

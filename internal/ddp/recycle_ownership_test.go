@@ -23,10 +23,14 @@ func (s *scriptedEP) SendTo(p []byte, to transport.Addr) error { return nil }
 func (s *scriptedEP) Recv(timeout time.Duration) ([]byte, transport.Addr, error) {
 	return nil, transport.Addr{}, transport.ErrClosed
 }
-func (s *scriptedEP) LocalAddr() transport.Addr { return transport.Addr{Node: "stub", Port: 1} }
-func (s *scriptedEP) MaxDatagram() int          { return 65507 }
-func (s *scriptedEP) PathMTU() int              { return 1500 }
-func (s *scriptedEP) Close() error              { return nil }
+func (s *scriptedEP) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
+	return len(pkts), nil
+}
+func (s *scriptedEP) RecvPoolStats() (int64, int64) { return 0, 0 }
+func (s *scriptedEP) LocalAddr() transport.Addr     { return transport.Addr{Node: "stub", Port: 1} }
+func (s *scriptedEP) MaxDatagram() int              { return 65507 }
+func (s *scriptedEP) PathMTU() int                  { return 1500 }
+func (s *scriptedEP) Close() error                  { return nil }
 
 func (s *scriptedEP) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout time.Duration) (int, error) {
 	if s.served {

@@ -91,10 +91,10 @@ type held struct {
 	after int // remaining SendTo calls before release
 }
 
-// Endpoint wraps an inner Datagram with fault injection. It implements
-// Datagram, BatchSender and BatchRecver (falling back to the inner
-// per-packet calls when the inner endpoint lacks the batch interfaces), and
-// forwards Recycler/RecvPoolStats when the inner endpoint provides them.
+// Endpoint wraps an inner Datagram with fault injection: sends run the
+// fault pipeline one packet at a time, receives filter the inner endpoint's
+// bursts, and the buffer loop (Recycle, RecvPoolStats) passes straight
+// through.
 //
 // All send-side decisions happen under one mutex, which also covers the
 // inner SendTo call: concurrent senders are serialized, which is exactly
@@ -368,44 +368,28 @@ func (e *Endpoint) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
 	return len(pkts), nil
 }
 
-// Recv returns the next datagram that survives the inbound partition
-// filter. Filtered packets are recycled to the inner pool and the wait
-// restarts with the full timeout (chaos schedules tolerate the slack).
+// Recv is RecvBatch of one.
 func (e *Endpoint) Recv(timeout time.Duration) ([]byte, transport.Addr, error) {
-	for {
-		p, from, err := e.inner.Recv(timeout)
-		if err != nil {
-			return p, from, err
-		}
-		if !e.recvBlocked(from, len(p)) {
-			return p, from, nil
-		}
-		e.Recycle(p)
-	}
+	var p [1][]byte
+	var from [1]transport.Addr
+	_, err := e.RecvBatch(p[:], from[:], timeout)
+	return p[0], from[0], err
 }
 
-// RecvBatch mirrors Recv for bursts, compacting inbound-partitioned packets
-// out of the result. When the inner endpoint lacks BatchRecver it degrades
-// to a single Recv, preserving the n ≥ 1 contract.
+// RecvBatch returns the inner endpoint's next burst with inbound-partitioned
+// packets compacted out. Filtered packets are recycled to the inner pool;
+// when the filter empties a burst the wait restarts with the full timeout
+// (chaos schedules tolerate the slack).
 func (e *Endpoint) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout time.Duration) (int, error) {
-	br, ok := e.inner.(transport.BatchRecver)
-	if !ok {
-		p, from, err := e.Recv(timeout)
-		if err != nil {
-			return 0, err
-		}
-		pkts[0], froms[0] = p, from
-		return 1, nil
-	}
 	for {
-		n, err := br.RecvBatch(pkts, froms, timeout)
-		if err != nil {
+		n, err := e.inner.RecvBatch(pkts, froms, timeout)
+		if err != nil || n == 0 {
 			return n, err
 		}
 		kept := 0
 		for i := 0; i < n; i++ {
 			if e.recvBlocked(froms[i], len(pkts[i])) {
-				e.Recycle(pkts[i])
+				e.inner.Recycle(pkts[i])
 				continue
 			}
 			pkts[kept], froms[kept] = pkts[i], froms[i]
@@ -429,20 +413,11 @@ func (e *Endpoint) recvBlocked(from transport.Addr, n int) bool {
 	return blocked
 }
 
-// Recycle forwards to the inner pool when one exists.
-func (e *Endpoint) Recycle(p []byte) {
-	if rc, ok := e.inner.(transport.Recycler); ok {
-		rc.Recycle(p)
-	}
-}
+// Recycle hands the buffer back to the inner endpoint's pool.
+func (e *Endpoint) Recycle(p []byte) { e.inner.Recycle(p) }
 
-// RecvPoolStats forwards the inner pool counters when available.
-func (e *Endpoint) RecvPoolStats() (hits, misses int64) {
-	if ps, ok := e.inner.(transport.RecvPoolStats); ok {
-		return ps.RecvPoolStats()
-	}
-	return 0, 0
-}
+// RecvPoolStats reports the inner endpoint's pool counters.
+func (e *Endpoint) RecvPoolStats() (hits, misses int64) { return e.inner.RecvPoolStats() }
 
 // LocalAddr returns the inner endpoint's address.
 func (e *Endpoint) LocalAddr() transport.Addr { return e.inner.LocalAddr() }
@@ -450,17 +425,6 @@ func (e *Endpoint) LocalAddr() transport.Addr { return e.inner.LocalAddr() }
 // MaxDatagram returns the inner limit: the transport's maximum is a host
 // property, not a path property, so the MTU shrink does not move it.
 func (e *Endpoint) MaxDatagram() int { return e.inner.MaxDatagram() }
-
-// BatchFeatures forwards the inner endpoint's kernel batch capabilities so
-// the layers above a faulty link size their bursts the same way they would
-// on the clean link (GRO split-back still happens below the fault filter,
-// and SendBatch/RecvBatch above preserve per-packet fault verdicts).
-func (e *Endpoint) BatchFeatures() transport.BatchFeatures {
-	if bc, ok := e.inner.(transport.BatchCapabilities); ok {
-		return bc.BatchFeatures()
-	}
-	return transport.BatchFeatures{}
-}
 
 // PathMTU reports the shrunken MTU once SetMTU has taken effect.
 func (e *Endpoint) PathMTU() int {

@@ -25,10 +25,21 @@ func (c *captureEP) SendTo(p []byte, to transport.Addr) error {
 func (c *captureEP) Recv(time.Duration) ([]byte, transport.Addr, error) {
 	return nil, transport.Addr{}, transport.ErrTimeout
 }
-func (c *captureEP) LocalAddr() transport.Addr { return transport.Addr{Node: "inner", Port: 1} }
-func (c *captureEP) MaxDatagram() int          { return transport.MaxDatagramSize }
-func (c *captureEP) PathMTU() int              { return transport.DefaultMTU }
-func (c *captureEP) Close() error              { return nil }
+func (c *captureEP) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
+	for _, p := range pkts {
+		c.SendTo(p, to)
+	}
+	return len(pkts), nil
+}
+func (c *captureEP) RecvBatch([][]byte, []transport.Addr, time.Duration) (int, error) {
+	return 0, transport.ErrTimeout
+}
+func (c *captureEP) Recycle([]byte)                {}
+func (c *captureEP) RecvPoolStats() (int64, int64) { return 0, 0 }
+func (c *captureEP) LocalAddr() transport.Addr     { return transport.Addr{Node: "inner", Port: 1} }
+func (c *captureEP) MaxDatagram() int              { return transport.MaxDatagramSize }
+func (c *captureEP) PathMTU() int                  { return transport.DefaultMTU }
+func (c *captureEP) Close() error                  { return nil }
 
 var peer = transport.Addr{Node: "peer", Port: 7}
 

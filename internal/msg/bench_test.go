@@ -17,17 +17,29 @@ func newDiscardEP() *discardEP { return &discardEP{done: make(chan struct{})} }
 
 func (d *discardEP) SendTo(p []byte, to transport.Addr) error { return nil }
 
+func (d *discardEP) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
+	return len(pkts), nil
+}
+
 func (d *discardEP) Recv(timeout time.Duration) ([]byte, transport.Addr, error) {
+	_, err := d.RecvBatch(nil, nil, timeout)
+	return nil, transport.Addr{}, err
+}
+
+func (d *discardEP) RecvBatch(_ [][]byte, _ []transport.Addr, timeout time.Duration) (int, error) {
 	if timeout <= 0 || timeout > 10*time.Millisecond {
 		timeout = 10 * time.Millisecond
 	}
 	select {
 	case <-d.done:
-		return nil, transport.Addr{}, transport.ErrClosed
+		return 0, transport.ErrClosed
 	case <-time.After(timeout):
-		return nil, transport.Addr{}, transport.ErrTimeout
+		return 0, transport.ErrTimeout
 	}
 }
+
+func (d *discardEP) Recycle([]byte)                {}
+func (d *discardEP) RecvPoolStats() (int64, int64) { return 0, 0 }
 
 func (d *discardEP) LocalAddr() transport.Addr { return transport.Addr{Node: "bench", Port: 1} }
 func (d *discardEP) MaxDatagram() int          { return transport.MaxDatagramSize }

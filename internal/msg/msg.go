@@ -23,10 +23,10 @@ import (
 // Tunables and their defaults.
 const (
 	// DefaultEagerThreshold is the eager/rendezvous crossover used when
-	// Config.EagerThreshold is zero and AutoProbe is off. 16 KiB sits in
-	// the crossover band the paper's MPI ancestry reports (MPICH2 uses
-	// 16-64 KiB over RDMA interconnects); `make tensorbench` measures the
-	// real one for this stack and EXPERIMENTS.md records it.
+	// Config.EagerThreshold is zero. 16 KiB sits in the crossover band the
+	// paper's MPI ancestry reports (MPICH2 uses 16-64 KiB over RDMA
+	// interconnects); `make tensorbench` measures the real one for this
+	// stack and EXPERIMENTS.md records it.
 	DefaultEagerThreshold = 16 << 10
 	// DefaultEagerCredits is the per-peer eager window W: a sender may
 	// have at most W eager messages outstanding beyond the receiver's
@@ -67,14 +67,10 @@ var (
 // Config parameterizes an Endpoint.
 type Config struct {
 	// EagerThreshold is the largest payload (bytes) sent eagerly. Zero
-	// selects DefaultEagerThreshold, or the measured Crossover() when
-	// AutoProbe is set. Both ends of a flow must agree: an eager message
-	// larger than the receiver's threshold overflows its posted receives
-	// and is dropped with an advisory completion.
+	// selects DefaultEagerThreshold. Both ends of a flow must agree: an
+	// eager message larger than the receiver's threshold overflows its
+	// posted receives and is dropped with an advisory completion.
 	EagerThreshold int
-	// AutoProbe, with EagerThreshold zero, measures the crossover on a
-	// loopback simnet at first Open and uses that instead of the default.
-	AutoProbe bool
 	// EagerCredits is the per-peer eager window W (default 64).
 	EagerCredits int
 	// RecvDepth is the number of pre-posted receives (default 256).
@@ -104,11 +100,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.EagerThreshold == 0 {
-		if c.AutoProbe {
-			c.EagerThreshold = Crossover()
-		} else {
-			c.EagerThreshold = DefaultEagerThreshold
-		}
+		c.EagerThreshold = DefaultEagerThreshold
 	}
 	if c.EagerCredits == 0 {
 		c.EagerCredits = DefaultEagerCredits

@@ -1,4 +1,21 @@
-package telemetry
+// Package pcap holds the wire taps: a [DatagramTap] or [StreamTap]
+// interposes on the transport seam — the boundary between the iWARP stack
+// and its LLP — and copies every datagram or stream chunk that crosses it
+// into a standard pcap savefile, so any run (simnet or real sockets) can be
+// opened in Wireshark. The taps decorate transport's interfaces and count
+// into telemetry's registry, so they sit above both; keeping them out of
+// telemetry is what lets transport import the registry.
+//
+// Traffic is re-encapsulated: datagrams as Ethernet/IPv4/UDP frames, stream
+// chunks as Ethernet/IPv4/TCP segments with a synthetic handshake and
+// tracked sequence numbers. transport.Addr nodes that parse as IPv4 keep
+// their address; symbolic simnet nodes ("a", "b", "mcast") map
+// deterministically into 10.0.0.0/8 so two-node captures stay legible.
+//
+// All pcap integers are written big-endian with the standard magic; pcap
+// readers detect byte order from the magic, and the tree's wire-format
+// convention (wirecheck) is network order throughout.
+package pcap
 
 import (
 	"bufio"
@@ -9,22 +26,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
-
-// Pcap wire taps: a [DatagramTap] or [StreamTap] interposes on the
-// transport seam — the boundary between the iWARP stack and its LLP — and
-// copies every datagram or stream chunk that crosses it into a standard
-// pcap savefile, so any run (simnet or real sockets) can be opened in
-// Wireshark. Traffic is re-encapsulated: datagrams as Ethernet/IPv4/UDP
-// frames, stream chunks as Ethernet/IPv4/TCP segments with a synthetic
-// handshake and tracked sequence numbers. transport.Addr nodes that parse
-// as IPv4 keep their address; symbolic simnet nodes ("a", "b", "mcast")
-// map deterministically into 10.0.0.0/8 so two-node captures stay legible.
-//
-// All pcap integers are written big-endian with the standard magic; pcap
-// readers detect byte order from the magic, and the tree's wire-format
-// convention (wirecheck) is network order throughout.
 
 // pcap file constants.
 const (
@@ -41,12 +45,12 @@ const (
 	maxEncapPayload = 65535 - ipv4HdrLen - udpHdrLen // IPv4 total-length ceiling
 )
 
-// PcapWriter serializes packets into pcap savefile format. It is safe for
+// Writer serializes packets into pcap savefile format. It is safe for
 // concurrent use (taps on both directions of a connection share one
 // writer); writes are buffered and errors are sticky — a tap never fails
-// the datapath it observes, so I/O errors surface through [PcapWriter.Err]
+// the datapath it observes, so I/O errors surface through [Writer.Err]
 // and Close rather than through SendTo/Recv.
-type PcapWriter struct {
+type Writer struct {
 	mu      sync.Mutex
 	bw      *bufio.Writer
 	under   io.Writer
@@ -55,18 +59,18 @@ type PcapWriter struct {
 	scratch [etherHdrLen + ipv4HdrLen + tcpHdrLen]byte
 	hdr     [pcapRecHdrLen]byte
 
-	packets *Counter // also registered as diwarp_pcap_packets_total
-	bytes   *Counter
+	packets *telemetry.Counter // also registered as diwarp_pcap_packets_total
+	bytes   *telemetry.Counter
 }
 
-// NewPcapWriter starts a pcap stream on w, writing the file header
+// NewWriter starts a pcap stream on w, writing the file header
 // immediately. If w is an io.Closer, Close closes it after flushing.
-func NewPcapWriter(w io.Writer) (*PcapWriter, error) {
-	pw := &PcapWriter{
+func NewWriter(w io.Writer) (*Writer, error) {
+	pw := &Writer{
 		bw:      bufio.NewWriterSize(w, 64<<10),
 		under:   w,
-		packets: Default.Counter("diwarp_pcap_packets_total"),
-		bytes:   Default.Counter("diwarp_pcap_bytes_total"),
+		packets: telemetry.Default.Counter("diwarp_pcap_packets_total"),
+		bytes:   telemetry.Default.Counter("diwarp_pcap_bytes_total"),
 	}
 	var fh [24]byte
 	binary.BigEndian.PutUint32(fh[0:], pcapMagic)
@@ -82,10 +86,10 @@ func NewPcapWriter(w io.Writer) (*PcapWriter, error) {
 }
 
 // Packets returns how many packet records have been written.
-func (pw *PcapWriter) Packets() int64 { return pw.packets.Load() }
+func (pw *Writer) Packets() int64 { return pw.packets.Load() }
 
 // Err returns the first write error, if any.
-func (pw *PcapWriter) Err() error {
+func (pw *Writer) Err() error {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
 	return pw.err
@@ -93,7 +97,7 @@ func (pw *PcapWriter) Err() error {
 
 // Close flushes the buffer and closes the underlying writer when it is a
 // Closer.
-func (pw *PcapWriter) Close() error {
+func (pw *Writer) Close() error {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
 	if ferr := pw.bw.Flush(); pw.err == nil {
@@ -140,7 +144,7 @@ func onesComplement(b []byte) uint16 {
 // writeFrame emits one pcap record: Ethernet + IPv4 + (UDP | TCP) headers
 // built in the scratch buffer, then the payload. proto is 17 (UDP) or
 // 6 (TCP); seq/ack/flags are used only for TCP.
-func (pw *PcapWriter) writeFrame(src, dst transport.Addr, proto byte, seq, ack uint32, flags byte, payload []byte) {
+func (pw *Writer) writeFrame(src, dst transport.Addr, proto byte, seq, ack uint32, flags byte, payload []byte) {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
 	if pw.err != nil {
@@ -245,133 +249,91 @@ func tcpChecksum(sip, dip [4]byte, hdr, payload []byte) uint16 {
 
 // DatagramTap wraps a transport.Datagram, mirroring every datagram that
 // crosses it into a pcap file as a UDP packet and counting transport-seam
-// traffic into the registry. It forwards the optional BatchSender and
-// Recycler capabilities of the endpoint below, so a tapped LLP keeps its
-// batched, pooled datapath. Closing the tap closes the inner endpoint but
-// NOT the writer — both directions of a simnet pair typically share one
-// PcapWriter, which the caller closes once.
+// traffic into the registry. Bursts pass through as bursts, so a tapped LLP
+// keeps its batched, pooled datapath. Closing the tap closes the inner
+// endpoint but NOT the writer — both directions of a simnet pair typically
+// share one Writer, which the caller closes once.
 type DatagramTap struct {
 	inner transport.Datagram
-	pw    *PcapWriter
+	pw    *Writer
 
-	sent, recvd           *Counter
-	sentBytes, recvdBytes *Counter
-}
-
-var _ transport.Datagram = (*DatagramTap)(nil)
-var _ transport.BatchSender = (*DatagramTap)(nil)
-var _ transport.BatchRecver = (*DatagramTap)(nil)
-var _ transport.Recycler = (*DatagramTap)(nil)
-var _ transport.RecvPoolStats = (*DatagramTap)(nil)
-var _ transport.BatchCapabilities = (*DatagramTap)(nil)
-
-// BatchFeatures forwards the inner endpoint's kernel batch capabilities, so
-// tapping a link does not change the burst sizing of the layers above.
-func (t *DatagramTap) BatchFeatures() transport.BatchFeatures {
-	if bc, ok := t.inner.(transport.BatchCapabilities); ok {
-		return bc.BatchFeatures()
-	}
-	return transport.BatchFeatures{}
+	sent, recvd           *telemetry.Counter
+	sentBytes, recvdBytes *telemetry.Counter
 }
 
 // TapDatagram interposes a pcap tap over inner, writing to pw.
-func TapDatagram(inner transport.Datagram, pw *PcapWriter) *DatagramTap {
+func TapDatagram(inner transport.Datagram, pw *Writer) *DatagramTap {
 	return &DatagramTap{
 		inner:      inner,
 		pw:         pw,
-		sent:       Default.Counter("diwarp_transport_datagrams_sent_total"),
-		recvd:      Default.Counter("diwarp_transport_datagrams_recv_total"),
-		sentBytes:  Default.Counter("diwarp_transport_bytes_sent_total"),
-		recvdBytes: Default.Counter("diwarp_transport_bytes_recv_total"),
+		sent:       telemetry.Default.Counter("diwarp_transport_datagrams_sent_total"),
+		recvd:      telemetry.Default.Counter("diwarp_transport_datagrams_recv_total"),
+		sentBytes:  telemetry.Default.Counter("diwarp_transport_bytes_sent_total"),
+		recvdBytes: telemetry.Default.Counter("diwarp_transport_bytes_recv_total"),
 	}
+}
+
+// sentOne captures and counts one datagram the inner endpoint accepted.
+// local is the inner endpoint's address, looked up once per call into the
+// tap (a kernel endpoint renders it afresh each time).
+func (t *DatagramTap) sentOne(local transport.Addr, p []byte, to transport.Addr) {
+	t.pw.writeFrame(local, to, 17, 0, 0, 0, p)
+	t.sent.Inc()
+	t.sentBytes.Add(int64(len(p)))
+}
+
+// recvdOne captures and counts one datagram the inner endpoint delivered.
+func (t *DatagramTap) recvdOne(local transport.Addr, p []byte, from transport.Addr) {
+	t.pw.writeFrame(from, local, 17, 0, 0, 0, p)
+	t.recvd.Inc()
+	t.recvdBytes.Add(int64(len(p)))
 }
 
 // SendTo implements transport.Datagram.
 func (t *DatagramTap) SendTo(p []byte, to transport.Addr) error {
 	err := t.inner.SendTo(p, to)
 	if err == nil {
-		t.pw.writeFrame(t.inner.LocalAddr(), to, 17, 0, 0, 0, p)
-		t.sent.Inc()
-		t.sentBytes.Add(int64(len(p)))
+		t.sentOne(t.inner.LocalAddr(), p, to)
 	}
 	return err
 }
 
-// SendBatch implements transport.BatchSender, delegating to the inner
-// endpoint's batched path when it has one. Only datagrams actually handed
+// SendBatch implements transport.Datagram. Only datagrams actually handed
 // to the network are captured.
 func (t *DatagramTap) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
-	if bs, ok := t.inner.(transport.BatchSender); ok {
-		n, err := bs.SendBatch(pkts, to)
-		from := t.inner.LocalAddr()
-		for _, p := range pkts[:n] {
-			t.pw.writeFrame(from, to, 17, 0, 0, 0, p)
-			t.sentBytes.Add(int64(len(p)))
-		}
-		t.sent.Add(int64(n))
-		return n, err
+	n, err := t.inner.SendBatch(pkts, to)
+	local := t.inner.LocalAddr()
+	for _, p := range pkts[:n] {
+		t.sentOne(local, p, to)
 	}
-	for i, p := range pkts {
-		if err := t.SendTo(p, to); err != nil {
-			return i, err
-		}
-	}
-	return len(pkts), nil
+	return n, err
 }
 
 // Recv implements transport.Datagram.
 func (t *DatagramTap) Recv(timeout time.Duration) ([]byte, transport.Addr, error) {
 	p, from, err := t.inner.Recv(timeout)
 	if err == nil {
-		t.pw.writeFrame(from, t.inner.LocalAddr(), 17, 0, 0, 0, p)
-		t.recvd.Inc()
-		t.recvdBytes.Add(int64(len(p)))
+		t.recvdOne(t.inner.LocalAddr(), p, from)
 	}
 	return p, from, err
 }
 
-// RecvBatch implements transport.BatchRecver, delegating to the inner
-// endpoint's batched path when it has one and degrading to one Recv
-// otherwise, so a tapped LLP keeps the batched receive seam. Every datagram
-// in the burst is captured and counted.
+// RecvBatch implements transport.Datagram. Every datagram in the burst is
+// captured and counted.
 func (t *DatagramTap) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout time.Duration) (int, error) {
-	var n int
-	var err error
-	if br, ok := t.inner.(transport.BatchRecver); ok {
-		n, err = br.RecvBatch(pkts, froms, timeout)
-	} else {
-		if len(pkts) == 0 || len(froms) == 0 {
-			return 0, nil
-		}
-		pkts[0], froms[0], err = t.inner.Recv(timeout)
-		if err == nil {
-			n = 1
-		}
-	}
+	n, err := t.inner.RecvBatch(pkts, froms, timeout)
 	local := t.inner.LocalAddr()
 	for i := 0; i < n; i++ {
-		t.pw.writeFrame(froms[i], local, 17, 0, 0, 0, pkts[i])
-		t.recvdBytes.Add(int64(len(pkts[i])))
+		t.recvdOne(local, pkts[i], froms[i])
 	}
-	t.recvd.Add(int64(n))
 	return n, err
 }
 
-// Recycle implements transport.Recycler when the inner endpoint does.
-func (t *DatagramTap) Recycle(p []byte) {
-	if r, ok := t.inner.(transport.Recycler); ok {
-		r.Recycle(p)
-	}
-}
+// Recycle implements transport.Datagram.
+func (t *DatagramTap) Recycle(p []byte) { t.inner.Recycle(p) }
 
-// RecvPoolStats implements transport.RecvPoolStats when the inner endpoint
-// does; otherwise it reports zeroes (no pool below, nothing to observe).
-func (t *DatagramTap) RecvPoolStats() (hits, misses int64) {
-	if ps, ok := t.inner.(transport.RecvPoolStats); ok {
-		return ps.RecvPoolStats()
-	}
-	return 0, 0
-}
+// RecvPoolStats implements transport.Datagram.
+func (t *DatagramTap) RecvPoolStats() (hits, misses int64) { return t.inner.RecvPoolStats() }
 
 // LocalAddr implements transport.Datagram.
 func (t *DatagramTap) LocalAddr() transport.Addr { return t.inner.LocalAddr() }
@@ -391,7 +353,7 @@ func (t *DatagramTap) Close() error { return t.inner.Close() }
 // conversation; sequence numbers count actual bytes in each direction.
 type StreamTap struct {
 	inner transport.Stream
-	pw    *PcapWriter
+	pw    *Writer
 
 	mu    sync.Mutex
 	txSeq uint32 // next local→remote sequence number
@@ -401,7 +363,7 @@ type StreamTap struct {
 var _ transport.Stream = (*StreamTap)(nil)
 
 // TapStream interposes a pcap tap over inner, writing to pw.
-func TapStream(inner transport.Stream, pw *PcapWriter) *StreamTap {
+func TapStream(inner transport.Stream, pw *Writer) *StreamTap {
 	t := &StreamTap{inner: inner, pw: pw}
 	l, r := inner.LocalAddr(), inner.RemoteAddr()
 	pw.writeFrame(l, r, 6, 0, 0, 0x02, nil) // SYN

@@ -1,4 +1,4 @@
-package telemetry
+package pcap
 
 import (
 	"bytes"
@@ -32,6 +32,28 @@ func (f *fakeDgram) Recv(time.Duration) ([]byte, transport.Addr, error) {
 	f.q, f.from = f.q[1:], f.from[1:]
 	return p, from, nil
 }
+
+// The batch half of the seam, as loops over the two calls above.
+func (f *fakeDgram) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
+	for _, p := range pkts {
+		f.SendTo(p, to)
+	}
+	return len(pkts), nil
+}
+
+func (f *fakeDgram) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout time.Duration) (n int, err error) {
+	for n < len(pkts) && len(f.q) > 0 {
+		pkts[n], froms[n], _ = f.Recv(timeout)
+		n++
+	}
+	if n == 0 {
+		return 0, transport.ErrTimeout
+	}
+	return n, nil
+}
+
+func (f *fakeDgram) Recycle([]byte)                {}
+func (f *fakeDgram) RecvPoolStats() (int64, int64) { return 0, 0 }
 
 func (f *fakeDgram) LocalAddr() transport.Addr { return f.local }
 func (f *fakeDgram) MaxDatagram() int          { return 65000 }
@@ -100,7 +122,7 @@ func parsePcap(t *testing.T, b []byte) []pcapRecord {
 
 func TestDatagramTapPcap(t *testing.T) {
 	var buf bytes.Buffer
-	pw, err := NewPcapWriter(&buf)
+	pw, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +192,7 @@ func TestDatagramTapPcap(t *testing.T) {
 
 func TestStreamTapPcap(t *testing.T) {
 	var buf bytes.Buffer
-	pw, err := NewPcapWriter(&buf)
+	pw, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +248,7 @@ func TestStreamTapPcap(t *testing.T) {
 }
 
 func TestPcapWriterStickyError(t *testing.T) {
-	pw, err := NewPcapWriter(&failWriter{})
+	pw, err := NewWriter(&failWriter{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,6 +42,17 @@ func (h *hookEP) SendTo(p []byte, to transport.Addr) error {
 	return h.Datagram.SendTo(p, to)
 }
 
+// SendBatch routes the burst through SendTo, so the promoted batch method
+// cannot bypass the hook.
+func (h *hookEP) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
+	for i, p := range pkts {
+		if err := h.SendTo(p, to); err != nil {
+			return i, err
+		}
+	}
+	return len(pkts), nil
+}
+
 // peerField runs f on addr's peer state under its entry lock, creating
 // the peer if absent — the test-side window into the sharded table.
 func peerField(t *testing.T, e *Endpoint, addr transport.Addr, f func(*peerState)) {

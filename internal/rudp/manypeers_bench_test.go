@@ -84,6 +84,28 @@ func (s *ackStub) Recv(timeout time.Duration) ([]byte, transport.Addr, error) {
 	}
 }
 
+// The batch half of the seam, as loops over the two calls above.
+func (s *ackStub) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
+	for i, p := range pkts {
+		if err := s.SendTo(p, to); err != nil {
+			return i, err
+		}
+	}
+	return len(pkts), nil
+}
+
+func (s *ackStub) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout time.Duration) (int, error) {
+	var err error
+	pkts[0], froms[0], err = s.Recv(timeout)
+	if err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+func (s *ackStub) Recycle([]byte)                {}
+func (s *ackStub) RecvPoolStats() (int64, int64) { return 0, 0 }
+
 func (s *ackStub) LocalAddr() transport.Addr { return transport.Addr{Node: "ackstub"} }
 
 // MaxDatagram is kept small so the endpoint's wire-buffer pool deals in

@@ -151,13 +151,6 @@ type Config struct {
 	// data buffered behind a loss gap is dropped with the state, exactly
 	// as if the packets had been lost on the wire.
 	IdleEvict time.Duration
-	// GoBackN disables the IRN machinery — 32-bit SACK on the ACKs this
-	// endpoint cuts, no fast retransmit, no congestion window, no ECN —
-	// reproducing the pre-§4.13 loss behavior. It exists as the A/B
-	// baseline for the EXPERIMENTS.md goodput figure and stays wire-
-	// compatible: the bitmap field is still 64 bits on the wire, an IRN
-	// peer just finds the top half always zero.
-	GoBackN bool
 }
 
 // Endpoint is a reliable datagram endpoint. It implements
@@ -267,8 +260,8 @@ type peerState struct {
 	rttvar  time.Duration
 	backoff int
 
-	// Congestion control (unused when Config.GoBackN). cwnd is the dynamic
-	// in-flight cap in packets; ssthresh the slow-start/AIMD boundary.
+	// Congestion control. cwnd is the dynamic in-flight cap in packets;
+	// ssthresh the slow-start/AIMD boundary.
 	// ccRecover gates multiplicative decrease NewReno-style: signals
 	// arriving while ackedTo has not passed the seq outstanding at the last
 	// decrease belong to the same congestion event and must not halve cwnd
@@ -622,11 +615,9 @@ func (e *Endpoint) SendTo(p []byte, to transport.Addr) error {
 		// check. refs must also have drained: a retransmission of the old
 		// occupant may still be in flight holding the slot's counter. On top
 		// of the ring bound, unackedN must fit the congestion window — the
-		// BDP-scaled dynamic cap — unless the endpoint runs as the go-back-N
-		// baseline.
+		// BDP-scaled dynamic cap.
 		pd := &ps.wnd[ps.nextSeq&(windowSize-1)]
-		if !pd.inUse && pd.refs.Load() == 0 &&
-			(e.cfg.GoBackN || ps.unackedN < ps.cwndCap()) {
+		if !pd.inUse && pd.refs.Load() == 0 && ps.unackedN < ps.cwndCap() {
 			now := time.Now()
 			seq := ps.nextSeq
 			ps.nextSeq++
@@ -686,13 +677,54 @@ func (e *Endpoint) waitSendSlot(wait chan struct{}, tm *time.Timer) (*time.Timer
 	return tm, true
 }
 
+// SendBatch implements transport.Datagram: the burst goes through the
+// per-datagram send step one at a time (each datagram is windowed, framed
+// and acknowledged on its own).
+func (e *Endpoint) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
+	for i, p := range pkts {
+		if err := e.SendTo(p, to); err != nil {
+			return i, err
+		}
+	}
+	return len(pkts), nil
+}
+
 // Recv implements transport.Datagram, returning the next in-order message
 // from any peer.
 func (e *Endpoint) Recv(timeout time.Duration) ([]byte, transport.Addr, error) {
+	m, err := e.next(timeout)
+	return m.payload, m.from, err
+}
+
+// RecvBatch implements transport.Datagram: it waits like Recv for the first
+// message, then takes whatever else the inbox already holds.
+func (e *Endpoint) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout time.Duration) (int, error) {
+	max := min(len(pkts), len(froms))
+	if max == 0 {
+		return 0, nil
+	}
+	m, err := e.next(timeout)
+	if err != nil {
+		return 0, err
+	}
+	pkts[0], froms[0] = m.payload, m.from
+	for n := 1; n < max; n++ {
+		select {
+		case m := <-e.inbox:
+			pkts[n], froms[n] = m.payload, m.from
+		default:
+			return n, nil
+		}
+	}
+	return max, nil
+}
+
+// next is the per-message receive step under Recv and RecvBatch.
+func (e *Endpoint) next(timeout time.Duration) (message, error) {
 	// Fast path: pending delivery needs no timer.
 	select {
 	case m := <-e.inbox:
-		return m.payload, m.from, nil
+		return m, nil
 	default:
 	}
 	var tch <-chan time.Time
@@ -701,21 +733,38 @@ func (e *Endpoint) Recv(timeout time.Duration) ([]byte, transport.Addr, error) {
 		defer t.Stop()
 		tch = t.C
 	}
+	return e.await(tch)
+}
+
+// await blocks for the next message until tch fires or the endpoint closes.
+func (e *Endpoint) await(tch <-chan time.Time) (message, error) {
+	err := transport.ErrClosed
 	select {
 	case m := <-e.inbox:
-		return m.payload, m.from, nil
+		return m, nil
 	case <-tch:
-		return nil, transport.Addr{}, transport.ErrTimeout
+		err = transport.ErrTimeout
 	case <-e.done:
-		// Drain anything already delivered before the close.
-		select {
-		case m := <-e.inbox:
-			return m.payload, m.from, nil
-		default:
-			return nil, transport.Addr{}, transport.ErrClosed
-		}
+	}
+	// One last look: select picks at random among ready cases, so a fired
+	// timer (or a close) does not mean the inbox is empty, and a delivered
+	// message must never surface as a timeout — timeout polling is the
+	// stack's loss signal.
+	select {
+	case m := <-e.inbox:
+		return m, nil
+	default:
+		return message{}, err
 	}
 }
+
+// Recycle implements transport.Datagram as a no-op: delivered payloads are
+// this layer's own heap copies, not the inner endpoint's pooled buffers
+// (those go back in recvLoop), so there is no pool to return them to yet.
+func (e *Endpoint) Recycle([]byte) {}
+
+// RecvPoolStats implements transport.Datagram: zeroes, for the same reason.
+func (e *Endpoint) RecvPoolStats() (hits, misses int64) { return 0, 0 }
 
 // recvLoop dispatches incoming DATA and ACK packets. The CRC trailer is
 // checked before anything else: a corrupt header is indistinguishable from
@@ -723,7 +772,6 @@ func (e *Endpoint) Recv(timeout time.Duration) ([]byte, transport.Addr, error) {
 // format comment), so the packet is dropped and recovered as a loss.
 func (e *Endpoint) recvLoop() {
 	defer e.wg.Done()
-	recycler, _ := e.inner.(transport.Recycler)
 	for {
 		pkt, from, err := e.inner.Recv(0)
 		if err != nil {
@@ -746,9 +794,7 @@ func (e *Endpoint) recvLoop() {
 			}
 		}
 		// Both handlers copy what they keep; the buffer can be recycled.
-		if recycler != nil {
-			recycler.Recycle(pkt)
-		}
+		e.inner.Recycle(pkt)
 	}
 }
 
@@ -767,7 +813,7 @@ func (e *Endpoint) handleData(pkt []byte, from transport.Addr) {
 		ent.Unlock()
 		return
 	}
-	if pkt[0]&flagECN != 0 && !e.cfg.GoBackN {
+	if pkt[0]&flagECN != 0 {
 		// Congestion-experienced mark from the network below: latch the
 		// echo so the ACK cut below carries it back to the sender.
 		e.ccEcnMarks.Inc()
@@ -834,13 +880,7 @@ func (e *Endpoint) handleData(pkt []byte, from transport.Addr) {
 func (e *Endpoint) buildAck(ps *peerState) []byte {
 	cum := ps.expected - 1
 	var bitmap uint64
-	// In go-back-N baseline mode only the low 32 bits are populated,
-	// reproducing the seed's SACK blind spot for the A/B measurement.
-	bits := uint32(sackBits)
-	if e.cfg.GoBackN {
-		bits = 32
-	}
-	for i := uint32(0); i < bits; i++ {
+	for i := uint32(0); i < sackBits; i++ {
 		if _, ok := ps.ooo[cum+1+i]; ok {
 			bitmap |= 1 << i
 		}
@@ -933,8 +973,8 @@ func (e *Endpoint) handleAck(pkt []byte, from transport.Addr) {
 		// current RTT estimate instead of the escalated timeout.
 		ps.backoff = 0
 	}
-	// Congestion control + fast retransmit (skipped in the go-back-N
-	// baseline). Resends are collected under the lock and sent after it.
+	// Congestion control + fast retransmit. Resends are collected under the
+	// lock and sent after it.
 	type resend struct {
 		pd      *pending
 		payload []byte
@@ -942,51 +982,49 @@ func (e *Endpoint) handleAck(pkt []byte, from transport.Addr) {
 	}
 	var rs [windowSize]resend
 	nrs := 0
-	if !e.cfg.GoBackN {
-		ps.ccGrow(freedN)
-		if pkt[0]&flagECN != 0 {
-			// The receiver saw a congestion mark within the last RTT:
-			// multiplicative decrease, once per congestion event.
+	ps.ccGrow(freedN)
+	if pkt[0]&flagECN != 0 {
+		// The receiver saw a congestion mark within the last RTT:
+		// multiplicative decrease, once per congestion event.
+		if ps.ccDecrease(false) {
+			e.ccMDEvents.Inc()
+		}
+	}
+	if ps.ackedTo != cumBefore {
+		ps.dupAcks = 0
+	} else if sackNew > 0 {
+		// The cumulative floor is stuck but the receiver keeps
+		// acknowledging new data above it — the classic duplicate-ACK
+		// shape. (A byte-identical wire duplicate frees nothing and is
+		// ignored, so dup counting survives faultnet's dup leg.)
+		ps.dupAcks++
+		high, haveHigh := sackHighest(cum, bitmap)
+		if ps.dupAcks >= dupAckThresh && haveHigh && seqLE(ps.ccRecover, ps.ackedTo) {
+			// Fast retransmit: everything still unacked below the
+			// highest SACKed seq has had dupAckThresh chances to be
+			// acknowledged and was not — infer loss and resend exactly
+			// those holes, one RTT after the loss instead of one RTO.
+			// The triggering ACK's own bitmap bounds the sweep: buildAck
+			// scans the receiver's whole out-of-order map, so the bitmap
+			// is cumulative and no cross-ACK maximum needs tracking.
+			for seq := ps.ackedTo + 1; seqLE(seq+1, high); seq++ {
+				pd := &ps.wnd[seq&(windowSize-1)]
+				if !pd.inUse || pd.seq != seq {
+					continue
+				}
+				pd.retries++ // Karn: its next ack is ambiguous
+				pd.lastSent = now
+				pd.refs.Add(1)
+				rs[nrs] = resend{pd: pd, payload: pd.payload, seq: seq}
+				nrs++
+			}
 			if ps.ccDecrease(false) {
 				e.ccMDEvents.Inc()
 			}
-		}
-		if ps.ackedTo != cumBefore {
 			ps.dupAcks = 0
-		} else if sackNew > 0 {
-			// The cumulative floor is stuck but the receiver keeps
-			// acknowledging new data above it — the classic duplicate-ACK
-			// shape. (A byte-identical wire duplicate frees nothing and is
-			// ignored, so dup counting survives faultnet's dup leg.)
-			ps.dupAcks++
-			high, haveHigh := sackHighest(cum, bitmap)
-			if ps.dupAcks >= dupAckThresh && haveHigh && seqLE(ps.ccRecover, ps.ackedTo) {
-				// Fast retransmit: everything still unacked below the
-				// highest SACKed seq has had dupAckThresh chances to be
-				// acknowledged and was not — infer loss and resend exactly
-				// those holes, one RTT after the loss instead of one RTO.
-				// The triggering ACK's own bitmap bounds the sweep: buildAck
-				// scans the receiver's whole out-of-order map, so the bitmap
-				// is cumulative and no cross-ACK maximum needs tracking.
-				for seq := ps.ackedTo + 1; seqLE(seq+1, high); seq++ {
-					pd := &ps.wnd[seq&(windowSize-1)]
-					if !pd.inUse || pd.seq != seq {
-						continue
-					}
-					pd.retries++ // Karn: its next ack is ambiguous
-					pd.lastSent = now
-					pd.refs.Add(1)
-					rs[nrs] = resend{pd: pd, payload: pd.payload, seq: seq}
-					nrs++
-				}
-				if ps.ccDecrease(false) {
-					e.ccMDEvents.Inc()
-				}
-				ps.dupAcks = 0
-			}
 		}
-		e.ccCwnd.Set(int64(ps.cwnd))
 	}
+	e.ccCwnd.Set(int64(ps.cwnd))
 	if ps.unackedN == 0 && ps.wheelIdx >= 0 {
 		e.wheel.Disarm(from, ps.wheelIdx)
 		ps.wheelIdx = -1
@@ -1116,7 +1154,7 @@ func (e *Endpoint) tickPeer(f peertab.Fired[transport.Addr], now time.Time) {
 			minLastSent = now
 		}
 	}
-	if nrs > 0 && !e.cfg.GoBackN {
+	if nrs > 0 {
 		// An RTO expiry means the congestion signal chain (SACKs, dup ACKs,
 		// ECN echoes) went silent for a whole timeout — assume the flight is
 		// gone and collapse to minCwnd rather than merely halving.

@@ -240,6 +240,30 @@ func TestCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
+// TestTimeoutNeverHidesDeliveredMessage: a receive whose deadline has
+// already passed when a message sits in the inbox must return the message.
+// select picks at random among ready cases, so without the last look after
+// the timer fires about half of these iterations report ErrTimeout for a
+// message rudp promised to deliver.
+func TestTimeoutNeverHidesDeliveredMessage(t *testing.T) {
+	n := simnet.New(simnet.Config{})
+	ia, _ := n.OpenDatagram("a", 0)
+	a := New(ia)
+	defer a.Close()
+	fired := make(chan time.Time)
+	close(fired) // a timer that expired before the wait began
+	for i := 0; i < 1000; i++ {
+		a.inbox <- message{payload: []byte{byte(i)}}
+		m, err := a.await(fired)
+		if err != nil || m.payload[0] != byte(i) {
+			t.Fatalf("iteration %d: await = %v, %v with a message delivered", i, m.payload, err)
+		}
+	}
+	if _, err := a.await(fired); !errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("empty inbox, expired timer: %v; want ErrTimeout", err)
+	}
+}
+
 func TestManyMessagesRandomSizes(t *testing.T) {
 	a, b := pair(t, simnet.Config{LossRate: 0.05, Seed: 21})
 	rng := rand.New(rand.NewSource(4))
@@ -283,6 +307,17 @@ func (f *failingInner) SendTo(p []byte, to transport.Addr) error {
 		return errInjected
 	}
 	return f.Datagram.SendTo(p, to)
+}
+
+// SendBatch routes the burst through SendTo, so the promoted batch method
+// cannot bypass the injected failure.
+func (f *failingInner) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
+	for i, p := range pkts {
+		if err := f.SendTo(p, to); err != nil {
+			return i, err
+		}
+	}
+	return len(pkts), nil
 }
 
 func TestSendErrorsCounted(t *testing.T) {

@@ -72,6 +72,17 @@ func (d *flakySend) SendTo(p []byte, to transport.Addr) error {
 	return d.Datagram.SendTo(p, to)
 }
 
+// SendBatch routes the burst through SendTo, so the promoted batch method
+// cannot bypass the injected failure.
+func (d *flakySend) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
+	for i, p := range pkts {
+		if err := d.SendTo(p, to); err != nil {
+			return i, err
+		}
+	}
+	return len(pkts), nil
+}
+
 func TestSnapshotCountsAckSendFailures(t *testing.T) {
 	n := simnet.New(simnet.Config{})
 	ia, err := n.OpenDatagram("a", 0)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -14,8 +13,8 @@ import (
 // leveraging the other benefits of datagram-iWARP", §IV.A). The simulator
 // models IP multicast: endpoints join a group address; a datagram sent to
 // the group is delivered independently to every member, each copy subject
-// to the loss model on its own leg, exactly like per-receiver multicast
-// trees.
+// to the wire model on its own leg (DatagramEndpoint.SendBatch), exactly
+// like per-receiver multicast trees.
 //
 // The verbs layer needs no changes — a UD QP posts a send to the group
 // address and every member QP sees an ordinary inbound message — which is
@@ -94,51 +93,4 @@ func (n *Network) members(group transport.Addr) []*DatagramEndpoint {
 		out = append(out, ep)
 	}
 	return out
-}
-
-// sendMulticast fans a datagram out to every group member; each leg rolls
-// the loss model independently, and members never receive their own sends
-// (IP_MULTICAST_LOOP off, the streaming-server configuration).
-func (e *DatagramEndpoint) sendMulticast(p []byte, group transport.Addr) error {
-	nw := e.net
-	if len(p) > nw.cfg.MaxDatagram {
-		return transport.ErrTooLarge
-	}
-	members := nw.members(group)
-	k := nw.fragments(len(p))
-	loss := nw.lossMicro.Load()
-	for _, dst := range members {
-		if dst == e {
-			continue
-		}
-		nw.sent.Inc()
-		nw.bytes.Add(int64(len(p)))
-		nw.frags.Add(int64(k))
-		dropped := false
-		for i := 0; i < k; i++ {
-			if nw.chance(loss) {
-				nw.lostMcast.Inc()
-				telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(dst.addr), len(p), telemetry.DropMcast)
-				dropped = true
-				break
-			}
-		}
-		if dropped {
-			continue
-		}
-		buf := getPktBuf(len(p))
-		copy(buf, p)
-		reorder := nw.chance(nw.reorderMicro.Load())
-		if reorder {
-			nw.reorder.Inc()
-		}
-		// Multicast is unreliable per member: a closed member queue drops
-		// the copy like loss on the wire. Count it and recycle the buffer.
-		if err := dst.q.put(packet{payload: buf, from: e.addr}, reorder); err != nil {
-			nw.lostMcast.Inc()
-			telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(dst.addr), len(p), telemetry.DropMcast)
-			putPktBuf(buf)
-		}
-	}
-	return nil
 }

@@ -7,10 +7,12 @@ import (
 	"repro/internal/transport"
 )
 
-// packet is one datagram in flight.
+// packet is one datagram in flight. early asks the destination queue to
+// insert it one position ahead of the tail: adjacent-packet reordering.
 type packet struct {
 	payload []byte
 	from    transport.Addr
+	early   bool
 }
 
 // queue is a bounded FIFO of packets supporting blocking put with
@@ -42,84 +44,14 @@ func pulse(ch chan struct{}) {
 	}
 }
 
-// put appends pkt, blocking while the queue is full. With reorder set and at
-// least one packet queued, the packet is inserted one position early,
-// modelling adjacent-packet reordering. Returns transport.ErrClosed if the
-// queue closes.
-func (q *queue) put(pkt packet, reorder bool) error {
-	for {
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			return transport.ErrClosed
-		}
-		if len(q.q) < q.cap {
-			if reorder && len(q.q) > 0 {
-				last := len(q.q) - 1
-				q.q = append(q.q, q.q[last])
-				q.q[last] = pkt
-			} else {
-				q.q = append(q.q, pkt)
-			}
-			q.mu.Unlock()
-			pulse(q.avail)
-			return nil
-		}
-		q.mu.Unlock()
-		select {
-		case <-q.space:
-		case <-q.done:
-			return transport.ErrClosed
-		}
-	}
-}
-
-// get pops the head packet. A zero timeout blocks until data or close.
-// The timeout timer is armed lazily: a queue with data ready (the common
-// case under load) never touches the runtime timer heap.
-func (q *queue) get(timeout time.Duration) (packet, error) {
-	var timer *time.Timer
-	var tch <-chan time.Time
-	for {
-		q.mu.Lock()
-		if len(q.q) > 0 {
-			pkt := q.q[0]
-			q.q[0] = packet{}
-			q.q = q.q[1:]
-			if len(q.q) == 0 {
-				// Reset backing storage so the slice does not grow without
-				// bound as the window slides.
-				q.q = nil
-			}
-			q.mu.Unlock()
-			pulse(q.space)
-			return pkt, nil
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return packet{}, transport.ErrClosed
-		}
-		q.mu.Unlock()
-		if timeout > 0 && timer == nil {
-			timer = time.NewTimer(timeout)
-			defer timer.Stop()
-			tch = timer.C
-		}
-		select {
-		case <-q.avail:
-		case <-tch:
-			return packet{}, transport.ErrTimeout
-		case <-q.done:
-		}
-	}
-}
-
-// putBatch appends a burst of packets under one lock acquisition, blocking
-// while the queue is full, and returns the number enqueued. This is the
-// receive-side half of transport.BatchSender: a whole segmented message
-// costs one (or a few, under backpressure) lock round-trips instead of one
-// per packet. Packets not enqueued on close are recycled here.
-func (q *queue) putBatch(pkts []packet) (int, error) {
+// put appends a burst of packets under one lock acquisition per stretch of
+// free space, blocking while the queue is full, and returns the number
+// enqueued: a whole segmented message costs one (or a few, under
+// backpressure) lock round-trips instead of one per packet. A packet marked
+// early, arriving at a non-empty queue, goes in one position ahead of the
+// tail. Packets not enqueued because the queue closed are recycled here,
+// and the error is transport.ErrClosed.
+func (q *queue) put(pkts []packet) (int, error) {
 	i := 0
 	for i < len(pkts) {
 		q.mu.Lock()
@@ -132,6 +64,9 @@ func (q *queue) putBatch(pkts []packet) (int, error) {
 		}
 		for i < len(pkts) && len(q.q) < q.cap {
 			q.q = append(q.q, pkts[i])
+			if last := len(q.q) - 1; pkts[i].early && last > 0 {
+				q.q[last], q.q[last-1] = q.q[last-1], q.q[last]
+			}
 			i++
 		}
 		q.mu.Unlock()
@@ -147,55 +82,96 @@ func (q *queue) putBatch(pkts []packet) (int, error) {
 	return i, nil
 }
 
-// getBatch pops up to max packets into dst under one lock acquisition — the
-// receive-side mirror of putBatch. It blocks for the FIRST packet exactly
-// like get (zero timeout blocks until data or close), then takes whatever
-// else is already queued without waiting. Returns the number popped; n ≥ 1
-// on nil error.
-func (q *queue) getBatch(dst []packet, timeout time.Duration) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
+// noWait as get's timeout polls: whatever is queued now, or ErrTimeout.
+const noWait time.Duration = -1
+
+// get pops up to min(len(pkts), len(froms)) packets. It waits for the FIRST
+// one — forever with a zero timeout, not at all with noWait — then takes
+// whatever else is already queued without waiting; n ≥ 1 on nil error. The
+// timeout timer is armed only once the queue is found empty: a queue with
+// data ready (the common case under load) never touches the runtime timer
+// heap.
+func (q *queue) get(pkts [][]byte, froms []transport.Addr, timeout time.Duration) (int, error) {
+	n, err := q.pop(pkts, froms)
+	if err != transport.ErrTimeout || timeout < 0 {
+		return n, err
 	}
-	var timer *time.Timer
 	var tch <-chan time.Time
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		tch = timer.C
+	}
+	return q.popWait(pkts, froms, tch)
+}
+
+// getOne is get for a single packet.
+func (q *queue) getOne(timeout time.Duration) ([]byte, transport.Addr, error) {
+	var p [1][]byte
+	var from [1]transport.Addr
+	_, err := q.get(p[:], from[:], timeout)
+	return p[0], from[0], err
+}
+
+// popWait blocks until packets can be popped, the queue closes, or tch
+// fires.
+func (q *queue) popWait(pkts [][]byte, froms []transport.Addr, tch <-chan time.Time) (int, error) {
 	for {
-		q.mu.Lock()
-		if k := len(q.q); k > 0 {
-			n := min(k, len(dst))
-			copy(dst, q.q[:n])
-			for i := range q.q[:n] {
-				q.q[i] = packet{}
-			}
-			q.q = q.q[n:]
-			if len(q.q) == 0 {
-				q.q = nil
-			} else {
-				// More data remains and other readers may be parked on the
-				// cap-1 avail pulse this wakeup consumed; re-pulse so a
-				// concurrent reader is not stranded (lost-wakeup cascade).
-				pulse(q.avail)
-			}
-			q.mu.Unlock()
-			pulse(q.space)
-			return n, nil
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return 0, transport.ErrClosed
-		}
-		q.mu.Unlock()
-		if timeout > 0 && timer == nil {
-			timer = time.NewTimer(timeout)
-			defer timer.Stop()
-			tch = timer.C
-		}
+		expired := false
 		select {
 		case <-q.avail:
-		case <-tch:
-			return 0, transport.ErrTimeout
 		case <-q.done:
+		case <-tch:
+			expired = true
+		}
+		// Whatever the wakeup, look: select picks at random among ready
+		// cases, so a fired timer does not mean the queue is empty, and a
+		// delivered packet must never surface as a timeout — timeout
+		// polling is the stack's loss signal.
+		n, err := q.pop(pkts, froms)
+		if err != transport.ErrTimeout || expired {
+			return n, err
 		}
 	}
+}
+
+// pop is the queue's one removal path: under one lock acquisition it moves
+// what is queued, up to the slices' width, to the caller, who now owns the
+// buffers. An empty queue is ErrTimeout, or ErrClosed once closed (queued
+// packets stay readable after close until drained).
+func (q *queue) pop(pkts [][]byte, froms []transport.Addr) (int, error) {
+	n := min(len(pkts), len(froms))
+	if n == 0 {
+		return 0, nil
+	}
+	q.mu.Lock()
+	if len(q.q) == 0 {
+		closed := q.closed
+		q.mu.Unlock()
+		if closed {
+			return 0, transport.ErrClosed
+		}
+		return 0, transport.ErrTimeout
+	}
+	n = min(n, len(q.q))
+	for i := range q.q[:n] {
+		pkts[i], froms[i] = q.q[i].payload, q.q[i].from
+		q.q[i] = packet{}
+	}
+	q.q = q.q[n:]
+	if len(q.q) == 0 {
+		// Reset backing storage so the slice does not grow without bound
+		// as the window slides.
+		q.q = nil
+	} else {
+		// More data remains and other readers may be parked on the cap-1
+		// avail pulse this wakeup consumed; re-pulse so a concurrent reader
+		// is not stranded (lost-wakeup cascade).
+		pulse(q.avail)
+	}
+	q.mu.Unlock()
+	pulse(q.space)
+	return n, nil
 }
 
 // putDrop appends pkt without blocking, dropping it when the queue is full
@@ -210,36 +186,6 @@ func (q *queue) putDrop(pkt packet) {
 	q.q = append(q.q, pkt)
 	q.mu.Unlock()
 	pulse(q.avail)
-}
-
-// tryGet pops the head packet without blocking; it fails on an empty or
-// closed-and-drained queue.
-func (q *queue) tryGet() (packet, error) {
-	q.mu.Lock()
-	if len(q.q) == 0 {
-		closed := q.closed
-		q.mu.Unlock()
-		if closed {
-			return packet{}, transport.ErrClosed
-		}
-		return packet{}, transport.ErrTimeout
-	}
-	pkt := q.q[0]
-	q.q[0] = packet{}
-	q.q = q.q[1:]
-	if len(q.q) == 0 {
-		q.q = nil
-	}
-	q.mu.Unlock()
-	pulse(q.space)
-	return pkt, nil
-}
-
-// len reports the number of queued packets.
-func (q *queue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.q)
 }
 
 // close marks the queue closed; queued packets remain readable until

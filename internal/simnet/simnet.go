@@ -288,215 +288,172 @@ type DatagramEndpoint struct {
 	q    *queue
 }
 
-var (
-	_ transport.Datagram      = (*DatagramEndpoint)(nil)
-	_ transport.BatchSender   = (*DatagramEndpoint)(nil)
-	_ transport.BatchRecver   = (*DatagramEndpoint)(nil)
-	_ transport.Recycler      = (*DatagramEndpoint)(nil)
-	_ transport.RecvPoolStats = (*DatagramEndpoint)(nil)
-)
+var _ transport.Datagram = (*DatagramEndpoint)(nil)
 
-// SendTo implements transport.Datagram. The payload is copied, fragmented
-// against the MTU, subjected to the loss/duplication/reordering models, and
-// enqueued at the destination. Blocks only when the destination queue is
-// full (socket-buffer backpressure).
+// SendTo implements transport.Datagram: a burst of one.
 func (e *DatagramEndpoint) SendTo(p []byte, to transport.Addr) error {
-	nw := e.net
-	if IsGroupAddr(to) {
-		return e.sendMulticast(p, to)
-	}
-	if len(p) > nw.cfg.MaxDatagram {
-		return transport.ErrTooLarge
-	}
-	dst, ok := nw.lookupDatagram(to)
-	if !ok {
-		return fmt.Errorf("%w: %s", transport.ErrNoRoute, to)
-	}
-	nw.sent.Inc()
-	nw.bytes.Add(int64(len(p)))
-	k := nw.fragments(len(p))
-	nw.frags.Add(int64(k))
-	// Loss is per wire fragment; losing any fragment kills the datagram
-	// because IP reassembly cannot complete.
-	loss := nw.lossMicro.Load()
-	for i := 0; i < k; i++ {
-		if nw.chance(loss) {
-			nw.lostLoss.Inc()
-			telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(to), len(p), telemetry.DropLoss)
-			return nil // silently dropped, like a real lossy network
-		}
-	}
-	deliver := func(pk packet) error {
-		reorder := nw.chance(nw.reorderMicro.Load())
-		if reorder {
-			nw.reorder.Inc()
-		}
-		if err := dst.q.put(pk, reorder); err != nil {
-			return fmt.Errorf("%w: %s", transport.ErrNoRoute, to)
-		}
-		return nil
-	}
-	send := func(pk packet) error {
-		if nw.cfg.Latency > 0 {
-			time.AfterFunc(nw.cfg.Latency, func() {
-				// The sender returned long ago; a delivery failure here
-				// (destination queue closed mid-flight) is a lost packet.
-				// Count it and recycle the buffer nobody will consume.
-				if err := deliver(pk); err != nil {
-					nw.lostLatency.Inc()
-					telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(to), len(pk.payload), telemetry.DropLatency)
-					putPktBuf(pk.payload)
-				}
-			})
-			return nil
-		}
-		return deliver(pk)
-	}
-	buf := getPktBuf(len(p))
-	copy(buf, p)
-	nw.maybeMark(buf)
-	if err := send(packet{payload: buf, from: e.addr}); err != nil {
-		return err
-	}
-	if nw.chance(nw.dupMicro.Load()) {
-		nw.dup.Inc()
-		// The duplicate needs its own buffer: the receiver may recycle the
-		// first copy's storage before consuming the second.
-		dupBuf := getPktBuf(len(p))
-		copy(dupBuf, p)
-		// Its own mark draw too: each wire traversal meets the queue anew.
-		nw.maybeMark(dupBuf)
-		return send(packet{payload: dupBuf, from: e.addr})
-	}
-	return nil
+	one := [1][]byte{p}
+	_, err := e.SendBatch(one[:], to)
+	return err
 }
 
-// SendBatch implements transport.BatchSender: the whole burst is subjected
-// to the per-datagram impairment models, copied into pooled packet buffers,
-// and enqueued at the destination under a single queue lock — the simulated
-// analogue of a sendmmsg burst. Multicast destinations and latency-shaped
-// networks fall back to per-packet SendTo (both deliver asynchronously, so
-// there is no shared lock to amortize).
+// SendBatch implements transport.Datagram. Every datagram of the burst runs
+// the wire model on its own (transmit); what survives is copied into pooled
+// packet buffers and enqueued at the destination under a single queue lock
+// — the simulated analogue of a sendmmsg burst. It blocks only when the
+// destination queue is full (socket-buffer backpressure). A group address
+// fans the burst out to every member but the sender (IP_MULTICAST_LOOP off,
+// the streaming-server configuration), each leg meeting the wire model
+// independently; multicast is unreliable per member, so a member that went
+// away is a counted drop, not an error.
 func (e *DatagramEndpoint) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
 	nw := e.net
-	if IsGroupAddr(to) || nw.cfg.Latency > 0 {
-		for i, p := range pkts {
-			if err := e.SendTo(p, to); err != nil {
-				return i, err
-			}
-		}
-		return len(pkts), nil
-	}
 	for _, p := range pkts {
 		if len(p) > nw.cfg.MaxDatagram {
 			return 0, transport.ErrTooLarge
 		}
 	}
+	if IsGroupAddr(to) {
+		for _, dst := range nw.members(to) {
+			if dst != e {
+				e.sendLeg(dst, pkts, true) //diwarp:ignore errflow: a multicast leg cannot fail: deliver counts a departed member as a drop
+			}
+		}
+		return len(pkts), nil
+	}
 	dst, ok := nw.lookupDatagram(to)
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", transport.ErrNoRoute, to)
 	}
-	loss := nw.lossMicro.Load()
-	batch := make([]packet, 0, len(pkts))
-	orig := make([]int, 0, len(pkts)) // source datagram index per batch slot
-	for i, p := range pkts {
-		nw.sent.Inc()
-		nw.bytes.Add(int64(len(p)))
-		k := nw.fragments(len(p))
-		nw.frags.Add(int64(k))
-		dropped := false
-		for f := 0; f < k; f++ {
-			if nw.chance(loss) {
-				nw.lostLoss.Inc()
-				telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(to), len(p), telemetry.DropLoss)
-				dropped = true
-				break
-			}
-		}
-		if dropped {
-			continue // handed to the network and lost there: still "sent"
-		}
-		buf := getPktBuf(len(p))
-		copy(buf, p)
-		nw.maybeMark(buf)
-		pk := packet{payload: buf, from: e.addr}
-		if nw.chance(nw.reorderMicro.Load()) && len(batch) > 0 {
-			nw.reorder.Inc()
-			last := len(batch) - 1
-			batch = append(batch, batch[last])
-			orig = append(orig, orig[last])
-			batch[last] = pk
-			orig[last] = i
-		} else {
-			batch = append(batch, pk)
-			orig = append(orig, i)
-		}
-		if nw.chance(nw.dupMicro.Load()) {
-			nw.dup.Inc()
-			dupBuf := getPktBuf(len(p))
-			copy(dupBuf, p)
-			nw.maybeMark(dupBuf)
-			batch = append(batch, packet{payload: dupBuf, from: e.addr})
-			orig = append(orig, i)
-		}
-	}
-	enq, err := dst.q.putBatch(batch)
-	if err != nil {
-		// The queue closed part-way through: the unenqueued tail's pooled
-		// buffers have no consumer left, so recycle them here.
-		for _, pk := range batch[enq:] {
-			putPktBuf(pk.payload)
-		}
-		sent := 0
-		if enq > 0 {
-			sent = orig[enq-1] + 1
-		}
-		return sent, fmt.Errorf("%w: %s", transport.ErrNoRoute, to)
-	}
-	return len(pkts), nil
+	return e.sendLeg(dst, pkts, false)
 }
 
-// Recv implements transport.Datagram.
-func (e *DatagramEndpoint) Recv(timeout time.Duration) ([]byte, transport.Addr, error) {
-	pkt, err := e.q.get(timeout)
-	if err != nil {
-		return nil, transport.Addr{}, err
-	}
-	return pkt.payload, pkt.from, nil
-}
-
-// maxRecvBurst bounds one RecvBatch pop; BatchRecver's contract is "up to
-// min(len(pkts), len(froms))", so capping the burst only splits oversized
-// requests across calls.
-const maxRecvBurst = 64
-
-// pktScratchPool recycles the []packet staging slices RecvBatch pops into,
-// keeping the batch receive path allocation-free.
-var pktScratchPool = sync.Pool{New: func() any {
-	s := make([]packet, maxRecvBurst)
+// wireScratch recycles the []packet staging slices sendLeg collects a
+// burst's survivors in, keeping the send path allocation-free. Its width
+// bounds one enqueue; wider bursts are enqueued in several.
+var wireScratch = sync.Pool{New: func() any {
+	s := make([]packet, 0, 64)
 	return &s
 }}
 
-// RecvBatch implements transport.BatchRecver: one queue lock round-trip pops
-// the whole burst — the simulated analogue of recvmmsg, and the receive-side
-// mirror of SendBatch's single-lock putBatch.
-func (e *DatagramEndpoint) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout time.Duration) (int, error) {
-	max := min(len(pkts), len(froms), maxRecvBurst)
-	if max == 0 {
-		return 0, nil
+// sendLeg carries a burst over one leg to dst and returns how many of its
+// datagrams were handed to the network before dst went away (counted in
+// whole enqueues: the datagrams of a failed one are not reported sent).
+func (e *DatagramEndpoint) sendLeg(dst *DatagramEndpoint, pkts [][]byte, mcast bool) (int, error) {
+	nw := e.net
+	sp := wireScratch.Get().(*[]packet)
+	wire := (*sp)[:0]
+	sent := 0
+	var err error
+	for i, p := range pkts {
+		wire = nw.transmit(wire, p, e.addr, dst.addr, mcast)
+		// One datagram stages at most two packets (itself and a duplicate).
+		if i+1 < len(pkts) && len(wire)+2 <= cap(wire) {
+			continue
+		}
+		err = nw.deliver(dst, wire, mcast)
+		clear(wire) // drop the payload references: the queue owns them now
+		wire = wire[:0]
+		if err != nil {
+			break
+		}
+		sent = i + 1
 	}
-	sp := pktScratchPool.Get().(*[]packet)
-	scratch := (*sp)[:max]
-	n, err := e.q.getBatch(scratch, timeout)
-	for i := 0; i < n; i++ {
-		pkts[i], froms[i] = scratch[i].payload, scratch[i].from
-		scratch[i] = packet{} // drop the payload reference: caller owns it now
-	}
-	pktScratchPool.Put(sp)
-	return n, err
+	wireScratch.Put(sp)
+	return sent, err
 }
 
-// RecvPoolStats implements transport.RecvPoolStats, reporting the simulator's
+// transmit runs one datagram over one leg of the wire and appends what
+// reaches the far end — nothing, the datagram, or the datagram and its
+// duplicate — to wire. This is the only place the loss, mark, reorder and
+// duplication models are drawn: SendTo, SendBatch and every multicast leg
+// come through here.
+func (n *Network) transmit(wire []packet, p []byte, from, to transport.Addr, mcast bool) []packet {
+	n.sent.Inc()
+	n.bytes.Add(int64(len(p)))
+	k := n.fragments(len(p))
+	n.frags.Add(int64(k))
+	// Loss is per wire fragment; losing any fragment kills the datagram
+	// because IP reassembly cannot complete.
+	loss := n.lossMicro.Load()
+	for i := 0; i < k; i++ {
+		if n.chance(loss) {
+			n.dropped(mcast, to, len(p))
+			return wire // silently dropped, like a real lossy network
+		}
+	}
+	for copies := 1; ; copies++ {
+		// Every copy gets its own buffer — the caller's is never retained,
+		// and the receiver may recycle the first copy's storage before
+		// consuming the second — and its own mark and reorder draws: each
+		// wire traversal meets the queue anew.
+		buf := getPktBuf(len(p))
+		copy(buf, p)
+		n.maybeMark(buf)
+		early := n.chance(n.reorderMicro.Load())
+		if early {
+			n.reorder.Inc()
+		}
+		wire = append(wire, packet{payload: buf, from: from, early: early})
+		if copies == 2 || !n.chance(n.dupMicro.Load()) {
+			return wire
+		}
+		n.dup.Inc()
+	}
+}
+
+// dropped accounts one datagram lost on a leg toward to, by cause.
+func (n *Network) dropped(mcast bool, to transport.Addr, size int) {
+	lost, cause := n.lostLoss, telemetry.DropLoss
+	if mcast {
+		lost, cause = n.lostMcast, telemetry.DropMcast
+	}
+	lost.Inc()
+	telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(to), size, cause)
+}
+
+// deliver enqueues wire at dst, after the configured latency if any. A
+// destination that closed under a unicast send is ErrNoRoute; one that
+// closed while a delayed packet was in flight, or under a multicast leg,
+// is a counted drop — nobody is left to report it to.
+func (n *Network) deliver(dst *DatagramEndpoint, wire []packet, mcast bool) error {
+	if n.cfg.Latency > 0 {
+		for _, pk := range wire {
+			time.AfterFunc(n.cfg.Latency, func() {
+				if _, err := dst.q.put([]packet{pk}); err != nil {
+					n.lostLatency.Inc()
+					telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(dst.addr), len(pk.payload), telemetry.DropLatency)
+				}
+			})
+		}
+		return nil
+	}
+	enq, err := dst.q.put(wire)
+	if err == nil {
+		return nil
+	}
+	if mcast {
+		for _, pk := range wire[enq:] {
+			n.dropped(true, dst.addr, len(pk.payload))
+		}
+		return nil
+	}
+	return fmt.Errorf("%w: %s", transport.ErrNoRoute, dst.addr)
+}
+
+// Recv implements transport.Datagram: a burst of one.
+func (e *DatagramEndpoint) Recv(timeout time.Duration) ([]byte, transport.Addr, error) {
+	return e.q.getOne(timeout)
+}
+
+// RecvBatch implements transport.Datagram: one queue lock round-trip pops
+// the whole burst — the simulated analogue of recvmmsg, and the
+// receive-side mirror of SendBatch's single-lock put.
+func (e *DatagramEndpoint) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout time.Duration) (int, error) {
+	return e.q.get(pkts, froms, timeout)
+}
+
+// RecvPoolStats implements transport.Datagram, reporting the simulator's
 // shared packet-pool hit/miss counters.
 func (e *DatagramEndpoint) RecvPoolStats() (hits, misses int64) { return pktBufStats() }
 
@@ -509,7 +466,7 @@ func (e *DatagramEndpoint) MaxDatagram() int { return e.net.cfg.MaxDatagram }
 // PathMTU implements transport.Datagram.
 func (e *DatagramEndpoint) PathMTU() int { return e.net.cfg.MTU }
 
-// Recycle implements transport.Recycler: consumers hand fully-processed
+// Recycle implements transport.Datagram: consumers hand fully-processed
 // receive buffers back to the simulator's packet pools.
 func (e *DatagramEndpoint) Recycle(p []byte) { putPktBuf(p) }
 

@@ -72,6 +72,31 @@ func TestDatagramRecvTimeout(t *testing.T) {
 	}
 }
 
+// TestTimeoutNeverHidesQueuedData: a receive whose deadline has already
+// passed when a packet is queued must return the packet. select picks at
+// random among ready cases, so without the last look after the timer fires
+// about half of these iterations report ErrTimeout with data queued — on a
+// stack whose loss signal is the receive timeout.
+func TestTimeoutNeverHidesQueuedData(t *testing.T) {
+	fired := make(chan time.Time)
+	close(fired) // a timer that expired before the wait began
+	q := newQueue(4)
+	var p [1][]byte
+	var from [1]transport.Addr
+	for i := 0; i < 1000; i++ {
+		if _, err := q.put([]packet{{payload: []byte{byte(i)}}}); err != nil {
+			t.Fatal(err)
+		}
+		n, err := q.popWait(p[:], from[:], fired)
+		if n != 1 || err != nil || p[0][0] != byte(i) {
+			t.Fatalf("iteration %d: popWait = %d, %v with a packet queued", i, n, err)
+		}
+	}
+	if n, err := q.popWait(p[:], from[:], fired); n != 0 || !errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("empty queue, expired timer: %d, %v; want 0, ErrTimeout", n, err)
+	}
+}
+
 func TestDatagramNoRoute(t *testing.T) {
 	n := New(Config{})
 	a, _ := n.OpenDatagram("a", 0)

@@ -106,11 +106,10 @@ func (h *streamHalf) sendAck() {
 // update, RTT bookkeeping in a real stack). Caller holds wmu.
 func (h *streamHalf) drainAcks() {
 	for {
-		pkt, err := h.acks.tryGet()
+		a, _, err := h.acks.getOne(noWait)
 		if err != nil {
 			return
 		}
-		a := pkt.payload
 		if len(a) == 8 {
 			want := uint16(a[0])<<8 | uint16(a[1])
 			if inetChecksum(a[2:]) == want {
@@ -146,9 +145,8 @@ func (h *streamHalf) Write(p []byte) (int, error) {
 		copy(seg[segHdrLen:], p[:n])
 		cs := inetChecksum(seg[2:])
 		seg[0], seg[1] = byte(cs>>8), byte(cs)
-		if err := h.q.put(packet{payload: seg}, false); err != nil {
-			putPktBuf(seg)
-			return total, transport.ErrClosed
+		if _, err := h.q.put([]packet{{payload: seg}}); err != nil {
+			return total, err // ErrClosed; put recycled seg
 		}
 		h.wseq += uint64(n)
 		p = p[n:]
@@ -178,20 +176,17 @@ func (h *streamHalf) Read(p []byte) (int, error) {
 			continue
 		}
 		// Block only for the first byte; afterwards return what we have.
-		var pkt packet
-		var err error
+		wait := noWait
 		if total == 0 {
-			pkt, err = h.q.get(0)
-		} else {
-			pkt, err = h.q.tryGet()
+			wait = 0
 		}
+		seg, _, err := h.q.getOne(wait)
 		if err != nil {
 			if total > 0 {
 				return total, nil
 			}
 			return 0, io.EOF
 		}
-		seg := pkt.payload
 		if len(seg) < segHdrLen {
 			putPktBuf(seg)
 			continue

@@ -13,6 +13,7 @@ import (
 	iwarp "repro/internal/core"
 	"repro/internal/memreg"
 	"repro/internal/nio"
+	"repro/internal/pcap"
 	"repro/internal/rudp"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
@@ -41,12 +42,12 @@ func TestEndToEndObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw, err := telemetry.NewPcapWriter(f)
+	pw, err := pcap.NewWriter(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvEp := telemetry.TapDatagram(srvRaw, pw)
-	cliEp := telemetry.TapDatagram(cliRaw, pw)
+	srvEp := pcap.TapDatagram(srvRaw, pw)
+	cliEp := pcap.TapDatagram(cliRaw, pw)
 	// Reliability above the tap, as in deployment: retransmissions cross
 	// the tap and appear in the capture.
 	srv, cli := rudp.New(srvEp), rudp.New(cliEp)

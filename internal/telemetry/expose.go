@@ -56,10 +56,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // MarshalJSON renders an event with its type and peer as strings, so
 // /trace.json output reads without the numeric enum and token tables.
 func (e Event) MarshalJSON() ([]byte, error) {
-	peer := ""
-	if !e.Peer.IsZero() {
-		peer = e.Peer.String()
-	}
 	return json.Marshal(struct {
 		Seq   uint64 `json:"seq"`
 		Time  string `json:"time"`
@@ -71,7 +67,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		Seq:   e.Seq,
 		Time:  e.Time.Format(time.RFC3339Nano),
 		Type:  e.Type.String(),
-		Peer:  peer,
+		Peer:  e.Peer,
 		Bytes: e.Bytes,
 		Arg:   e.Arg,
 	})

@@ -1,7 +1,9 @@
 // Package telemetry is the stack's runtime observability spine: a
-// hotpath-safe metrics registry, a fixed-size datapath trace ring, pcap
-// wire taps at the transport seam, and exposition (Prometheus text format,
-// JSON snapshots, an HTTP handler).
+// hotpath-safe metrics registry, a fixed-size datapath trace ring, and
+// exposition (Prometheus text format, JSON snapshots, an HTTP handler). It
+// is a leaf: every layer of the stack, transport included, registers into
+// it, and the pcap wire taps that decorate transport's interfaces live in
+// package pcap.
 //
 // The paper's evaluation hinges on seeing datapath behaviour — loss-driven
 // retransmits, Write-Record placement, UD vs RC segmentation — and the
@@ -18,9 +20,6 @@
 //   - events: a lock-free sequence-stamped [Ring] of typed datapath events
 //     (send, recv, retransmit, drop, Write-Record placement, CRC failure)
 //     drained post-hoc by tests, the trace endpoint, and diwarp-top;
-//   - wire: [DatagramTap] and [StreamTap] copy traffic crossing a
-//     transport.Datagram or transport.Stream into standard .pcap files
-//     (UDP/TCP encapsulation) any Wireshark can open;
 //   - exposition: [WritePrometheus], [Snapshot] JSON, and [Handler] for
 //     embedding in daemons (cmd/iwarpd serves it behind -metrics).
 //

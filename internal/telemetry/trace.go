@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/transport"
 )
 
 // EventType identifies one kind of datapath trace event.
@@ -62,57 +60,66 @@ func (t EventType) String() string {
 // number (1-based, gapless across the process lifetime of the ring), which
 // lets post-hoc analysis order events and detect overwritten spans.
 type Event struct {
-	Seq   uint64         `json:"seq"`
-	Time  time.Time      `json:"time"`
-	Type  EventType      `json:"-"`
-	Peer  transport.Addr `json:"-"`
-	Bytes int            `json:"bytes"`
-	Arg   uint32         `json:"arg"`
+	Seq   uint64    `json:"seq"`
+	Time  time.Time `json:"time"`
+	Type  EventType `json:"-"`
+	Peer  string    `json:"-"` // the interned peer rendered; "" for token 0
+	Bytes int       `json:"bytes"`
+	Arg   uint32    `json:"arg"`
 }
 
 // Peer interning: trace slots must be written with plain atomic stores (the
 // record path takes no locks and the race detector must stay clean), so an
-// event cannot carry transport.Addr's string directly. Addresses are
-// interned once into 24-bit tokens — peers are long-lived relative to
-// packets — and events carry the token.
+// event cannot carry an address's string directly. Peers are interned once
+// into 24-bit tokens — peers are long-lived relative to packets — and events
+// carry the token. The key is whatever address type the recording layer
+// holds (transport.Addr throughout the stack): this package sits below
+// transport in the import graph and needs only equality and a rendering.
 var (
-	peerTokens sync.Map // transport.Addr -> uint32
+	peerTokens sync.Map // PeerKey -> uint32
 	peersMu    sync.Mutex
-	peerList   []transport.Addr // index = token-1
+	peerList   []string // index = token-1; rendered at first sighting
 )
+
+// PeerKey is what a peer is interned by: comparable, so it can key the
+// token map, and self-rendering, for the drained event.
+type PeerKey interface {
+	comparable
+	String() string
+}
 
 // peerTokenBits bounds the token space to what an event slot encodes.
 const peerTokenBits = 24
 
-// PeerToken interns addr and returns its stable token. The fast path is
+// PeerToken interns peer and returns its stable token. The fast path is
 // one lock-free map load; the first sighting of a peer takes a short lock.
 // Token 0 is "no/unknown peer" (also returned in the pathological case of
 // more than 2^24 distinct peers).
-func PeerToken(addr transport.Addr) uint32 {
-	if v, ok := peerTokens.Load(addr); ok {
+func PeerToken[K PeerKey](peer K) uint32 {
+	if v, ok := peerTokens.Load(peer); ok {
 		return v.(uint32)
 	}
 	peersMu.Lock()
 	defer peersMu.Unlock()
-	if v, ok := peerTokens.Load(addr); ok {
+	if v, ok := peerTokens.Load(peer); ok {
 		return v.(uint32)
 	}
 	if len(peerList) >= 1<<peerTokenBits-1 {
 		return 0
 	}
-	peerList = append(peerList, addr)
+	peerList = append(peerList, peer.String())
 	tok := uint32(len(peerList))
-	peerTokens.Store(addr, tok)
+	peerTokens.Store(peer, tok)
 	return tok
 }
 
-// PeerOf resolves a token back to its address; the zero Addr for token 0
-// or an unknown token.
-func PeerOf(tok uint32) transport.Addr {
+// PeerOf resolves a token back to its peer's rendering; "" for token 0 or
+// an unknown token.
+func PeerOf(tok uint32) string {
 	peersMu.Lock()
 	defer peersMu.Unlock()
 	if tok == 0 || int(tok) > len(peerList) {
-		return transport.Addr{}
+		return ""
 	}
 	return peerList[tok-1]
 }

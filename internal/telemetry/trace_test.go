@@ -1,15 +1,23 @@
 package telemetry
 
 import (
+	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/transport"
 )
+
+// testPeer stands in for transport.Addr, which this package cannot import:
+// any comparable, self-rendering key interns.
+type testPeer struct {
+	node string
+	port uint16
+}
+
+func (p testPeer) String() string { return fmt.Sprintf("%s:%d", p.node, p.port) }
 
 func TestRingRecordAndDrain(t *testing.T) {
 	r := NewRing(64)
-	tok := PeerToken(transport.Addr{Node: "trace-test-a", Port: 7})
+	tok := PeerToken(testPeer{"trace-test-a", 7})
 	r.Record(EvSend, tok, 100, 1)
 	r.Record(EvRecv, tok, 100, 1)
 	r.Record(EvDrop, 0, 42, DropLoss)
@@ -26,14 +34,14 @@ func TestRingRecordAndDrain(t *testing.T) {
 	if evs[0].Type != EvSend || evs[1].Type != EvRecv || evs[2].Type != EvDrop {
 		t.Fatalf("types = %v %v %v", evs[0].Type, evs[1].Type, evs[2].Type)
 	}
-	if evs[0].Peer != (transport.Addr{Node: "trace-test-a", Port: 7}) {
+	if evs[0].Peer != "trace-test-a:7" {
 		t.Fatalf("peer round trip failed: %v", evs[0].Peer)
 	}
 	if evs[2].Bytes != 42 || evs[2].Arg != DropLoss {
 		t.Fatalf("drop event = %+v", evs[2])
 	}
-	if evs[2].Peer != (transport.Addr{}) {
-		t.Fatalf("token 0 must decode to the zero addr, got %v", evs[2].Peer)
+	if evs[2].Peer != "" {
+		t.Fatalf("token 0 must decode to no peer, got %q", evs[2].Peer)
 	}
 
 	// Drain consumes: a second drain returns only newer events.
@@ -133,19 +141,19 @@ func TestRingConcurrent(t *testing.T) {
 }
 
 func TestPeerTokenStable(t *testing.T) {
-	a := transport.Addr{Node: "trace-test-stable", Port: 1}
+	a := testPeer{"trace-test-stable", 1}
 	t1 := PeerToken(a)
 	t2 := PeerToken(a)
 	if t1 == 0 || t1 != t2 {
 		t.Fatalf("tokens %d, %d", t1, t2)
 	}
-	if got := PeerOf(t1); got != a {
+	if got := PeerOf(t1); got != a.String() {
 		t.Fatalf("PeerOf(%d) = %v, want %v", t1, got, a)
 	}
-	if b := PeerToken(transport.Addr{Node: "trace-test-stable", Port: 2}); b == t1 {
+	if b := PeerToken(testPeer{"trace-test-stable", 2}); b == t1 {
 		t.Fatal("distinct addrs shared a token")
 	}
-	if got := PeerOf(1 << 30); got != (transport.Addr{}) {
+	if got := PeerOf(1 << 30); got != "" {
 		t.Fatalf("unknown token resolved to %v", got)
 	}
 }

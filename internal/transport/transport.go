@@ -3,7 +3,16 @@
 // code binds to a reliable byte stream (TCP — the standard's RC mode) or to
 // an unreliable datagram service (UDP — the paper's datagram-iWARP mode).
 //
-// Three interchangeable LLP families implement these interfaces:
+// The datagram seam is one interface, [Datagram], and it is batch-first:
+// bursts in (SendBatch), bursts out (RecvBatch), buffers handed back
+// (Recycle), pool health readable (RecvPoolStats). Every LLP and every
+// decorator carries the whole of it, so the layers above have one send path
+// and one receive path and never ask what the layer below can do — the
+// compiler checks it. SendTo and Recv are the burst-of-one forms of the
+// same per-datagram step.
+//
+// Three interchangeable LLP families implement it, and two decorators
+// (faultnet's fault injector, pcap's wire tap) wrap any of them:
 //
 //   - package simnet: an in-process simulated network with configurable MTU,
 //     loss, reordering and duplication (stands in for the testbed + tc/netem
@@ -12,6 +21,10 @@
 //     cmd/iwarpd demo daemon and available to all benchmarks;
 //   - package rudp: a reliable-datagram layer (the paper's "reliable UDP"
 //     supplement) stacked on any Datagram.
+//
+// Import direction: transport sits above telemetry (its batch instruments
+// are ordinary registry handles) and peertab (the UDP endpoint's
+// source-address cache is a peertab.Table); neither may import it back.
 package transport
 
 import (
@@ -36,14 +49,16 @@ var (
 	ErrNoRoute = errors.New("transport: no route to destination")
 )
 
-// MaxDatagramSize is the largest payload a single datagram may carry,
-// matching the UDP limit the paper cites ("datagrams are technically defined
-// up to a maximum size of 64 KB", minus headers).
-const MaxDatagramSize = 65507
-
-// DefaultMTU is the wire MTU assumed throughout the evaluation (standard
-// Ethernet, "WANs normally run using a 1500 byte MTU").
-const DefaultMTU = 1500
+// Wire sizes assumed throughout the evaluation.
+const (
+	// MaxDatagramSize is the largest payload a single datagram may carry,
+	// matching the UDP limit the paper cites ("datagrams are technically
+	// defined up to a maximum size of 64 KB", minus headers).
+	MaxDatagramSize = 65507
+	// DefaultMTU is the wire MTU (standard Ethernet, "WANs normally run
+	// using a 1500 byte MTU").
+	DefaultMTU = 1500
+)
 
 // Addr identifies an LLP endpoint: a node (hostname or IP text) and a port.
 // It is comparable and usable as a map key, which the UD completion path
@@ -61,15 +76,18 @@ func (a Addr) IsZero() bool { return a.Node == "" && a.Port == 0 }
 // Datagram is a connectionless, message-boundary-preserving LLP endpoint —
 // the service UDP provides. Implementations may silently drop, reorder, or
 // duplicate messages; the iWARP layers above are designed for exactly that.
+// The four embedded interfaces are the burst datapath and are as mandatory
+// as the rest: a decorator forwards them, a per-datagram LLP loops.
 type Datagram interface {
-	// SendTo transmits one datagram to the destination. It may block for
-	// flow control but never blocks awaiting the receiver's application.
-	// Implementations must not retain p after SendTo returns: the caller
-	// may recycle the buffer immediately, as a pooled datapath does.
+	BatchSender
+	BatchRecver
+	Recycler
+	RecvPoolStats
+	// SendTo transmits one datagram to the destination: SendBatch of one.
+	// It may block for flow control but never blocks awaiting the
+	// receiver's application.
 	SendTo(p []byte, to Addr) error
-	// Recv returns the next datagram and its source. A zero timeout blocks
-	// until data or close; otherwise ErrTimeout is returned when the
-	// deadline passes. The returned slice is owned by the caller.
+	// Recv returns the next datagram and its source: RecvBatch of one.
 	Recv(timeout time.Duration) ([]byte, Addr, error)
 	// LocalAddr returns the bound address.
 	LocalAddr() Addr
@@ -78,55 +96,46 @@ type Datagram interface {
 	// PathMTU returns the wire MTU below which a datagram avoids
 	// fragmentation — the efficiency knee in Figures 7 and 8.
 	PathMTU() int
-	// Close releases the endpoint; concurrent Recv calls return ErrClosed.
+	// Close releases the endpoint; concurrent receives return ErrClosed.
 	Close() error
 }
 
-// BatchSender is an optional interface a Datagram implementation may
-// provide: SendBatch transmits a burst of datagrams to one destination,
-// amortizing per-send costs (address resolution, queue locking, eventually
-// sendmmsg) across the batch. It returns the number of datagrams handed to
-// the network before any error. Loss models and kernel drops do NOT count
-// as errors — like SendTo, handing a datagram to a lossy network succeeds.
-// Implementations must not retain any packet buffer after returning, so
-// callers can recycle the whole batch immediately.
-//
-// The segmented DDP send path probes for this interface once per message
-// and falls back to per-packet SendTo when it is absent.
+// BatchSender is the send half of Datagram: SendBatch transmits a burst of
+// datagrams to one destination, amortizing per-send costs (address
+// resolution, queue locking, sendmmsg) across the batch. It returns the
+// number of datagrams handed to the network before any error. Loss models
+// and kernel drops do NOT count as errors — handing a datagram to a lossy
+// network succeeds. Implementations must not retain any packet buffer after
+// returning, so callers can recycle the whole batch immediately.
 type BatchSender interface {
 	SendBatch(pkts [][]byte, to Addr) (int, error)
 }
 
-// BatchRecver is an optional interface a Datagram implementation may
-// provide: RecvBatch fills pkts and froms with up to min(len(pkts),
-// len(froms)) datagrams, amortizing per-receive costs (queue locking,
-// deadline arming, eventually recvmmsg) across the burst — the receive-side
-// mirror of BatchSender. It blocks up to timeout for the FIRST datagram
-// (zero blocks until data or close, like Recv) and then drains whatever
-// else is immediately available without waiting. It returns the number of
-// datagrams received; n ≥ 1 on nil error. Buffer ownership matches Recv:
-// each pkts[i] is owned by the caller, which may hand it back through
-// Recycler once consumed.
-//
-// The DDP datagram channel probes for this interface once per channel and
-// falls back to per-packet Recv when it is absent.
+// BatchRecver is the receive half of Datagram: RecvBatch fills pkts and
+// froms with up to min(len(pkts), len(froms)) datagrams, amortizing
+// per-receive costs (queue locking, deadline arming, recvmmsg) across the
+// burst. It blocks up to timeout for the FIRST datagram (zero blocks until
+// data or close; otherwise ErrTimeout when the deadline passes with nothing
+// queued) and then drains whatever else is immediately available without
+// waiting. It returns the number of datagrams received; n ≥ 1 on nil error.
+// Each pkts[i] is owned by the caller, which hands it back through Recycle
+// once consumed.
 type BatchRecver interface {
 	RecvBatch(pkts [][]byte, froms []Addr, timeout time.Duration) (int, error)
 }
 
-// RecvPoolStats is an optional interface a Datagram implementation may
-// provide, reporting its receive-buffer pool's cumulative hit/miss
-// counters. The layer above re-exports them as telemetry so pool health is
-// observable without coupling this package to the telemetry registry.
+// RecvPoolStats is the part of Datagram reporting the receive-buffer pool's
+// cumulative hit/miss counters (zeroes from an LLP with no pool). The DDP
+// channel re-exports them as telemetry per receive burst.
 type RecvPoolStats interface {
 	RecvPoolStats() (hits, misses int64)
 }
 
-// Recycler is an optional interface a Datagram implementation may provide:
-// a receiver that has fully consumed a buffer returned by Recv can hand it
-// back for reuse, bounding the datapath's allocation rate the way a real
-// stack recycles its receive-ring buffers. Recycling is always optional and
-// buffers from foreign sources must be tolerated (and dropped).
+// Recycler is the part of Datagram that closes the receive-buffer loop: a
+// receiver that has fully consumed a buffer returned by Recv or RecvBatch
+// hands it back for reuse, bounding the datapath's allocation rate the way
+// a real stack recycles its receive-ring buffers. Buffers from foreign
+// sources must be tolerated (and dropped).
 type Recycler interface {
 	Recycle(p []byte)
 }

@@ -62,9 +62,8 @@ func TestUDPEndpointSendBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	var bs BatchSender = a // the UDP endpoint must satisfy the optional interface
 	pkts := [][]byte{[]byte("seg0"), []byte("seg1"), []byte("seg2")}
-	n, err := bs.SendBatch(pkts, b.LocalAddr())
+	n, err := a.SendBatch(pkts, b.LocalAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestUDPEndpointSendBatch(t *testing.T) {
 		}
 	}
 	// Oversized packets must be rejected before anything hits the wire.
-	if n, err := bs.SendBatch([][]byte{{1}, make([]byte, MaxDatagramSize+1)}, b.LocalAddr()); n != 0 || !errors.Is(err, ErrTooLarge) {
+	if n, err := a.SendBatch([][]byte{{1}, make([]byte, MaxDatagramSize+1)}, b.LocalAddr()); n != 0 || !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized batch: n=%d err=%v", n, err)
 	}
 }

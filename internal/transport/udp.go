@@ -6,11 +6,10 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/nio"
+	"repro/internal/peertab"
 )
 
 // UDPEndpoint adapts a kernel UDP socket to the Datagram interface. It is
@@ -34,27 +33,14 @@ type UDPEndpoint struct {
 	// probe's verdict for BatchFeatures.
 	kern  *kernelBatch
 	feats BatchFeatures
-
-	// addrs memoizes source-address rendering, sharded with the same
-	// striping discipline as internal/peertab (which transport cannot
-	// import: telemetry sits between them): the per-packet hit is a
-	// lock-free snapshot lookup instead of an endpoint-wide RWMutex every
-	// receive shares.
-	addrs addrCache
 }
 
-var (
-	_ Datagram          = (*UDPEndpoint)(nil)
-	_ BatchSender       = (*UDPEndpoint)(nil)
-	_ BatchRecver       = (*UDPEndpoint)(nil)
-	_ Recycler          = (*UDPEndpoint)(nil)
-	_ RecvPoolStats     = (*UDPEndpoint)(nil)
-	_ BatchCapabilities = (*UDPEndpoint)(nil)
-)
+var _ Datagram = (*UDPEndpoint)(nil)
 
-// maxAddrCache bounds the source-address cache; at the bound the cache is
-// reset wholesale (one burst of re-resolution) rather than tracking LRU
-// state on the per-packet path.
+// maxAddrCache bounds the source-address cache (sources) and each kernel
+// endpoint's destination cache; at the bound a cache is reset wholesale (one
+// burst of re-resolution) rather than tracking LRU state on the per-packet
+// path.
 const maxAddrCache = 4096
 
 // aLongTimeAgo is an expired deadline: setting it makes the next read
@@ -95,7 +81,6 @@ func ListenUDPMode(host string, port uint16, mode UDPBatchMode) (*UDPEndpoint, e
 		mtu:  DefaultMTU,
 		pool: nio.NewPool(MaxDatagramSize),
 	}
-	e.addrs.init()
 	e.kern = newKernelBatch(conn, mode)
 	if e.kern != nil {
 		e.feats = e.kern.features()
@@ -104,8 +89,7 @@ func ListenUDPMode(host string, port uint16, mode UDPBatchMode) (*UDPEndpoint, e
 	return e, nil
 }
 
-// BatchFeatures implements BatchCapabilities: the capability probe's
-// verdict for this endpoint.
+// BatchFeatures reports the capability probe's verdict for this endpoint.
 func (e *UDPEndpoint) BatchFeatures() BatchFeatures {
 	if e.kern != nil {
 		return e.kern.features() // reflects any runtime GSO degrade
@@ -135,14 +119,22 @@ func (e *UDPEndpoint) SendTo(p []byte, to Addr) error {
 	if err != nil {
 		return err
 	}
-	_, err = e.conn.WriteToUDP(p, ua)
+	return e.writeOne(p, ua)
+}
+
+// writeOne is the portable per-datagram send step: one syscall to a
+// resolved destination, under SendTo and the portable SendBatch loop alike.
+//
+//diwarp:hotpath
+func (e *UDPEndpoint) writeOne(p []byte, ua *net.UDPAddr) error {
+	_, err := e.conn.WriteToUDP(p, ua)
 	if err != nil && errors.Is(err, net.ErrClosed) {
 		return ErrClosed
 	}
 	return err
 }
 
-// SendBatch implements BatchSender. With the kernel batch datapath probed
+// SendBatch implements Datagram. With the kernel batch datapath probed
 // in, the burst rides one sendmmsg(2) per mmsgMax chunk — or a single
 // UDP_SEGMENT (GSO) send when every datagram is the same size — instead of
 // one sendto per datagram; otherwise the portable writeBatch loop runs,
@@ -170,10 +162,7 @@ func (e *UDPEndpoint) SendBatch(pkts [][]byte, to Addr) (int, error) {
 //diwarp:hotpath
 func (e *UDPEndpoint) writeBatch(pkts [][]byte, ua *net.UDPAddr) (int, error) {
 	for i, p := range pkts {
-		if _, err := e.conn.WriteToUDP(p, ua); err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				err = ErrClosed
-			}
+		if err := e.writeOne(p, ua); err != nil {
 			observeBatch(int64(i), int64(i))
 			return i, err
 		}
@@ -207,97 +196,50 @@ func (e *UDPEndpoint) readPooled() ([]byte, Addr, error) {
 		e.pool.Put(buf)
 		return nil, Addr{}, mapRecvErr(err)
 	}
-	return buf[:n], e.cachedAddr(ap), nil
+	return buf[:n], cachedAddr(ap), nil
 }
 
-// addrCacheStripes is the cache's stripe count (power of two). 8 stripes
-// match the receive path's realistic concurrency (recvmmsg drain plus a few
-// placement workers) without bloating the endpoint struct.
-const addrCacheStripes = 8
+// sources memoizes source-address rendering, keyed by the kernel's socket
+// address: the per-packet hit is a lock-free snapshot lookup, and
+// steady-state receives never re-render an IP. The rendering is a pure
+// function of the socket address, so every endpoint shares one table.
+var sources = peertab.New[netip.AddrPort, Addr](hashSource, peertab.Options{})
 
-// addrCache is the miniature of peertab's sharded table the import cycle
-// forces on this package: N stripes selected by FNV-1a over the source
-// address, each holding an atomic pointer to an immutable snapshot map.
-// Hits load the snapshot lock-free; inserts copy-on-write under the stripe
-// mutex. At the capacity bound the cache resets wholesale (one burst of
-// re-rendering) rather than tracking LRU on the packet path.
-type addrCache struct {
-	stripes [addrCacheStripes]struct {
-		mu   sync.Mutex
-		snap atomic.Pointer[map[netip.AddrPort]Addr]
-		_    [32]byte // keep neighbouring stripes off one cache line
-	}
-	len atomic.Int64
-}
-
-func (c *addrCache) init() {
-	for i := range c.stripes {
-		empty := make(map[netip.AddrPort]Addr)
-		c.stripes[i].snap.Store(&empty)
-	}
-}
-
-// hashAddrPort selects a stripe: FNV-1a over the 16-byte address form and
-// the port, the same discipline as peertab's hash helpers.
+// hashSource stripes the source-address cache: FNV-1a over the 16-byte
+// address form and the port.
 //
 //diwarp:hotpath
-func hashAddrPort(ap netip.AddrPort) uint32 {
-	const fnvOffset, fnvPrime = 2166136261, 16777619
+func hashSource(ap netip.AddrPort) uint32 {
 	b := ap.Addr().As16()
-	h := uint32(fnvOffset)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint32(b[i])) * fnvPrime
-	}
-	p := ap.Port()
-	h = (h ^ uint32(p>>8)) * fnvPrime
-	h = (h ^ uint32(p&0xff)) * fnvPrime
-	return h
+	return peertab.HashUint32(peertab.HashBytes(peertab.Seed(), b[:]), uint32(ap.Port()))
 }
 
 // cachedAddr maps a socket address to a transport.Addr, memoizing the
 // string form so steady-state receives never re-render an IP.
 //
 //diwarp:hotpath
-func (e *UDPEndpoint) cachedAddr(ap netip.AddrPort) Addr {
+func cachedAddr(ap netip.AddrPort) Addr {
 	// The kernel reports IPv4 peers on a dual-stack socket as 4-in-6
 	// (::ffff:a.b.c.d); unmap so the cached Node matches what resolve()
 	// parses on the send side.
 	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
-	s := &e.addrs.stripes[hashAddrPort(ap)&(addrCacheStripes-1)]
-	if a, ok := (*s.snap.Load())[ap]; ok {
-		return a
+	if ent := sources.Get(ap); ent != nil {
+		return ent.V // written before the entry was published, never after
 	}
-	return e.cachedAddrSlow(ap)
+	return cachedAddrSlow(ap)
 }
 
-func (e *UDPEndpoint) cachedAddrSlow(ap netip.AddrPort) Addr {
+// cachedAddrSlow renders and caches a first-seen source.
+func cachedAddrSlow(ap netip.AddrPort) Addr {
+	if sources.Len() >= maxAddrCache {
+		sources.Clear(nil)
+	}
 	a := Addr{Node: ap.Addr().String(), Port: ap.Port()}
-	if e.addrs.len.Load() >= maxAddrCache {
-		for i := range e.addrs.stripes {
-			s := &e.addrs.stripes[i]
-			s.mu.Lock()
-			empty := make(map[netip.AddrPort]Addr)
-			s.snap.Store(&empty)
-			s.mu.Unlock()
-		}
-		e.addrs.len.Store(0)
+	ent, _, err := sources.GetOrCreate(ap, func(ent *peertab.Entry[netip.AddrPort, Addr]) { ent.V = a })
+	if err != nil {
+		return a // unreachable without Options.Capacity; the rendering is still right
 	}
-	s := &e.addrs.stripes[hashAddrPort(ap)&(addrCacheStripes-1)]
-	s.mu.Lock()
-	old := *s.snap.Load()
-	if hit, ok := old[ap]; ok {
-		s.mu.Unlock()
-		return hit
-	}
-	next := make(map[netip.AddrPort]Addr, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[ap] = a
-	s.snap.Store(&next)
-	s.mu.Unlock()
-	e.addrs.len.Add(1)
-	return a
+	return ent.V
 }
 
 // Recv implements Datagram. The returned buffer is pool-backed: the caller
@@ -318,7 +260,7 @@ func (e *UDPEndpoint) Recv(timeout time.Duration) ([]byte, Addr, error) {
 	return e.readPooled()
 }
 
-// RecvBatch implements BatchRecver. With the kernel batch datapath probed
+// RecvBatch implements Datagram. With the kernel batch datapath probed
 // in, the whole burst arrives through one recvmmsg(2) (MSG_DONTWAIT after
 // the netpoller's blocking wakeup, so the contract is unchanged: wait for
 // the first datagram, take the rest only if already queued). The portable
@@ -365,11 +307,11 @@ func (e *UDPEndpoint) RecvBatch(pkts [][]byte, froms []Addr, timeout time.Durati
 	return n, nil
 }
 
-// Recycle implements Recycler: fully-consumed receive buffers return to the
+// Recycle implements Datagram: fully-consumed receive buffers return to the
 // endpoint's pool. Foreign buffers are dropped by the pool's capacity check.
 func (e *UDPEndpoint) Recycle(p []byte) { e.pool.Put(p) }
 
-// RecvPoolStats implements RecvPoolStats: the receive pool's cumulative
+// RecvPoolStats implements Datagram: the receive pool's cumulative
 // hit/miss counters.
 func (e *UDPEndpoint) RecvPoolStats() (hits, misses int64) { return e.pool.Stats() }
 

@@ -23,14 +23,11 @@ func udpPair(t testing.TB) (a, b *UDPEndpoint) {
 	return a, b
 }
 
-// TestUDPRecvBatch: the UDP endpoint satisfies BatchRecver — one call
-// blocks for the first datagram, then drains whatever else the socket
-// already holds, without waiting for the batch to fill.
+// TestUDPRecvBatch: one RecvBatch call blocks for the first datagram, then
+// drains whatever else the socket already holds, without waiting for the
+// batch to fill.
 func TestUDPRecvBatch(t *testing.T) {
 	a, b := udpPair(t)
-	var br BatchRecver = b // must satisfy the optional interface
-	var rc Recycler = b
-
 	const count = 5
 	sent := make(map[string]bool)
 	for i := 0; i < count; i++ {
@@ -44,7 +41,7 @@ func TestUDPRecvBatch(t *testing.T) {
 	froms := make([]Addr, 8)
 	got := 0
 	for got < count {
-		n, err := br.RecvBatch(pkts, froms, 2*time.Second)
+		n, err := b.RecvBatch(pkts, froms, 2*time.Second)
 		if err != nil {
 			t.Fatalf("after %d: %v", got, err)
 		}
@@ -60,12 +57,12 @@ func TestUDPRecvBatch(t *testing.T) {
 				t.Fatalf("unexpected or duplicate packet %q", pkts[i])
 			}
 			sent[string(pkts[i])] = true
-			rc.Recycle(pkts[i])
+			b.Recycle(pkts[i])
 		}
 		got += n
 	}
 	// The drain must not have waited for a full batch of 8.
-	if _, err := br.RecvBatch(pkts, froms, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := b.RecvBatch(pkts, froms, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("empty socket: err = %v", err)
 	}
 }

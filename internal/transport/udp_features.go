@@ -3,7 +3,8 @@ package transport
 import (
 	"os"
 	"sync"
-	"sync/atomic"
+
+	"repro/internal/telemetry"
 )
 
 // BatchFeatures reports which kernel batch-datapath capabilities a UDP
@@ -40,16 +41,6 @@ func (f BatchFeatures) String() string {
 	return s
 }
 
-// BatchCapabilities is an optional interface a Datagram implementation may
-// provide, reporting which batch-datapath features are live. Layers above
-// use it to tune burst sizing (ddp widens its receive scratch when GRO can
-// split one syscall's worth of coalesced traffic into more datagrams than a
-// portable burst would ever return) and wrappers (faultnet, telemetry's
-// DatagramTap) forward it so the probe's verdict survives stacking.
-type BatchCapabilities interface {
-	BatchFeatures() BatchFeatures
-}
-
 // UDPBatchMode selects how far down the kernel batch datapath a UDP
 // endpoint is allowed to go. It exists so the portable fallback stays
 // testable on kernels that support everything: the capability probe can be
@@ -84,72 +75,48 @@ var envBatchMode = sync.OnceValue(func() UDPBatchMode {
 	}
 })
 
-// BatchObserver records one histogram observation; BatchGauge sets a level.
-// They are the shape of telemetry's Histogram.Observe and Gauge.Set, declared
-// here because this package sits below telemetry in the import graph (the
-// pcap taps and trace ring import transport) and must not close the cycle.
-type BatchObserver interface{ Observe(v int64) }
-
-// BatchGauge is the gauge half of the telemetry seam; see BatchObserver.
-type BatchGauge interface{ Set(v int64) }
-
-// BatchMetrics carries the batch-datapath instruments the transport feeds:
-// how many syscalls each burst cost, how many datagrams each syscall moved,
-// and whether the GSO/GRO offloads are live. Package telemetry installs
-// registry-backed handles at init; with no sink installed recording is a
-// nil-check and a branch.
-type BatchMetrics struct {
-	BatchSyscalls  BatchObserver // syscalls issued per SendBatch/RecvBatch call
-	SegsPerSyscall BatchObserver // datagrams moved per batch syscall (burst mean)
-	GSOEnabled     BatchGauge    // 1 when the last probed endpoint sends with UDP_SEGMENT
-	GROEnabled     BatchGauge    // 1 when the last probed endpoint receives with UDP_GRO
-}
-
-var batchMetrics atomic.Pointer[BatchMetrics]
-
-// SetBatchMetrics installs the process-wide batch-datapath telemetry sink.
-// Passing nil disables recording. Intended to be called once from package
-// telemetry's init; tests may swap sinks.
-func SetBatchMetrics(m *BatchMetrics) { batchMetrics.Store(m) }
+// Batch-datapath instruments (DESIGN.md §4.9), process-wide like every
+// other registry name:
+//
+//   - batch_syscalls: pow2 histogram of syscalls per SendBatch/RecvBatch
+//     burst (the portable loop observes the burst size; one sendmmsg
+//     observes 1);
+//   - segs_per_syscall: pow2 histogram of datagrams moved per batch syscall
+//     (burst mean — a 32-datagram sendmmsg observes 32, the portable loop
+//     1), the direct measure of the syscall amortization the kernel path
+//     buys;
+//   - gso_enabled / gro_enabled: gauges reflecting the most recent endpoint
+//     capability probe (1 = offload live, 0 = probed off or degraded at
+//     runtime).
+var (
+	mBatchSyscalls  = telemetry.Default.Histogram("diwarp_transport_batch_syscalls")
+	mSegsPerSyscall = telemetry.Default.Histogram("diwarp_transport_segs_per_syscall")
+	mGSOEnabled     = telemetry.Default.Gauge("diwarp_transport_gso_enabled")
+	mGROEnabled     = telemetry.Default.Gauge("diwarp_transport_gro_enabled")
+)
 
 // observeBatch records one completed burst: syscalls it took and datagrams
-// it moved. The segments-per-syscall observation is the burst mean, so one
-// sendmmsg moving 32 datagrams observes 32 while the portable loop's 32
-// one-datagram syscalls observe 1.
+// it moved.
 //
 //diwarp:hotpath
 func observeBatch(syscalls, datagrams int64) {
-	m := batchMetrics.Load()
-	if m == nil || syscalls <= 0 {
+	if syscalls <= 0 {
 		return
 	}
-	if m.BatchSyscalls != nil {
-		m.BatchSyscalls.Observe(syscalls)
-	}
-	if m.SegsPerSyscall != nil {
-		m.SegsPerSyscall.Observe(datagrams / syscalls)
-	}
+	mBatchSyscalls.Observe(syscalls)
+	mSegsPerSyscall.Observe(datagrams / syscalls)
 }
 
 // publishFeatures reflects a freshly probed endpoint's offload verdict onto
 // the feature gauges.
 func publishFeatures(f BatchFeatures) {
-	m := batchMetrics.Load()
-	if m == nil {
-		return
+	mGSOEnabled.Set(b2i(f.GSO))
+	mGROEnabled.Set(b2i(f.GRO))
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
 	}
-	if m.GSOEnabled != nil {
-		v := int64(0)
-		if f.GSO {
-			v = 1
-		}
-		m.GSOEnabled.Set(v)
-	}
-	if m.GROEnabled != nil {
-		v := int64(0)
-		if f.GRO {
-			v = 1
-		}
-		m.GROEnabled.Set(v)
-	}
+	return 0
 }

@@ -44,7 +44,7 @@ type kernelBatch struct {
 	family int           // socket address family: AF_INET or AF_INET6
 
 	// Destination sockaddr cache: Addr → kernel-ready sockaddr, so the
-	// send path never re-parses an IP string. Bounded like addrCache.
+	// send path never re-parses an IP string. Bounded by maxAddrCache.
 	destMu sync.RWMutex
 	dests  map[Addr]*rawDest
 
@@ -499,7 +499,7 @@ func (k *kernelBatch) releaseRecv(pool *nio.Pool, from int) {
 // GRO super-segments are split back into per-datagram buffers (the first
 // segment keeps the pooled receive buffer, trailing segments copy into
 // fresh pooled buffers, overflow queues on pending), and sources resolve
-// through the endpoint's address cache. Returns how many datagrams landed
+// through the source-address cache. Returns how many datagrams landed
 // in the caller's arrays.
 //
 //diwarp:hotpath
@@ -516,7 +516,7 @@ func (k *kernelBatch) finishRecv(e *UDPEndpoint, pkts [][]byte, froms []Addr, ma
 			e.pool.Put(buf)
 			continue
 		}
-		from := e.cachedAddr(decodeAddr(&k.rnames[i]))
+		from := cachedAddr(decodeAddr(&k.rnames[i]))
 		segsz := 0
 		if k.feats.GRO {
 			segsz = groSegSize(k.rctrl[i][:], int(k.rhdrs[i].hdr.Controllen))
@@ -555,7 +555,7 @@ func (k *kernelBatch) emit(pkts [][]byte, froms []Addr, max, out int, buf []byte
 }
 
 // decodeAddr converts a kernel-written sockaddr into a netip.AddrPort;
-// 4-in-6 unmapping happens in the endpoint's address cache.
+// 4-in-6 unmapping happens in the source-address cache.
 //
 //diwarp:hotpath
 func decodeAddr(sa *syscall.RawSockaddrInet6) netip.AddrPort {
