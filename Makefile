@@ -25,13 +25,15 @@ vet:
 
 # Import direction (DESIGN.md §4.4): telemetry and peertab are leaves below
 # transport — that is what lets transport use the registry and the peer
-# table instead of hand copies — and the message layer does not link the
-# simulator.
+# table instead of hand copies — and neither the message layer nor the
+# reliable-datagram layer links the simulator.
 import-guard:
 	@if $(GO) list -deps ./internal/telemetry ./internal/peertab | grep -qx repro/internal/transport; then \
 		echo "import-guard: internal/telemetry and internal/peertab must not depend on internal/transport"; exit 1; fi
 	@if $(GO) list -deps ./internal/msg | grep -qx repro/internal/simnet; then \
 		echo "import-guard: internal/msg must not depend on internal/simnet"; exit 1; fi
+	@if $(GO) list -deps ./internal/rudp | grep -qx repro/internal/simnet; then \
+		echo "import-guard: internal/rudp must not depend on internal/simnet"; exit 1; fi
 
 # Custom invariants compiled into one vettool: the datapath analyzers
 # (DESIGN.md §4.5: poolcheck, hotpath, wirecheck, errflow) and the
@@ -55,6 +57,7 @@ fuzz-short:
 	$(GO) test ./internal/ddp -run='^$$' -fuzz=FuzzDDPSegment -fuzztime=10s
 	$(GO) test ./internal/rdmap -run='^$$' -fuzz=FuzzRDMAPHeader -fuzztime=10s
 	$(GO) test ./internal/msg -run='^$$' -fuzz=FuzzMsgHeader -fuzztime=10s
+	$(GO) test ./internal/rudp -run='^$$' -fuzz=FuzzRudpFrame -fuzztime=10s
 
 # Full benchmark sweep: one benchmark per paper figure plus ablations.
 bench:

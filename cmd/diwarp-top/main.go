@@ -178,8 +178,10 @@ func peertabSummary(cur *telemetry.Snapshot) string {
 // rudpSummary condenses reliability and congestion control (DESIGN.md
 // §4.13) into one row: the live cwnd, total and fast retransmissions with a
 // per-interval retransmit rate, and the health counters — ECN marks seen,
-// multiplicative decreases, and spurious duplicates at the receiver. Empty
-// when the daemon exports no rudp cc metrics.
+// multiplicative decreases, and spurious duplicates at the receiver — and the
+// receive side's coalescing: ACKs sent and the mean width of a receive burst
+// (each burst is answered by at most one ACK per peer). Empty when the
+// daemon exports no rudp cc metrics.
 func rudpSummary(cur, prev *telemetry.Snapshot, interval time.Duration) string {
 	cwnd, ok := cur.Gauges["diwarp_rudp_cc_cwnd"]
 	if !ok {
@@ -190,13 +192,18 @@ func rudpSummary(cur, prev *telemetry.Snapshot, interval time.Duration) string {
 		dr := cur.Counters["diwarp_rudp_retransmits_total"] - prev.Counters["diwarp_rudp_retransmits_total"]
 		rate = fmt.Sprintf(" (%.1f/s)", float64(dr)/interval.Seconds())
 	}
-	return fmt.Sprintf("rudp cc: cwnd %d · rexmit %s%s · fast %s · marks %s · decreases %s · spurious %s",
+	burst := 0.0
+	if h := cur.Histograms["diwarp_rudp_recv_burst_datagrams"]; h.Count > 0 {
+		burst = float64(h.Sum) / float64(h.Count)
+	}
+	return fmt.Sprintf("rudp cc: cwnd %d · rexmit %s%s · fast %s · marks %s · decreases %s · spurious %s · acks %s · burst %.1f",
 		cwnd,
 		telemetry.FormatValue(cur.Counters["diwarp_rudp_retransmits_total"]), rate,
 		telemetry.FormatValue(cur.Counters["diwarp_rudp_cc_fast_retransmits_total"]),
 		telemetry.FormatValue(cur.Counters["diwarp_rudp_cc_ecn_marks_total"]),
 		telemetry.FormatValue(cur.Counters["diwarp_rudp_cc_md_events_total"]),
-		telemetry.FormatValue(cur.Counters["diwarp_rudp_cc_spurious_rexmits_total"]))
+		telemetry.FormatValue(cur.Counters["diwarp_rudp_cc_spurious_rexmits_total"]),
+		telemetry.FormatValue(cur.Counters["diwarp_rudp_acks_sent_total"]), burst)
 }
 
 func sortedKeys(m map[string]int64) []string {

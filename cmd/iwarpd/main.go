@@ -27,7 +27,6 @@ import (
 	"repro/internal/memreg"
 	"repro/internal/nio"
 	"repro/internal/pcap"
-	"repro/internal/rudp"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -59,7 +58,7 @@ func main() {
 	flag.Parse()
 
 	if *soakPeers > 0 {
-		cfg := rudp.SoakConfig{Peers: *soakPeers, Duration: *dur, Progress: log.Printf}
+		cfg := soakConfig{Peers: *soakPeers, Duration: *dur, Progress: log.Printf}
 		if err := runSoakPeers(cfg); err != nil {
 			log.Fatal(err)
 		}

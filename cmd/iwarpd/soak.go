@@ -190,6 +190,8 @@ func smokeScrape(base string) error {
 		"diwarp_simnet_datagrams_sent_total",
 		"diwarp_simnet_drop_loss_total",
 		"diwarp_rudp_retransmits_total",
+		"diwarp_rudp_acks_sent_total",
+		"diwarp_rudp_recv_burst_datagrams_count",
 	} {
 		v, ok := scrapeValue(text, name)
 		if !ok {
@@ -201,7 +203,7 @@ func smokeScrape(base string) error {
 	}
 	// Congestion-control series: the cwnd gauge is live from endpoint
 	// construction and must be positive; the event counters only move under
-	// specific fault patterns (dup-ACK trains, ECN marks), so the smoke gate
+	// specific fault patterns (SACKed seqs above a hole, ECN marks), so the smoke gate
 	// pins their names without requiring the soak to have triggered them.
 	if v, ok := scrapeValue(text, "diwarp_rudp_cc_cwnd"); !ok || v <= 0 {
 		return fmt.Errorf("smoke: diwarp_rudp_cc_cwnd = %d (present=%v), want > 0", v, ok)

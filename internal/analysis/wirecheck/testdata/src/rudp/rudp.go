@@ -1,7 +1,10 @@
-// Package rudp exercises wirecheck against the revised reliable-datagram
-// ACK geometry: |type/flags(1)|epoch(1)|cumAck(4)|sack bitmap(8)|crc(4)|.
-// The widened 64-bit SACK bitmap moved the frame bound from 14 to 18
-// bytes; accesses must track AckLen, the largest matching constant.
+// Package rudp exercises wirecheck against the reliable-datagram trailer
+// geometry. Both frames end in epoch(1)|type/flags(1)|crc(4); an ACK is
+// |cumAck(4)|sack bitmap(8)| before that, 18 bytes in all, and a DATA frame
+// carries |seq(4)| and the shared six bytes behind its payload. DATA fields
+// are addressed from the end of the frame (no constant offset, so the bound
+// rule does not apply to them); ACK fields sit at constant offsets and must
+// stay inside AckLen.
 package rudp
 
 import (
@@ -11,22 +14,22 @@ import (
 )
 
 // The real package's frame geometry. The bound rule takes the maximum
-// matching constant: AckLen (18) dominates HeaderLen (6).
+// matching constant: AckLen (18) dominates DataTrailerLen (10).
 const (
-	HeaderLen = 6  // DATA prefix: type/flags + epoch + seq
-	AckLen    = 18 // full ACK frame: body (14) + CRC trailer (4)
+	DataTrailerLen = 10 // behind a DATA payload: seq + epoch + type/flags + crc
+	AckLen         = 18 // full ACK frame: cumAck + sack + epoch + type/flags + crc
 )
 
 func parseAckOK(b []byte) (uint32, uint64, uint32) {
-	cum := nio.U32(b[2:])    // [2,6): in bounds
-	bitmap := nio.U64(b[6:]) // [6,14): the widened SACK bitmap
+	cum := nio.U32(b)        // [0,4): in bounds
+	bitmap := nio.U64(b[4:]) // [4,12): the SACK bitmap
 	crc := nio.U32(b[14:])   // [14,18): trailer, exactly at the bound
 	return cum, bitmap, crc
 }
 
 func parseAckBad(b []byte) (uint64, uint32) {
-	// A bitmap read placed where the trailer starts runs past the frame —
-	// the drift this rule exists to catch.
+	// A bitmap read placed where the old header-first layout had it runs
+	// past the frame — the drift this rule exists to catch.
 	x := nio.U64(b[11:])                 // want `exceeds AckLen`
 	y := binary.BigEndian.Uint32(b[15:]) // want `exceeds AckLen`
 	return x, y
@@ -37,16 +40,23 @@ func writeAckBad(b []byte, v uint64) {
 }
 
 func writeAckOK(b []byte, v uint64) []byte {
-	binary.BigEndian.PutUint64(b[6:], v) // [6,14): in bounds
+	binary.BigEndian.PutUint64(b[4:], v) // [4,12): in bounds
 	return nio.PutU32(b, 0)              // append-style trailer: exempt
 }
 
+// parseDataOK reads the DATA trailer from the end of the frame: the offset
+// is not a constant, so the bound rule has nothing to say.
+func parseDataOK(p []byte) (uint32, uint32) {
+	n := len(p) - DataTrailerLen
+	return nio.U32(p[n:]), nio.U32(p[len(p)-4:])
+}
+
 func wrongOrder(b []byte) uint32 {
-	return binary.LittleEndian.Uint32(b[2:]) // want `use binary.BigEndian`
+	return binary.LittleEndian.Uint32(b[4:]) // want `use binary.BigEndian`
 }
 
 func manualAssembly(b []byte) uint64 {
-	return uint64(b[6]) | uint64(b[7])<<8 // want `little-endian byte assembly`
+	return uint64(b[4]) | uint64(b[5])<<8 // want `little-endian byte assembly`
 }
 
 // Payload-shaped buffers carry no constant header offset and are exempt.

@@ -130,9 +130,9 @@ type RDSchedule struct {
 
 	// RequireNoRexmit asserts the sender retransmitted nothing — the
 	// loss-free-reorder invariant: SACK already tells the sender every
-	// displaced packet arrived, and fewer than dupAckThresh duplicate ACKs
-	// accumulate under a reorder span of 2, so any retransmission (RTO or
-	// fast) on a loss-free schedule is spurious. Only meaningful when
+	// displaced packet arrived, and fewer than dupAckThresh sequence numbers
+	// are ever SACKed above a hole under a reorder span of 2, so any
+	// retransmission (RTO or fast) on a loss-free schedule is spurious. Only meaningful when
 	// neither direction drops packets.
 	RequireNoRexmit bool
 	// RequireMarks asserts the ECN signal chain ran end to end: the
@@ -218,6 +218,7 @@ func RunRD(s RDSchedule) *Verdict {
 			case err == nil:
 				idx := int(nio.U32(p))
 				ok := len(p) >= 5 && p[4] == byte(idx*31+7)
+				ep.Recycle(p) // the payload is the wire's own buffer: hand it back or the pool balance below drifts
 				rxMu.Lock()
 				if !ok {
 					rxFails = append(rxFails, fmt.Sprintf("message %d delivered with corrupt payload", idx))
@@ -255,7 +256,7 @@ func RunRD(s RDSchedule) *Verdict {
 	// message index at which the conversation died: everything at or after
 	// it rides the fresh post-eviction conversation and MUST be delivered;
 	// earlier indices may have died with the old conversation (unacked
-	// window, or acked into an inbox the crash discarded).
+	// window, or acked into a delivery queue the crash discarded).
 	lastDead := 0
 	sendOne := func(i int) error {
 		err := a.SendTo(payloadFor(i, s.PayloadLen), bAddr)
@@ -415,8 +416,8 @@ func RunRD(s RDSchedule) *Verdict {
 
 	// Invariant: loss-free schedules must not retransmit. Reorder and
 	// duplication give the sender nothing to resend — SACK reports every
-	// displaced packet, and the dup-ACK count stays below the fast-
-	// retransmit threshold at reorder span ≤ 2.
+	// displaced packet, and the count of SACKed seqs above a hole stays below
+	// the fast-retransmit threshold at reorder span ≤ 2.
 	if s.RequireNoRexmit {
 		if v.SenderStats.Retransmits != 0 {
 			v.failf("loss-free schedule retransmitted %d packets (%d fast, %d RTO expiries) — spurious recovery",

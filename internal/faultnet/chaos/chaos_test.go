@@ -137,7 +137,7 @@ func TestChaosRDCongestionBurst(t *testing.T) {
 
 // TestChaosRDReorderNoLoss is the no-spurious-recovery invariant: with
 // reordering (span 2) and duplication but zero loss, the 64-bit SACK map
-// plus the dup-ACK threshold must keep diwarp_rudp_retransmits_total at
+// plus the SACK-count loss threshold must keep diwarp_rudp_retransmits_total at
 // exactly 0 — any retransmission on this schedule is spurious by
 // construction.
 func TestChaosRDReorderNoLoss(t *testing.T) {

@@ -340,6 +340,7 @@ type Endpoint struct {
 	vecs    sync.Pool // *[2][]byte gather vectors for eager sends
 	sinks   *sinkPool // rendezvous sink buffers
 
+	rxSlab []byte // the allocation the receive ring was cut from (ringSlabs)
 	rxMu   sync.Mutex
 	rxBufs map[uint64][]byte // posted receive WRID -> buffer
 	nextWR atomic.Uint64
@@ -363,6 +364,23 @@ type Endpoint struct {
 	nEagerBytes, nRdvBytes atomic.Int64
 	nCreditStalls          atomic.Int64
 	nRdvSwept              atomic.Int64
+}
+
+// ringSlabs recycles receive-ring allocations across endpoint lifetimes.
+// The ring — RecvDepth buffers of HeaderLen+EagerThreshold, 4.6 MB at the
+// defaults — is one allocation, and allocating and zeroing it is most of
+// what Open costs; an endpoint opened soon after one was closed (a socket
+// per call, a set-up benchmark) takes over its predecessor's ring instead.
+// Receive buffers are written by the QP before anything reads them, so a
+// reused ring needs no clearing. Being a sync.Pool it keeps nothing past the
+// next two collections.
+var ringSlabs sync.Pool
+
+func getRingSlab(n int) []byte {
+	if p, _ := ringSlabs.Get().(*[]byte); p != nil && len(*p) == n {
+		return *p
+	}
+	return make([]byte, n)
 }
 
 // Open builds a message-layer endpoint over ep: it creates the protection
@@ -403,6 +421,8 @@ func Open(ep transport.Datagram, cfg Config) (*Endpoint, error) {
 		return nil, err
 	}
 	e.qp = qp
+	e.rxSlab = getRingSlab(cfg.RecvDepth * e.rxPool.BufSize())
+	e.rxPool.Fill(e.rxSlab)
 	for i := 0; i < cfg.RecvDepth; i++ {
 		if err := e.postOneRecv(); err != nil {
 			qp.Close()
@@ -1043,6 +1063,11 @@ func (e *Endpoint) Close() error {
 		e.rxPool.Put(b)
 	}
 	e.rxMu.Unlock()
+	if e.rxPool.Outstanding() == 0 {
+		// Every receive buffer is home — none posted, none inside a Message
+		// the application still holds — so nothing refers into the slab.
+		ringSlabs.Put(&e.rxSlab)
+	}
 	// Tear down inbound rendezvous state. A transfer completing
 	// concurrently flipped done first and owns its own teardown.
 	var ins []*inboundRdv

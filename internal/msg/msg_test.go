@@ -495,3 +495,64 @@ func TestManyPeers(t *testing.T) {
 		t.Fatalf("delivered %d+%d, want %d", s.EagerRecv, s.RdvRecv, peers*msgs)
 	}
 }
+
+// TestReceiveRingRecycledAcrossEndpoints pins the ring hand-over: an endpoint
+// opened after one of the same shape closed takes over its receive ring
+// instead of allocating and zeroing a new one, stale bytes in the reused ring
+// never reach a handler, and a ring is not handed on while a Message the
+// application still holds points into it.
+func TestReceiveRingRecycledAcrossEndpoints(t *testing.T) {
+	ringOf := func(e *Endpoint) *byte { return &e.rxSlab[0] }
+	cfg := Config{Handler: func(m Message) { m.Release() }}
+
+	// Drain whatever earlier tests left in the process-wide pool.
+	for ringSlabs.Get() != nil {
+	}
+	a, b := newPair(t, cfg, cfg)
+	for i := range a.rxSlab {
+		a.rxSlab[i] = 0xEE // what a previous life leaves behind
+	}
+	ra, rb := ringOf(a), ringOf(b)
+	a.Close()
+	b.Close()
+
+	cb := newCollector()
+	c, d := newPair(t, cfg, Config{Handler: cb.handle})
+	if rc, rd := ringOf(c), ringOf(d); (rc != ra && rc != rb) || (rd != ra && rd != rb) || rc == rd {
+		// sync.Pool may drop an entry under a collection; only insist when
+		// both came back.
+		t.Logf("rings not both reused (a collection may have emptied the pool)")
+	}
+	want := bytes.Repeat([]byte{0x11}, 3000)
+	if err := c.Send(d.LocalAddr(), want); err != nil {
+		t.Fatal(err)
+	}
+	cb.wait(t, 1, 5*time.Second)
+	if !bytes.Equal(cb.got[0], want) {
+		t.Fatal("message through a reused ring does not match what was sent")
+	}
+
+	// A held Message pins its endpoint's ring.
+	held := make(chan Message, 1)
+	e, f := newPair(t, cfg, Config{Handler: func(m Message) { held <- m }})
+	if err := e.Send(f.LocalAddr(), want); err != nil {
+		t.Fatal(err)
+	}
+	var m Message
+	select {
+	case m = <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("message not delivered")
+	}
+	for ringSlabs.Get() != nil {
+	}
+	rf := ringOf(f)
+	f.Close()
+	if p, _ := ringSlabs.Get().(*[]byte); p != nil && &(*p)[0] == rf {
+		t.Fatal("a ring was offered for reuse while a delivered Message still pointed into it")
+	}
+	if !bytes.Equal(m.Data, want) {
+		t.Fatal("held message changed under its holder")
+	}
+	m.Release()
+}

@@ -81,6 +81,24 @@ func NewPool(size int) *Pool {
 	return &Pool{size: size, maxIdle: per}
 }
 
+// Fill stocks the free lists with the buffers slab cuts into (len(slab) /
+// BufSize of them), so an owner that is about to Get many buffers at once —
+// a receive ring posted at start-up — pays for one allocation instead of
+// one per buffer. The buffers are ordinary pool buffers from then on; the
+// slab stays reachable for as long as any of them is. Fill counts as neither
+// Get nor Put, and stops at the idle bound like Put does.
+func (pl *Pool) Fill(slab []byte) {
+	for i := 0; (i+1)*pl.size <= len(slab); i++ {
+		b := slab[i*pl.size : i*pl.size : (i+1)*pl.size]
+		s := &pl.stripes[i&(poolStripes-1)]
+		s.mu.Lock()
+		if len(s.free) < pl.maxIdle {
+			s.free = append(s.free, b)
+		}
+		s.mu.Unlock()
+	}
+}
+
 // BufSize reports the capacity of buffers handed out by the pool.
 func (pl *Pool) BufSize() int { return pl.size }
 

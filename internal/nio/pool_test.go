@@ -122,3 +122,43 @@ func TestPoolGetPutAllocFree(t *testing.T) {
 		t.Fatalf("Get/Put cycle allocates %.2f times per run, want 0", allocs)
 	}
 }
+
+// TestPoolFill pins the slab entry point: the buffers cut from one
+// allocation are ordinary pool buffers (full capacity, zero length, accepted
+// back by Put), every one of them is served before the pool allocates, and
+// filling moves neither side of the Get/Put ledger.
+func TestPoolFill(t *testing.T) {
+	const size, n = 512, 20
+	p := NewPool(size)
+	slab := make([]byte, n*size+7) // the odd tail is left alone
+	p.Fill(slab)
+	if out := p.Outstanding(); out != 0 {
+		t.Fatalf("Outstanding = %d after Fill, want 0", out)
+	}
+	seen := make(map[*byte]bool)
+	var bufs [][]byte
+	for i := 0; i < n; i++ {
+		b := p.Get()
+		if len(b) != 0 || cap(b) != size {
+			t.Fatalf("filled buffer %d: len %d cap %d", i, len(b), cap(b))
+		}
+		first := &b[:1][0]
+		if seen[first] {
+			t.Fatalf("buffer %d handed out twice", i)
+		}
+		seen[first] = true
+		bufs = append(bufs, b)
+	}
+	if _, misses := p.Stats(); misses != 0 {
+		t.Fatalf("%d Gets of %d filled buffers missed %d times", n, n, misses)
+	}
+	for _, b := range bufs {
+		p.Put(b)
+	}
+	if out := p.Outstanding(); out != 0 {
+		t.Fatalf("Outstanding = %d after returning every buffer", out)
+	}
+	if got := p.idle(); got != n {
+		t.Fatalf("%d buffers idle after the round trip, want %d", got, n)
+	}
+}

@@ -12,8 +12,14 @@ import (
 // whose next deadline hashes there. With W slots of granularity g, a
 // deadline within the W·g horizon is filed in exactly the slot that fires
 // at its RTO; deadlines beyond the horizon wrap and are re-examined once
-// per revolution (each scan checks the stored deadline before declaring
-// the key due, so a wrapped entry fires on time, never early).
+// per revolution (each scan checks the stored tick before declaring the key
+// due, so a wrapped entry fires on time, never early).
+//
+// A deadline is filed, and popped, by tick: the first tick boundary at or
+// after it. The sweep of tick t therefore pops everything filed for t, and
+// a key fires within one granularity after its deadline and never before.
+// (Popping by nanosecond instead left a key whose deadline fell later inside
+// the tick being swept sitting behind the cursor for a whole revolution.)
 //
 // Concurrency contract: all Arm/Disarm calls for one key must be
 // serialized by the key's owner (in rudp, the peer's Entry lock), and
@@ -26,10 +32,13 @@ type Wheel[K comparable] struct {
 	granularity time.Duration
 	slots       []wslot[K]
 	mask        int64
-	// lastTick is the most recent tick index Advance has swept. Arm reads
-	// it to clamp already-expired deadlines forward into the next sweep —
-	// filing them at their literal tick would park them behind the cursor
-	// for a full revolution.
+	// lastTick is the most recent tick index Advance has swept or is
+	// sweeping: Advance publishes a tick BEFORE it locks that tick's slot.
+	// Arm reads it to clamp already-expired deadlines forward into the next
+	// sweep — filing them at their literal tick would park them behind the
+	// cursor for a full revolution — and reads it again under the slot lock:
+	// if it still precedes the chosen tick, the sweep of that tick has not
+	// taken the slot lock yet and will see the filing.
 	lastTick atomic.Int64
 }
 
@@ -38,7 +47,7 @@ type wslot[K comparable] struct {
 	// and disarms while holding Entry.mu.
 	//diwarp:lockafter Entry.mu
 	mu sync.Mutex
-	m  map[K]int64 // key → deadline (unix nanos)
+	m  map[K]int64 // key → tick the key is due at; nil until first armed
 }
 
 // Fired is one key popped by Advance, tagged with the slot it came from so
@@ -61,9 +70,6 @@ func NewWheel[K comparable](slots int, granularity time.Duration) *Wheel[K] {
 		slots:       make([]wslot[K], pow),
 		mask:        int64(pow - 1),
 	}
-	for i := range w.slots {
-		w.slots[i].m = make(map[K]int64)
-	}
 	w.lastTick.Store(time.Now().UnixNano() / int64(granularity))
 	return w
 }
@@ -71,16 +77,30 @@ func NewWheel[K comparable](slots int, granularity time.Duration) *Wheel[K] {
 // Arm files k to fire at deadline and returns the slot index the caller
 // must remember for Disarm. Caller holds k's owner lock.
 func (w *Wheel[K]) Arm(k K, deadline time.Time) int {
-	tick := deadline.UnixNano() / int64(w.granularity)
-	if last := w.lastTick.Load(); tick <= last {
-		tick = last + 1
+	g := int64(w.granularity)
+	tick := (deadline.UnixNano() + g - 1) / g
+	for {
+		if last := w.lastTick.Load(); tick <= last {
+			tick = last + 1
+		}
+		slot := int(tick & w.mask)
+		s := &w.slots[slot]
+		s.mu.Lock()
+		if w.lastTick.Load() >= tick {
+			// The cursor reached this tick between the read above and the
+			// lock: its sweep may already be past this slot. File later.
+			s.mu.Unlock()
+			continue
+		}
+		if s.m == nil {
+			// Slot maps are made on first use: a wheel is built per endpoint,
+			// and most of its slots never hold a key.
+			s.m = make(map[K]int64)
+		}
+		s.m[k] = tick
+		s.mu.Unlock()
+		return slot
 	}
-	slot := int(tick & w.mask)
-	s := &w.slots[slot]
-	s.mu.Lock()
-	s.m[k] = deadline.UnixNano()
-	s.mu.Unlock()
-	return slot
 }
 
 // Disarm removes k from slot. A no-op if Advance already popped it —
@@ -94,10 +114,10 @@ func (w *Wheel[K]) Disarm(k K, slot int) {
 }
 
 // Advance sweeps every slot between the previous sweep and now, popping
-// keys whose deadline has passed and appending them to buf (reused across
-// ticks to keep the loop alloc-free at steady state). Keys with wrapped
-// deadlines (filed more than one revolution out) stay put for a later
-// sweep. Single-caller: the owner's tick loop.
+// keys whose tick has come and appending them to buf (reused across ticks to
+// keep the loop alloc-free at steady state). Keys with wrapped deadlines
+// (filed more than one revolution out) stay put for a later sweep.
+// Single-caller: the owner's tick loop.
 func (w *Wheel[K]) Advance(now time.Time, buf []Fired[K]) []Fired[K] {
 	nowTick := now.UnixNano() / int64(w.granularity)
 	last := w.lastTick.Load()
@@ -110,20 +130,19 @@ func (w *Wheel[K]) Advance(now time.Time, buf []Fired[K]) []Fired[K] {
 	if nowTick-from >= int64(len(w.slots)) {
 		from = nowTick - int64(len(w.slots)) + 1
 	}
-	nowNanos := now.UnixNano()
 	for t := from; t <= nowTick; t++ {
+		w.lastTick.Store(t) // before the slot lock: see Arm
 		slot := int(t & w.mask)
 		s := &w.slots[slot]
 		s.mu.Lock()
-		for k, dl := range s.m {
-			if dl <= nowNanos {
+		for k, due := range s.m {
+			if due <= nowTick {
 				delete(s.m, k)
 				buf = append(buf, Fired[K]{Key: k, Slot: slot})
 			}
 		}
 		s.mu.Unlock()
 	}
-	w.lastTick.Store(nowTick)
 	return buf
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/crcx"
 	"repro/internal/nio"
 	"repro/internal/simnet"
 	"repro/internal/transport"
@@ -52,6 +51,14 @@ func (h *hookEP) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
 	}
 	return len(pkts), nil
 }
+
+// isData reports whether p has the shape of a DATA frame; dataSeq reads its
+// sequence number. The hooks classify outgoing frames with them.
+func isData(p []byte) bool {
+	return len(p) >= dataTrailerLen && p[len(p)-typeBack]&typeMask == typeData
+}
+
+func dataSeq(p []byte) uint32 { return nio.U32(p[len(p)-dataTrailerLen:]) }
 
 // peerField runs f on addr's peer state under its entry lock, creating
 // the peer if absent — the test-side window into the sharded table.
@@ -121,16 +128,16 @@ func TestCorruptedHeadersDropped(t *testing.T) {
 		if IsAckPacket(p) && mangledAcks < 3 {
 			mangledAcks++
 			q := append([]byte(nil), p...)
-			q[2], q[3], q[4], q[5] = 0xFF, 0xFF, 0xFF, 0xFE // cumAck := huge
+			q[0], q[1], q[2], q[3] = 0xFF, 0xFF, 0xFF, 0xFE // cumAck := huge
 			return q
 		}
 		return p
 	})
 	ha.set(func(p []byte, to transport.Addr) []byte { // a's outgoing: DATA
-		if len(p) > 0 && p[0] == typeData && mangledData < 2 {
+		if isData(p) && mangledData < 2 {
 			mangledData++
 			q := append([]byte(nil), p...)
-			q[4] ^= 0x80 // mangle seq, stale CRC
+			q[len(q)-dataTrailerLen+2] ^= 0x80 // mangle seq, stale CRC
 			return q
 		}
 		return p
@@ -162,7 +169,7 @@ func TestCorruptedHeadersDropped(t *testing.T) {
 // TestFarFutureSeqNotBuffered pins the bounded acceptance window: a DATA
 // far beyond the in-order point must not reserve reassembly state (the
 // pre-fix behavior buffered anything up to 2^31 ahead, so one bad packet
-// wedged the peer's ooo map forever).
+// wedged the peer's reassembly state forever).
 func TestFarFutureSeqNotBuffered(t *testing.T) {
 	n := simnet.New(simnet.Config{})
 	ib, _ := n.OpenDatagram("b", 0)
@@ -172,10 +179,7 @@ func TestFarFutureSeqNotBuffered(t *testing.T) {
 	defer raw.Close()
 
 	craft := func(epoch byte, seq uint32, payload string) []byte {
-		pkt := []byte{typeData, epoch}
-		pkt = nio.PutU32(pkt, seq)
-		pkt = append(pkt, payload...)
-		return nio.PutU32(pkt, crcx.Checksum(pkt))
+		return AppendData(nil, epoch, seq, []byte(payload))
 	}
 	if err := raw.SendTo(craft(7, 5000, "garbage"), ib.LocalAddr()); err != nil {
 		t.Fatal(err)
@@ -190,10 +194,10 @@ func TestFarFutureSeqNotBuffered(t *testing.T) {
 	if got := b.Snapshot().WindowDrops; got != 1 {
 		t.Fatalf("WindowDrops = %d, want 1", got)
 	}
-	var ooo int
-	peerField(t, b, raw.LocalAddr(), func(ps *peerState) { ooo = len(ps.ooo) })
-	if ooo != 0 {
-		t.Fatalf("%d out-of-order buffers retained for the garbage seq", ooo)
+	var sack uint64
+	peerField(t, b, raw.LocalAddr(), func(ps *peerState) { sack = ps.sack })
+	if sack != 0 {
+		t.Fatalf("out-of-order state %#x retained for the garbage seq", sack)
 	}
 }
 

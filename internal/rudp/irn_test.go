@@ -1,11 +1,11 @@
 package rudp
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/nio"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -35,7 +35,7 @@ func irnPair(t *testing.T, cfg Config) (*hookEP, *Endpoint, *Endpoint) {
 func dropSeq(h *hookEP, seq uint32, times int) {
 	dropped := 0
 	h.set(func(p []byte, to transport.Addr) []byte {
-		if dropped < times && len(p) >= headerLen && p[0]&typeMask == typeData && nio.U32(p[2:]) == seq {
+		if dropped < times && isData(p) && dataSeq(p) == seq {
 			dropped++
 			return nil
 		}
@@ -98,9 +98,9 @@ func TestSACKCoversFullWindow(t *testing.T) {
 	})
 }
 
-// TestFastRetransmitBeatsRTO pins the dup-ACK path: with one hole and a
-// stream of later arrivals, recovery must come from fast retransmit (new
-// SACK information on a stalled cumulative ack), not from waiting out the
+// TestFastRetransmitBeatsRTO pins the SACK-driven path: with one hole and a
+// stream of later arrivals, recovery must come from fast retransmit (enough
+// sequence numbers SACKed above the hole), not from waiting out the
 // retransmission timer.
 func TestFastRetransmitBeatsRTO(t *testing.T) {
 	ha, a, b := irnPair(t, Config{})
@@ -118,28 +118,43 @@ func TestFastRetransmitBeatsRTO(t *testing.T) {
 // TestWaitSendSlotReusesTimer pins the blocked-send allocation fix: the
 // historical code burned a fresh time.After timer every wait iteration, so
 // a sender stuck behind a full window generated garbage proportional to
-// how long it was blocked. One timer must now serve the whole blocked
-// span — zero allocations per iteration after the first.
+// how long it was blocked. One timer, carried in the send scratch, must
+// serve every wait — zero allocations per iteration after the first — and
+// must come back stopped and drained whichever way a wait ended.
 func TestWaitSendSlotReusesTimer(t *testing.T) {
 	a, _ := pair(t, simnet.Config{})
-	wait := make(chan struct{}) // never pulsed: every wait runs to its tick
-	tm, ok := a.waitSendSlot(wait, nil)
-	if !ok || tm == nil {
-		t.Fatalf("first wait: tm=%v ok=%v", tm, ok)
+	sc := new(sendScratch)
+	wait := make(chan struct{}, 1) // never pulsed at first: every wait runs to its tick
+	if !a.waitSendSlot(wait, sc) || sc.tm == nil {
+		t.Fatalf("first wait: tm=%v", sc.tm)
 	}
-	defer tm.Stop()
-	first := tm
+	first := sc.tm
 	allocs := testing.AllocsPerRun(10, func() {
-		var ok bool
-		if tm, ok = a.waitSendSlot(wait, tm); !ok {
+		if !a.waitSendSlot(wait, sc) {
 			t.Error("wait reported endpoint closed")
 		}
 	})
-	if tm != first {
+	if sc.tm != first {
 		t.Fatal("waitSendSlot replaced the timer instead of reusing it")
 	}
 	if allocs != 0 {
 		t.Fatalf("blocked-send wait allocates %v per iteration, want 0", allocs)
+	}
+	// A wait ended by a pulse leaves the timer stopped with nothing in its
+	// channel, so the next wait still runs its full interval.
+	wait <- struct{}{}
+	if !a.waitSendSlot(wait, sc) {
+		t.Fatal("pulsed wait reported endpoint closed")
+	}
+	select {
+	case <-sc.tm.C:
+		t.Fatal("timer channel not drained after a pulsed wait")
+	default:
+	}
+	start := time.Now()
+	a.waitSendSlot(wait, sc)
+	if el := time.Since(start); el < tickInterval*2 {
+		t.Fatalf("wait after a pulsed wait returned in %v: a stale tick was left behind", el)
 	}
 }
 
@@ -203,7 +218,7 @@ func TestFastRetransmitAcrossWrap(t *testing.T) {
 func TestECNMarkDrivesDecrease(t *testing.T) {
 	ha, a, b := irnPair(t, Config{})
 	ha.set(func(p []byte, to transport.Addr) []byte {
-		if len(p) >= headerLen && p[0]&typeMask == typeData {
+		if isData(p) {
 			q := append([]byte(nil), p...)
 			if MarkCongestion(q) {
 				return q
@@ -230,15 +245,22 @@ func TestECNMarkDrivesDecrease(t *testing.T) {
 // TestMarkCongestionRejectsNonData pins MarkCongestion's guards: ACK
 // frames and runts must be left untouched.
 func TestMarkCongestionRejectsNonData(t *testing.T) {
-	ack := make([]byte, ackLen)
-	ack[0] = typeAck
+	ack := appendAck(nil, 7, 0, 41, 0b101)
+	want := bytes.Clone(ack)
 	if MarkCongestion(ack) {
 		t.Fatal("MarkCongestion accepted an ACK frame")
 	}
-	if ack[0] != typeAck {
+	if !bytes.Equal(ack, want) {
 		t.Fatal("MarkCongestion mutated a rejected frame")
 	}
-	if MarkCongestion(make([]byte, headerLen)) {
-		t.Fatal("MarkCongestion accepted a runt shorter than header+CRC")
+	if MarkCongestion(make([]byte, dataTrailerLen-1)) {
+		t.Fatal("MarkCongestion accepted a runt shorter than the DATA trailer")
+	}
+	// A damaged DATA frame stays damaged: re-stamping its CRC would make the
+	// receiver accept the damage.
+	bad := AppendData(nil, 7, 1, []byte("payload"))
+	bad[0] ^= 1
+	if MarkCongestion(bad) {
+		t.Fatal("MarkCongestion re-stamped a frame whose CRC did not verify")
 	}
 }

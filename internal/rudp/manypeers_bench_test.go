@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/crcx"
-	"repro/internal/nio"
 	"repro/internal/transport"
 )
 
@@ -48,18 +46,14 @@ func newAckStub() *ackStub {
 }
 
 func (s *ackStub) SendTo(p []byte, to transport.Addr) error {
-	if len(p) == 0 || p[0] != typeData {
+	if !isData(p) {
 		return nil // ACKs from the endpoint under test are discarded
 	}
-	seq := nio.U32(p[2:])
+	seq := dataSeq(p)
 	if seq%ackEvery != 0 {
 		return nil
 	}
-	ack := make([]byte, 0, ackLen)
-	ack = append(ack, typeAck, p[1])
-	ack = nio.PutU32(ack, seq)
-	ack = nio.PutU32(ack, 0)
-	ack = nio.PutU32(ack, crcx.Checksum(ack))
+	ack := appendAck(make([]byte, 0, ackLen), p[len(p)-epochBack], 0, seq, 0)
 	select {
 	case s.acks <- stubAck{pkt: ack, from: to}:
 	case <-s.done:

@@ -15,25 +15,38 @@
 // connection teardown handshake). Message boundaries are preserved, so the
 // DDP layer above needs no MPA markers.
 //
-// Wire format (big-endian; byte 0 carries the frame type in its low nibble
-// and flag bits in its high nibble):
+// Wire format (big-endian). Both frames end in the same six bytes — epoch,
+// then a byte carrying the frame type in its low nibble and flag bits in
+// its high nibble, then the CRC — so the type byte is p[len(p)-5] in either:
 //
-//	DATA: | type=1|flags (1) | epoch (1) | seq (4) | payload ... | crc32c (4) |
-//	ACK:  | type=2|flags (1) | epoch (1) | cumAck (4) | sack bitmap (8) | crc32c (4) |
+//	DATA: | payload ... | seq (4) | epoch (1) | type=1|flags (1) | crc32c (4) |
+//	ACK:  | cumAck (4) | sack bitmap (8) | epoch (1) | type=2|flags (1) | crc32c (4) |
+//
+// The DATA fields trail the payload so that the payload is a prefix of the
+// datagram: the receiver hands the inner endpoint's pooled buffer upward cut
+// back to that prefix, and the slice's capacity — which is what the inner
+// pools key on — still identifies the buffer when Recycle brings it back.
+// No copy, no lookup table (DESIGN.md §4.14).
 //
 // cumAck acknowledges every DATA with seq ≤ cumAck; sack bit i acknowledges
 // seq cumAck+1+i. The bitmap is 64 bits wide — exactly windowSize — so
-// every packet the sender can have in flight is selectively acknowledgeable
-// (the previous 32-bit bitmap covered only half the window, and the
-// unSACKable upper half was spuriously retransmitted on every RTO even when
-// delivered). The flagECN bit is the congestion-signal plane: a simulated
-// switch (simnet/faultnet) sets it on a DATA frame via MarkCongestion, the
-// receiver echoes it on its next ACK, and the sender answers the echo with
-// a multiplicative cwnd decrease. The CRC32C trailer covers everything
-// before it. It exists because this header is control plane: DDP's own CRC
-// protects the payload end-to-end, but a bit flipped in cumAck would make
-// the sender drop packets the receiver never got (silent loss), and a
-// flipped seq would poison the receiver's reassembly state. Corrupt packets
+// every packet the sender can have in flight is selectively acknowledgeable.
+// One ACK answers a whole receive burst, not one DATA, so the sender infers
+// loss from what an ACK says, not from how many arrive: a hole is lost once
+// dupAckThresh sequence numbers above it are SACKed (RFC 6675's IsLost,
+// IRN's SACK-driven recovery). The flagECN bit is the congestion-signal
+// plane: a simulated switch (simnet/faultnet) sets it on a DATA frame via
+// MarkCongestion, the receiver echoes it on its next ACK, and the sender
+// answers the echo with a multiplicative cwnd decrease.
+//
+// The CRC32C trailer covers everything before it, payload included. The
+// header fields need it because they are control plane: a bit flipped in
+// cumAck would make the sender drop packets the receiver never got (silent
+// loss), and a flipped seq would poison the receiver's reassembly state.
+// The payload needs it because this layer acknowledges a frame before DDP,
+// one layer up, verifies its own CRC: a frame with a sound header and a
+// damaged payload would be ACKed here — the sender frees it — and then
+// dropped above, which on a reliable service is silent loss. Corrupt frames
 // are discarded here and recovered exactly like losses.
 //
 // The epoch byte identifies one incarnation of the sender's conversation
@@ -47,6 +60,18 @@
 // the new incarnation in place. A 1-in-256 collision between successive
 // incarnations evades detection; that residual risk is accepted for a
 // one-byte header cost.
+//
+// # Datapath (DESIGN.md §4.14)
+//
+// The receive loop pulls bursts from the inner endpoint, processes each run
+// of same-source packets under one peer lock, sends one ACK per peer the
+// burst touched, and only then publishes the burst's in-order yield to the
+// delivery queue Recv and RecvBatch pop from. An in-order DATA never
+// touches reassembly state; arrivals past a gap wait in a per-peer ring of
+// the inner endpoint's buffers beside a SACK word the ACK copies out. What
+// Recv returns is owned by the caller until Recycle, which hands it back to
+// the inner pool. SendBatch frames a burst under one lock and forwards it
+// as one inner SendBatch; SendTo is its burst of one.
 //
 // # Scaling (DESIGN.md §4.12)
 //
@@ -63,13 +88,11 @@ package rudp
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/crcx"
 	"repro/internal/nio"
 	"repro/internal/peertab"
 	"repro/internal/telemetry"
@@ -77,18 +100,6 @@ import (
 )
 
 const (
-	typeData = 1
-	typeAck  = 2
-	// typeMask extracts the frame type from byte 0; the high nibble is
-	// flag space so a marked packet still demuxes correctly.
-	typeMask = 0x0f
-	// flagECN is the congestion-experienced bit: set on DATA by the network
-	// (MarkCongestion), echoed on the next ACK by the receiver.
-	flagECN = 0x80
-
-	headerLen  = 6                      // DATA header before the payload
-	ackBodyLen = 14                     // ACK fields before the trailer (64-bit SACK bitmap)
-	ackLen     = ackBodyLen + crcx.Size // full ACK wire size
 	windowSize = 64
 	// sackBits is the SACK bitmap width. It MUST cover the full window:
 	// the sender can have windowSize packets in flight, and any seq the
@@ -99,7 +110,7 @@ const (
 	// acceptWindow bounds how far past the in-order point a DATA seq may be
 	// buffered. The sender never has more than windowSize unacked, so any
 	// farther seq is garbage (or an un-evicted peer's past life); buffering
-	// it would wedge reassembly and leak the out-of-order map.
+	// it would wedge reassembly. It is also the reassembly ring's size.
 	acceptWindow = windowSize
 	maxRetries   = 12
 	initialRTO   = 10 * time.Millisecond
@@ -117,9 +128,9 @@ const (
 	// Congestion control (IRN-style, DESIGN.md §4.13). cwnd is a packet
 	// count bounding unackedN; it grows by slow start below ssthresh and
 	// AIMD above it, and is clamped to windowSize (the ring IS the BDP
-	// ceiling). dupAckThresh duplicate cumulative ACKs carrying new SACK
-	// information trigger fast retransmit of the holes below the highest
-	// SACKed seq — loss recovery one RTT after the loss instead of one RTO.
+	// ceiling). A hole with dupAckThresh SACKed sequence numbers above it is
+	// fast-retransmitted — loss recovery one RTT after the loss instead of
+	// one RTO.
 	initialCwnd  = 16
 	minCwnd      = 2
 	dupAckThresh = 3
@@ -148,8 +159,9 @@ type Config struct {
 	// IdleEvict, when positive, evicts peers whose conversation has been
 	// idle that long and has nothing unacknowledged. A resumed peer starts
 	// a fresh conversation (new epoch) transparently; any out-of-order
-	// data buffered behind a loss gap is dropped with the state, exactly
-	// as if the packets had been lost on the wire.
+	// data parked behind a loss gap is dropped with the state (its buffers
+	// go back to the inner pool), exactly as if the packets had been lost
+	// on the wire.
 	IdleEvict time.Duration
 }
 
@@ -161,14 +173,15 @@ type Endpoint struct {
 	inner transport.Datagram
 	cfg   Config
 
-	// pool recycles DATA wire buffers (header + payload + CRC). A buffer
-	// lives from SendTo until its reference count drains: one reference
-	// for window residency, one per transmission handed to the inner
-	// transport (see pending.refs).
+	// pool recycles DATA wire buffers (payload + trailer). A buffer lives
+	// from SendBatch until its reference count drains: one reference for
+	// window residency, one per transmission handed to the inner transport
+	// (see pending.refs).
 	pool *nio.Pool
-	// ackPool recycles the small ACK wire buffers, which are released as
-	// soon as the inner SendTo returns (the transport does not retain them).
-	ackPool *nio.Pool
+	// scratch recycles the per-call staging a send burst is framed into
+	// (*sendScratch): the inner SendBatch is an interface call, so a stack
+	// array handed to it would escape and allocate on every send.
+	scratch sync.Pool
 
 	// tab shards the per-peer state; wheel schedules retransmit deadlines.
 	// Lock order: shard.mu → Entry.mu → wslot.mu (declared in peertab).
@@ -187,11 +200,13 @@ type Endpoint struct {
 	rtoExpired    *telemetry.Counter   // RTO expiry events (includes final, fatal one)
 	ackSendFail   *telemetry.Counter   // ACK sends the inner transport rejected
 	dataSendFail  *telemetry.Counter   // retransmission sends the inner transport rejected
-	crcFail       *telemetry.Counter   // inbound packets dropped by the header CRC
+	crcFail       *telemetry.Counter   // inbound packets dropped by the frame CRC
 	windowDrops   *telemetry.Counter   // DATA beyond the acceptance window, not buffered
 	evictions     *telemetry.Counter   // peers evicted (dead on observation, or idle)
 	epochMismatch *telemetry.Counter   // packets from a different conversation incarnation
-	rtt           *telemetry.Histogram // ack round-trip, µs (Karn: first transmissions only)
+	rtt           *telemetry.Histogram // ack round-trip, µs (Karn: first transmissions only; one sample per ACK)
+	acksSent      *telemetry.Counter   // ACK frames handed to the inner transport
+	recvBurstHist *telemetry.Histogram // datagrams per inner receive burst (each burst is answered by ≤ 1 ACK per peer)
 
 	// Congestion-control observability (DESIGN.md §4.13). ccCwnd is a gauge
 	// tracking the most recently adjusted peer's cwnd — with one busy peer
@@ -199,22 +214,28 @@ type Endpoint struct {
 	// registry sums handles across endpoints, so a scrape of a multi-
 	// endpoint process reads the sum of each endpoint's latest value.
 	// ccSpurious counts DATA arrivals the receiver had already delivered or
-	// buffered — every one is a packet the sender resent for nothing (or a
+	// parked — every one is a packet the sender resent for nothing (or a
 	// wire duplicate), the counter that proves the SACK-width fix.
 	ccCwnd       *telemetry.Gauge
-	ccFastRexmit *telemetry.Counter // DATA packets resent by dup-ACK fast retransmit
-	ccSpurious   *telemetry.Counter // duplicate DATA arrivals (already delivered/buffered)
+	ccFastRexmit *telemetry.Counter // DATA packets resent by SACK-driven fast retransmit
+	ccSpurious   *telemetry.Counter // duplicate DATA arrivals (already delivered/parked)
 	ccEcnMarks   *telemetry.Counter // DATA arrivals carrying the congestion mark
-	ccMDEvents   *telemetry.Counter // multiplicative decreases (ECN echo, dup-ACK loss, RTO)
+	ccMDEvents   *telemetry.Counter // multiplicative decreases (ECN echo, SACK-inferred loss, RTO)
 
-	inbox chan message
-	done  chan struct{}
-	wg    sync.WaitGroup
+	dq   delivery // in-order messages awaiting Recv/RecvBatch
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
-type message struct {
-	payload []byte
-	from    transport.Addr
+// sendScratch stages one stretch of a send burst between framing (under the
+// peer lock) and the inner SendBatch (after it): the framed wire buffers and
+// the window slots whose transmission references they hold. It also carries
+// the timer a blocked sender parks on, so that blocking on a full window
+// allocates one only the first time a scratch is used for it.
+type sendScratch struct {
+	bufs [windowSize][]byte
+	pds  [windowSize]*pending
+	tm   *time.Timer // stopped and drained whenever the scratch is idle
 }
 
 // peerEntry is one peer's slot in the sharded table; its embedded lock
@@ -265,19 +286,23 @@ type peerState struct {
 	// ccRecover gates multiplicative decrease NewReno-style: signals
 	// arriving while ackedTo has not passed the seq outstanding at the last
 	// decrease belong to the same congestion event and must not halve cwnd
-	// again. dupAcks counts consecutive ACKs that advanced nothing
-	// cumulatively but freed new SACK holes — the fast-retransmit trigger.
-	// ecnEcho, on the receive side, latches an observed congestion mark
-	// until the next ACK carries the echo out.
+	// again. ecnEcho, on the receive side, latches an observed congestion
+	// mark until the next ACK carries the echo out.
 	cwnd      float64
 	ssthresh  float64
 	ccRecover uint32
-	dupAcks   int
 	ecnEcho   bool
 
-	// Receive side.
-	expected uint32            // next in-order seq to deliver
-	ooo      map[uint32][]byte // out-of-order arrivals pending delivery
+	// Receive side. An in-order arrival only advances expected. Arrivals
+	// past a gap park in ring, indexed seq mod windowSize (the acceptance
+	// window is exactly the ring, so a slot is never claimed twice), and set
+	// their bit in sack: bit i stands for seq expected+i, which makes the
+	// word — shifted as expected advances — the ACK's SACK bitmap as it
+	// stands. The ring is allocated at the peer's first gap: a peer that
+	// never sees loss or reordering never pays for it.
+	expected uint32
+	sack     uint64
+	ring     *[windowSize][]byte
 }
 
 // curRTO returns the peer's current retransmission timeout: the RFC 6298
@@ -349,7 +374,7 @@ func (ps *peerState) ccGrow(n int) {
 // landing before ackedTo passes the flight outstanding at the previous
 // decrease are the same congestion event and are absorbed. collapse
 // distinguishes an RTO expiry (the flight is presumed gone — restart from
-// minCwnd) from an ECN echo or dup-ACK loss (the network is still
+// minCwnd) from an ECN echo or SACK-inferred loss (the network is still
 // delivering — keep half the window). Reports whether a decrease happened.
 func (ps *peerState) ccDecrease(collapse bool) bool {
 	if !seqLE(ps.ccRecover, ps.ackedTo) {
@@ -365,7 +390,6 @@ func (ps *peerState) ccDecrease(collapse bool) bool {
 		ps.cwnd = ps.ssthresh
 	}
 	ps.ccRecover = ps.nextSeq - 1
-	ps.dupAcks = 0
 	return true
 }
 
@@ -405,17 +429,26 @@ func New(inner transport.Datagram) *Endpoint { return NewConfig(inner, Config{})
 // NewConfig wraps inner with reliability under an explicit peer-table
 // policy.
 func NewConfig(inner transport.Datagram, cfg Config) *Endpoint {
+	e := newEndpoint(inner, cfg)
+	e.wg.Add(2)
+	go e.recvLoop()
+	go e.retransmitLoop()
+	return e
+}
+
+// newEndpoint builds an endpoint with its loops not yet running (the frame
+// fuzzer drives the receive path by hand on one of these).
+func newEndpoint(inner transport.Datagram, cfg Config) *Endpoint {
 	e := &Endpoint{
 		inner:   inner,
 		cfg:     cfg,
 		pool:    nio.NewPool(inner.MaxDatagram()),
-		ackPool: nio.NewPool(ackLen),
+		scratch: sync.Pool{New: func() any { return new(sendScratch) }},
 		tab: peertab.New[transport.Addr, peerState](hashAddr, peertab.Options{
 			Shards:   cfg.Shards,
 			Capacity: cfg.MaxPeers,
 		}),
 		wheel:         peertab.NewWheel[transport.Addr](wheelSlots, tickInterval),
-		inbox:         make(chan message, 1024),
 		done:          make(chan struct{}),
 		retransmits:   telemetry.Default.Counter("diwarp_rudp_retransmits_total"),
 		rtoExpired:    telemetry.Default.Counter("diwarp_rudp_rto_expired_total"),
@@ -426,6 +459,8 @@ func NewConfig(inner transport.Datagram, cfg Config) *Endpoint {
 		evictions:     telemetry.Default.Counter("diwarp_rudp_peer_evictions_total"),
 		epochMismatch: telemetry.Default.Counter("diwarp_rudp_epoch_mismatch_total"),
 		rtt:           telemetry.Default.Histogram("diwarp_rudp_rtt_microseconds"),
+		acksSent:      telemetry.Default.Counter("diwarp_rudp_acks_sent_total"),
+		recvBurstHist: telemetry.Default.Histogram("diwarp_rudp_recv_burst_datagrams"),
 		ccCwnd:        telemetry.Default.Gauge("diwarp_rudp_cc_cwnd"),
 		ccFastRexmit:  telemetry.Default.Counter("diwarp_rudp_cc_fast_retransmits_total"),
 		ccSpurious:    telemetry.Default.Counter("diwarp_rudp_cc_spurious_rexmits_total"),
@@ -433,9 +468,10 @@ func NewConfig(inner transport.Datagram, cfg Config) *Endpoint {
 		ccMDEvents:    telemetry.Default.Counter("diwarp_rudp_cc_md_events_total"),
 	}
 	e.ccCwnd.Set(initialCwnd)
-	e.wg.Add(2)
-	go e.recvLoop()
-	go e.retransmitLoop()
+	e.dq.ring = make([]message, deliveryDepth)
+	e.dq.avail = make(chan struct{}, 1)
+	e.dq.space = make(chan struct{}, 1)
+	e.dq.done = e.done
 	return e
 }
 
@@ -443,7 +479,6 @@ func NewConfig(inner transport.Datagram, cfg Config) *Endpoint {
 // before the entry is visible to anyone else.
 func initPeer(ent *peerEntry) {
 	ent.V = peerState{
-		ooo:      make(map[uint32][]byte),
 		nextSeq:  1,
 		expected: 1,
 		sendWait: make(chan struct{}, 1),
@@ -463,10 +498,14 @@ func (e *Endpoint) lockPeer(a transport.Addr) (*peerEntry, error) {
 
 // evictEntry tears a peer out of the table (idempotent, pointer-exact).
 // The caller must NOT hold the entry lock and must have already released
-// the peer's window and wheel state.
+// the peer's window and wheel state; what the peer still had parked out of
+// order goes back to the inner pool here.
 func (e *Endpoint) evictEntry(ent *peerEntry) {
 	if e.tab.EvictEntry(ent) {
 		e.evictions.Inc()
+		ent.Lock()
+		e.releaseRing(&ent.V)
+		ent.Unlock()
 	}
 }
 
@@ -500,39 +539,7 @@ func (e *Endpoint) releaseWindow(ent *peerEntry) {
 		e.wheel.Disarm(ent.Key, ps.wheelIdx)
 		ps.wheelIdx = -1
 	}
-	select {
-	case ps.sendWait <- struct{}{}:
-	default:
-	}
-}
-
-// seqLE reports a ≤ b in wraparound-aware serial arithmetic.
-func seqLE(a, b uint32) bool { return int32(b-a) >= 0 }
-
-// IsAckPacket reports whether a wire packet is a rudp ACK — exported so a
-// fault-injection layer below can target the reverse path (ACK blackholes)
-// without re-deriving the wire format.
-func IsAckPacket(p []byte) bool { return len(p) == ackLen && p[0]&typeMask == typeAck }
-
-// MarkCongestion sets the ECN congestion-experienced bit on a rudp DATA
-// frame in place, re-stamping the CRC trailer (the header is control plane:
-// a simulated switch may rewrite it, but the receiver verifies the CRC
-// before the type byte, so the mark must be covered or the frame reads as
-// corrupt). Reports whether p was a markable DATA frame; ACKs and foreign
-// packets are left untouched. Exported as the Marker hook for simnet and
-// faultnet — the layers playing the ECN-capable switch. The caller must own
-// p exclusively (its private copy of the frame): marking a buffer the
-// sender retains for retransmission would race with the resend path.
-func MarkCongestion(p []byte) bool {
-	if len(p) < headerLen+crcx.Size || p[0]&typeMask != typeData {
-		return false
-	}
-	p[0] |= flagECN
-	body := p[:len(p)-crcx.Size]
-	// Appending to the truncated slice rewrites the trailer bytes in place:
-	// body's capacity still spans p's backing array.
-	nio.PutU32(body, crcx.Checksum(body))
-	return true
+	pulse(ps.sendWait)
 }
 
 // admitEpoch checks an inbound packet's epoch against the conversation and
@@ -544,7 +551,7 @@ func MarkCongestion(p []byte) bool {
 // SACKed may never have been delivered — so the peer is declared dead and
 // the error surfaces instead of silently losing data. With nothing
 // outstanding, a conversation-start DATA (small seq) adopts the new
-// incarnation in place, clearing receive state so stale out-of-order
+// incarnation in place, releasing the reassembly ring so stale out-of-order
 // buffers cannot leak into the new conversation; anything else (stale
 // stragglers, orphan ACKs) is dropped.
 func (e *Endpoint) admitEpoch(ent *peerEntry, epoch byte, isData bool, seq uint32) bool {
@@ -566,487 +573,136 @@ func (e *Endpoint) admitEpoch(ent *peerEntry, epoch byte, isData bool, seq uint3
 	}
 	if isData && seq-1 < acceptWindow {
 		ps.rxEpoch = epoch
+		e.releaseRing(ps)
 		ps.expected = 1
-		clear(ps.ooo)
 		ps.nextSeq, ps.ackedTo = 1, 0
 		ps.srtt, ps.rttvar, ps.backoff = 0, 0, 0
 		ps.cwnd, ps.ssthresh = initialCwnd, windowSize
-		ps.ccRecover, ps.dupAcks, ps.ecnEcho = 0, 0, false
+		ps.ccRecover, ps.ecnEcho = 0, false
 		return true
 	}
 	return false
 }
 
-// SendTo implements transport.Datagram. It blocks while the peer's send
-// window is full and returns ErrPeerDead if the peer stops acknowledging —
-// in which case the peer's state is evicted, so the next SendTo to the same
-// address starts a fresh conversation. With Config.MaxPeers set it returns
-// peertab.ErrCapacity for a new peer that does not fit.
-func (e *Endpoint) SendTo(p []byte, to transport.Addr) error {
-	if len(p) > e.MaxDatagram() {
-		return transport.ErrTooLarge
-	}
-	// One timer serves every blocked-wait iteration of this call (see
-	// waitSendSlot); nil until the window first blocks, so the fast path
-	// never allocates one.
-	var tm *time.Timer
-	defer func() {
-		if tm != nil {
-			tm.Stop()
+// SendBatch implements transport.Datagram. Under one acquisition of the
+// peer lock it frames as many of the burst's datagrams as the ring and the
+// congestion window admit — one clock reading, one wheel arm — and hands
+// that stretch to the inner endpoint in one SendBatch call, so a burst from
+// the layer above reaches sendmmsg/GSO as a burst. It blocks for window
+// space only between such stretches. It returns ErrPeerDead if the peer
+// stopped acknowledging — in which case the peer's state is evicted, so the
+// next send to the same address starts a fresh conversation — and, with
+// Config.MaxPeers set, peertab.ErrCapacity for a new peer that does not fit.
+// A datagram counted as sent is in the window and will be delivered or
+// surface as ErrPeerDead, whatever the inner send reported.
+func (e *Endpoint) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
+	for max, i := e.MaxDatagram(), 0; i < len(pkts); i++ {
+		if len(pkts[i]) > max {
+			return 0, transport.ErrTooLarge
 		}
-	}()
-	for {
+	}
+	sc := e.scratch.Get().(*sendScratch)
+	defer e.scratch.Put(sc)
+	sent := 0
+	for sent < len(pkts) {
 		if e.closed.Load() {
-			return transport.ErrClosed
+			return sent, transport.ErrClosed
 		}
 		ent, err := e.lockPeer(to)
 		if err != nil {
-			return err
+			return sent, err
 		}
 		ps := &ent.V
 		if ps.dead != nil {
 			err := ps.dead
 			ent.Unlock()
 			e.evictEntry(ent)
-			return err
+			return sent, err
 		}
-		// The next seq's ring slot is free exactly when seq-windowSize has
-		// been acked (seqs are consecutive), so slot occupancy is the window
-		// check. refs must also have drained: a retransmission of the old
-		// occupant may still be in flight holding the slot's counter. On top
-		// of the ring bound, unackedN must fit the congestion window — the
-		// BDP-scaled dynamic cap.
-		pd := &ps.wnd[ps.nextSeq&(windowSize-1)]
-		if !pd.inUse && pd.refs.Load() == 0 && ps.unackedN < ps.cwndCap() {
-			now := time.Now()
-			seq := ps.nextSeq
-			ps.nextSeq++
-			buf := e.pool.Get()
-			buf = append(buf, typeData, ps.txEpoch)
-			buf = nio.PutU32(buf, seq)
-			buf = append(buf, p...)
-			buf = nio.PutU32(buf, crcx.Checksum(buf))
-			pd.payload, pd.lastSent, pd.seq, pd.retries, pd.inUse = buf, now, seq, 0, true
-			pd.refs.Store(2) // window residency + the transmission below
-			ps.unackedN++
-			if ps.wheelIdx < 0 {
-				ps.wheelIdx = e.wheel.Arm(to, now.Add(ps.curRTO()))
+		var now time.Time
+		k := 0
+		for ; sent+k < len(pkts); k++ {
+			// The next seq's ring slot is free exactly when seq-windowSize
+			// has been acked (seqs are consecutive), so slot occupancy is the
+			// window check. refs must also have drained: a retransmission of
+			// the old occupant may still be in flight holding the slot's
+			// counter. On top of the ring bound, unackedN must fit the
+			// congestion window — the BDP-scaled dynamic cap.
+			pd := &ps.wnd[ps.nextSeq&(windowSize-1)]
+			if pd.inUse || pd.refs.Load() != 0 || ps.unackedN >= ps.cwndCap() {
+				break
 			}
-			ent.Touch(now.UnixNano())
+			if k == 0 {
+				now = time.Now()
+			}
+			buf := AppendData(e.pool.Get(), ps.txEpoch, ps.nextSeq, pkts[sent+k])
+			pd.payload, pd.lastSent, pd.seq, pd.retries, pd.inUse = buf, now, ps.nextSeq, 0, true
+			pd.refs.Store(2) // window residency + the transmission below
+			ps.nextSeq++
+			ps.unackedN++
+			sc.bufs[k], sc.pds[k] = buf, pd
+		}
+		if k == 0 {
+			wait := ps.sendWait
 			ent.Unlock()
-			err := e.inner.SendTo(buf, to)
-			e.releaseRef(pd, buf)
-			return err
+			if !e.waitSendSlot(wait, sc) {
+				return sent, transport.ErrClosed
+			}
+			continue
 		}
-		wait := ps.sendWait
+		if ps.wheelIdx < 0 {
+			ps.wheelIdx = e.wheel.Arm(to, now.Add(ps.curRTO()))
+		}
+		ent.Touch(now.UnixNano())
 		ent.Unlock()
-		var ok bool
-		if tm, ok = e.waitSendSlot(wait, tm); !ok {
-			return transport.ErrClosed
+		n, err := e.inner.SendBatch(sc.bufs[:k], to)
+		for i := 0; i < k; i++ {
+			e.releaseRef(sc.pds[i], sc.bufs[i])
+			sc.bufs[i], sc.pds[i] = nil, nil
 		}
+		if err != nil {
+			return sent + n, err
+		}
+		sent += k
 	}
+	return sent, nil
+}
+
+// SendTo implements transport.Datagram: SendBatch of one.
+func (e *Endpoint) SendTo(p []byte, to transport.Addr) error {
+	one := [1][]byte{p}
+	_, err := e.SendBatch(one[:], to)
+	return err
 }
 
 // waitSendSlot parks a blocked sender until window space is pulsed, the
-// endpoint closes (ok=false), or a re-check interval passes (space may have
-// been freed without a pulse). The timer is reused across iterations of one
-// SendTo — the historical time.After here allocated a fresh runtime timer
-// every loop, garbage proportional to time spent blocked. tm is nil on the
-// first block; the (possibly just-created) timer is returned for the next
-// iteration and is either drained here or stopped by SendTo's defer.
-func (e *Endpoint) waitSendSlot(wait chan struct{}, tm *time.Timer) (*time.Timer, bool) {
-	if tm == nil {
-		tm = time.NewTimer(tickInterval * 4)
+// endpoint closes (false), or a re-check interval passes (space may have
+// been freed without a pulse). The timer lives in the pooled scratch and is
+// reused wait after wait, call after call — a time.After here would allocate
+// a fresh runtime timer every iteration, garbage proportional to time spent
+// blocked. It is left stopped and drained on every way out, which is what
+// makes the next Reset safe under the pre-1.23 timer discipline.
+func (e *Endpoint) waitSendSlot(wait chan struct{}, sc *sendScratch) bool {
+	if sc.tm == nil {
+		sc.tm = time.NewTimer(tickInterval * 4)
 	} else {
-		// Pre-1.23 timer discipline: the channel must be drained before
-		// Reset, and the select below guarantees it was not already.
-		if !tm.Stop() {
-			select {
-			case <-tm.C:
-			default:
-			}
-		}
-		tm.Reset(tickInterval * 4)
+		sc.tm.Reset(tickInterval * 4)
 	}
+	open := true
 	select {
+	case <-sc.tm.C:
+		return true
 	case <-wait:
 	case <-e.done:
-		return tm, false
-	case <-tm.C:
+		open = false
 	}
-	return tm, true
-}
-
-// SendBatch implements transport.Datagram: the burst goes through the
-// per-datagram send step one at a time (each datagram is windowed, framed
-// and acknowledged on its own).
-func (e *Endpoint) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
-	for i, p := range pkts {
-		if err := e.SendTo(p, to); err != nil {
-			return i, err
-		}
-	}
-	return len(pkts), nil
-}
-
-// Recv implements transport.Datagram, returning the next in-order message
-// from any peer.
-func (e *Endpoint) Recv(timeout time.Duration) ([]byte, transport.Addr, error) {
-	m, err := e.next(timeout)
-	return m.payload, m.from, err
-}
-
-// RecvBatch implements transport.Datagram: it waits like Recv for the first
-// message, then takes whatever else the inbox already holds.
-func (e *Endpoint) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout time.Duration) (int, error) {
-	max := min(len(pkts), len(froms))
-	if max == 0 {
-		return 0, nil
-	}
-	m, err := e.next(timeout)
-	if err != nil {
-		return 0, err
-	}
-	pkts[0], froms[0] = m.payload, m.from
-	for n := 1; n < max; n++ {
+	if !sc.tm.Stop() {
 		select {
-		case m := <-e.inbox:
-			pkts[n], froms[n] = m.payload, m.from
-		default:
-			return n, nil
-		}
-	}
-	return max, nil
-}
-
-// next is the per-message receive step under Recv and RecvBatch.
-func (e *Endpoint) next(timeout time.Duration) (message, error) {
-	// Fast path: pending delivery needs no timer.
-	select {
-	case m := <-e.inbox:
-		return m, nil
-	default:
-	}
-	var tch <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		tch = t.C
-	}
-	return e.await(tch)
-}
-
-// await blocks for the next message until tch fires or the endpoint closes.
-func (e *Endpoint) await(tch <-chan time.Time) (message, error) {
-	err := transport.ErrClosed
-	select {
-	case m := <-e.inbox:
-		return m, nil
-	case <-tch:
-		err = transport.ErrTimeout
-	case <-e.done:
-	}
-	// One last look: select picks at random among ready cases, so a fired
-	// timer (or a close) does not mean the inbox is empty, and a delivered
-	// message must never surface as a timeout — timeout polling is the
-	// stack's loss signal.
-	select {
-	case m := <-e.inbox:
-		return m, nil
-	default:
-		return message{}, err
-	}
-}
-
-// Recycle implements transport.Datagram as a no-op: delivered payloads are
-// this layer's own heap copies, not the inner endpoint's pooled buffers
-// (those go back in recvLoop), so there is no pool to return them to yet.
-func (e *Endpoint) Recycle([]byte) {}
-
-// RecvPoolStats implements transport.Datagram: zeroes, for the same reason.
-func (e *Endpoint) RecvPoolStats() (hits, misses int64) { return 0, 0 }
-
-// recvLoop dispatches incoming DATA and ACK packets. The CRC trailer is
-// checked before anything else: a corrupt header is indistinguishable from
-// a hostile one, and acting on it corrupts protocol state (see the wire
-// format comment), so the packet is dropped and recovered as a loss.
-func (e *Endpoint) recvLoop() {
-	defer e.wg.Done()
-	for {
-		pkt, from, err := e.inner.Recv(0)
-		if err != nil {
-			return // endpoint closed underneath us
-		}
-		if len(pkt) >= headerLen+crcx.Size {
-			body := pkt[:len(pkt)-crcx.Size]
-			if crcx.Checksum(body) != nio.U32(pkt[len(body):]) {
-				e.crcFail.Inc()
-				telemetry.DefaultTrace.Record(telemetry.EvCRCFail, telemetry.PeerToken(from), len(pkt), 0)
-			} else {
-				switch body[0] & typeMask {
-				case typeData:
-					e.handleData(body, from)
-				case typeAck:
-					if len(body) >= ackBodyLen {
-						e.handleAck(body, from)
-					}
-				}
-			}
-		}
-		// Both handlers copy what they keep; the buffer can be recycled.
-		e.inner.Recycle(pkt)
-	}
-}
-
-func (e *Endpoint) handleData(pkt []byte, from transport.Addr) {
-	seq := nio.U32(pkt[2:])
-	payload := pkt[headerLen:]
-
-	ent, err := e.lockPeer(from)
-	if err != nil {
-		// Table at capacity: the stranger's packet is dropped exactly like
-		// a loss (peertab counts the rejection); admitted peers continue.
-		return
-	}
-	ps := &ent.V
-	if !e.admitEpoch(ent, pkt[1], true, seq) {
-		ent.Unlock()
-		return
-	}
-	if pkt[0]&flagECN != 0 {
-		// Congestion-experienced mark from the network below: latch the
-		// echo so the ACK cut below carries it back to the sender.
-		e.ccEcnMarks.Inc()
-		ps.ecnEcho = true
-	}
-	var deliverables []message
-	switch {
-	case seq-ps.expected < acceptWindow:
-		// In the acceptance window: buffer, then deliver the in-order
-		// prefix. The subtraction is wraparound-correct, so a window that
-		// straddles seq 2^32 → 0 behaves like any other.
-		if _, dup := ps.ooo[seq]; !dup {
-			ps.ooo[seq] = append([]byte(nil), payload...)
-		} else {
-			// Already buffered: the sender resent a packet we hold (or the
-			// wire duplicated it) — a spurious retransmission either way.
-			e.ccSpurious.Inc()
-		}
-		for {
-			data, ok := ps.ooo[ps.expected]
-			if !ok {
-				break
-			}
-			delete(ps.ooo, ps.expected)
-			deliverables = append(deliverables, message{payload: data, from: from})
-			ps.expected++
-		}
-	case seqLE(seq, ps.expected-1):
-		// Old duplicate (the sender missed our ACK): nothing to store, but
-		// fall through to re-cut the cumulative ACK below. Counted spurious:
-		// this packet was already delivered, so resending it moved no data.
-		e.ccSpurious.Inc()
-	default:
-		// Beyond the window: a sane sender cannot produce this within one
-		// conversation, so nothing is stored — one garbage packet must not
-		// reserve unbounded reassembly state. The cumulative ACK below is
-		// still sent: it is truthful, and its epoch lets a sender whose
-		// conversation predates ours detect the restart immediately.
-		e.windowDrops.Inc()
-	}
-	ack := e.buildAck(ps)
-	ent.Touch(time.Now().UnixNano())
-	ent.Unlock()
-
-	// ACK first so the sender's window opens even if our inbox is full.
-	// A failed ACK send is recoverable — acks are cumulative and the next
-	// inbound DATA re-cuts one — but it must be counted, not swallowed.
-	if err := e.inner.SendTo(ack, from); err != nil {
-		e.ackSendFail.Inc()
-	}
-	e.ackPool.Put(ack)
-	for _, m := range deliverables {
-		select {
-		case e.inbox <- m:
-		case <-e.done:
-			return
-		}
-	}
-}
-
-// buildAck encodes the peer's receive state: cumulative ack plus a bitmap
-// of the full window of sequence numbers above it, and the latched ECN echo
-// in the flag nibble. Caller holds the entry lock.
-func (e *Endpoint) buildAck(ps *peerState) []byte {
-	cum := ps.expected - 1
-	var bitmap uint64
-	for i := uint32(0); i < sackBits; i++ {
-		if _, ok := ps.ooo[cum+1+i]; ok {
-			bitmap |= 1 << i
-		}
-	}
-	head := byte(typeAck)
-	if ps.ecnEcho {
-		head |= flagECN
-		ps.ecnEcho = false
-	}
-	buf := e.ackPool.Get()
-	buf = append(buf, head, ps.txEpoch)
-	buf = nio.PutU32(buf, cum)
-	buf = nio.PutU64(buf, bitmap)
-	buf = nio.PutU32(buf, crcx.Checksum(buf))
-	return buf
-}
-
-// sackHighest returns the highest sequence number the bitmap selectively
-// acknowledges above cum, in wraparound arithmetic (bit i ↔ seq cum+1+i, so
-// the result is correct even when the window straddles 2^32 → 0). ok is
-// false when the bitmap is empty.
-func sackHighest(cum uint32, bitmap uint64) (uint32, bool) {
-	if bitmap == 0 {
-		return 0, false
-	}
-	return cum + uint32(64-bits.LeadingZeros64(bitmap)), true
-}
-
-func (e *Endpoint) handleAck(pkt []byte, from transport.Addr) {
-	cum := nio.U32(pkt[2:])
-	bitmap := nio.U64(pkt[6:])
-
-	now := time.Now()
-	// Look up without creating: an ACK from an address we are not talking
-	// to (evicted peer's stale ack, mis-delivery) must not mint state.
-	ent := e.tab.Lookup(from)
-	if ent == nil {
-		return
-	}
-	ps := &ent.V
-	if !e.admitEpoch(ent, pkt[1], false, 0) {
-		ent.Unlock()
-		return
-	}
-	cumBefore := ps.ackedTo
-	freedN := 0  // slots this ACK released (cumulative or selective)
-	sackNew := 0 // of those, released by a bitmap bit above cum
-	// Walk only the live window range (ackedTo, nextSeq): unacked seqs are
-	// consecutive, so everything below ackedTo's slot is long recycled and
-	// everything at nextSeq and above is unsent.
-	for seq := ps.ackedTo + 1; seqLE(seq, ps.nextSeq-1); seq++ {
-		pd := &ps.wnd[seq&(windowSize-1)]
-		if !pd.inUse || pd.seq != seq {
-			continue // a SACK hole already cleared this slot
-		}
-		acked := seqLE(seq, cum)
-		if !acked {
-			// SACK offset in wraparound arithmetic: seq-cum-1 is the bit
-			// index even when cum is just below 2^32 and seq just above 0.
-			if d := seq - cum - 1; d < sackBits && bitmap&(1<<d) != 0 {
-				acked = true
-				sackNew++
-			}
-		}
-		if !acked {
-			continue
-		}
-		// Karn's algorithm: only first transmissions give an unambiguous
-		// RTT sample — an ack after a retransmit could match either send.
-		if pd.retries == 0 {
-			sample := now.Sub(pd.lastSent)
-			e.rtt.Observe(sample.Microseconds())
-			ps.observeRTT(sample)
-		}
-		payload := pd.payload
-		pd.inUse, pd.payload = false, nil
-		ps.unackedN--
-		e.releaseRef(pd, payload)
-		freedN++
-	}
-	// Advance the contiguous-acked floor to the cumulative ack (never past
-	// what was actually sent: a garbage cum must not detach the floor from
-	// the window, and SACKed seqs above it stay holes until cum catches up).
-	if seqLE(ps.ackedTo+1, cum) && seqLE(cum, ps.nextSeq-1) {
-		ps.ackedTo = cum
-	}
-	if freedN > 0 {
-		// Acknowledged progress ends the backoff regime (Karn): the path is
-		// passing traffic again, so retransmission timing restarts from the
-		// current RTT estimate instead of the escalated timeout.
-		ps.backoff = 0
-	}
-	// Congestion control + fast retransmit. Resends are collected under the
-	// lock and sent after it.
-	type resend struct {
-		pd      *pending
-		payload []byte
-		seq     uint32
-	}
-	var rs [windowSize]resend
-	nrs := 0
-	ps.ccGrow(freedN)
-	if pkt[0]&flagECN != 0 {
-		// The receiver saw a congestion mark within the last RTT:
-		// multiplicative decrease, once per congestion event.
-		if ps.ccDecrease(false) {
-			e.ccMDEvents.Inc()
-		}
-	}
-	if ps.ackedTo != cumBefore {
-		ps.dupAcks = 0
-	} else if sackNew > 0 {
-		// The cumulative floor is stuck but the receiver keeps
-		// acknowledging new data above it — the classic duplicate-ACK
-		// shape. (A byte-identical wire duplicate frees nothing and is
-		// ignored, so dup counting survives faultnet's dup leg.)
-		ps.dupAcks++
-		high, haveHigh := sackHighest(cum, bitmap)
-		if ps.dupAcks >= dupAckThresh && haveHigh && seqLE(ps.ccRecover, ps.ackedTo) {
-			// Fast retransmit: everything still unacked below the
-			// highest SACKed seq has had dupAckThresh chances to be
-			// acknowledged and was not — infer loss and resend exactly
-			// those holes, one RTT after the loss instead of one RTO.
-			// The triggering ACK's own bitmap bounds the sweep: buildAck
-			// scans the receiver's whole out-of-order map, so the bitmap
-			// is cumulative and no cross-ACK maximum needs tracking.
-			for seq := ps.ackedTo + 1; seqLE(seq+1, high); seq++ {
-				pd := &ps.wnd[seq&(windowSize-1)]
-				if !pd.inUse || pd.seq != seq {
-					continue
-				}
-				pd.retries++ // Karn: its next ack is ambiguous
-				pd.lastSent = now
-				pd.refs.Add(1)
-				rs[nrs] = resend{pd: pd, payload: pd.payload, seq: seq}
-				nrs++
-			}
-			if ps.ccDecrease(false) {
-				e.ccMDEvents.Inc()
-			}
-			ps.dupAcks = 0
-		}
-	}
-	e.ccCwnd.Set(int64(ps.cwnd))
-	if ps.unackedN == 0 && ps.wheelIdx >= 0 {
-		e.wheel.Disarm(from, ps.wheelIdx)
-		ps.wheelIdx = -1
-	}
-	wait := ps.sendWait
-	ent.Touch(now.UnixNano())
-	ent.Unlock()
-	for _, r := range rs[:nrs] {
-		e.retransmits.Inc()
-		e.ccFastRexmit.Inc()
-		telemetry.DefaultTrace.Record(telemetry.EvRetransmit, telemetry.PeerToken(from), len(r.payload), r.seq)
-		if err := e.inner.SendTo(r.payload, from); err != nil {
-			e.dataSendFail.Inc()
-		}
-		e.releaseRef(r.pd, r.payload)
-	}
-	if freedN > 0 {
-		select {
-		case wait <- struct{}{}:
+		case <-sc.tm.C:
 		default:
 		}
 	}
+	return open
 }
 
 // retransmitLoop drives the timer wheel: each tick pops only the peers
@@ -1083,6 +739,7 @@ func (e *Endpoint) retransmitLoop() {
 					e.wheel.Disarm(ent.Key, ent.V.wheelIdx)
 					ent.V.wheelIdx = -1
 				}
+				e.releaseRing(&ent.V)
 				return true
 			})
 			e.evictions.Add(int64(n))
@@ -1110,11 +767,6 @@ func (e *Endpoint) tickPeer(f peertab.Fired[transport.Addr], now time.Time) {
 		return
 	}
 	rto := ps.curRTO()
-	type resend struct {
-		pd      *pending
-		payload []byte
-		seq     uint32
-	}
 	// Stack array, not append: retransmit bursts must not allocate.
 	var rs [windowSize]resend
 	nrs := 0
@@ -1155,8 +807,8 @@ func (e *Endpoint) tickPeer(f peertab.Fired[transport.Addr], now time.Time) {
 		}
 	}
 	if nrs > 0 {
-		// An RTO expiry means the congestion signal chain (SACKs, dup ACKs,
-		// ECN echoes) went silent for a whole timeout — assume the flight is
+		// An RTO expiry means the congestion signal chain (SACKs, ECN
+		// echoes) went silent for a whole timeout — assume the flight is
 		// gone and collapse to minCwnd rather than merely halving.
 		if ps.ccDecrease(true) {
 			e.ccMDEvents.Inc()
@@ -1178,10 +830,7 @@ func (e *Endpoint) tickPeer(f peertab.Fired[transport.Addr], now time.Time) {
 	}
 	ent.Unlock()
 	if wake != nil {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
+		pulse(wake)
 	}
 	for _, r := range rs[:nrs] {
 		// A failed retransmission behaves exactly like a lost one: the
@@ -1247,7 +896,7 @@ func (e *Endpoint) Flush(timeout time.Duration) error {
 // Snapshot is a point-in-time view of the endpoint's reliability counters.
 type Snapshot struct {
 	// Retransmits counts DATA packets actually resent, whether by RTO
-	// expiry or by dup-ACK fast retransmit.
+	// expiry or by SACK-driven fast retransmit.
 	Retransmits int64
 	// RTOExpirations counts RTO expiry events, including the final expiry
 	// that declares a peer dead (so RTOExpirations + FastRetransmits can
@@ -1258,7 +907,7 @@ type Snapshot struct {
 	// RetransmitSendFailures counts retransmission sends the inner
 	// transport rejected.
 	RetransmitSendFailures int64
-	// CRCFailures counts inbound packets dropped by the header CRC check.
+	// CRCFailures counts inbound packets dropped by the frame CRC check.
 	CRCFailures int64
 	// WindowDrops counts DATA packets beyond the acceptance window.
 	WindowDrops int64
@@ -1268,27 +917,38 @@ type Snapshot struct {
 	// EpochMismatches counts packets carrying a different conversation
 	// incarnation than the one bound — restart detections and stragglers.
 	EpochMismatches int64
-	// FastRetransmits counts DATA packets resent by the dup-ACK fast
-	// retransmit path (also included in Retransmits).
+	// FastRetransmits counts DATA packets resent by the fast retransmit
+	// path (also included in Retransmits).
 	FastRetransmits int64
 	// SpuriousRexmits counts DATA arrivals this endpoint had already
-	// delivered or buffered — each is a packet the peer resent for nothing
+	// delivered or parked — each is a packet the peer resent for nothing
 	// (or a wire duplicate). The counter that proves the SACK-width fix.
 	SpuriousRexmits int64
 	// ECNMarks counts inbound DATA carrying the congestion-experienced
 	// mark (observed at the receiver; the sender sees them as MD events).
 	ECNMarks int64
 	// MDEvents counts multiplicative decreases of the congestion window —
-	// one per congestion event (ECN echo, dup-ACK loss, or RTO collapse).
+	// one per congestion event (ECN echo, SACK-inferred loss, or RTO
+	// collapse).
 	MDEvents int64
 	// Cwnd is the most recently recorded congestion window, in packets.
 	Cwnd int64
+	// AcksSent counts ACK frames handed to the inner transport. One ACK
+	// answers a whole receive burst per peer, so AcksSent over the DATA
+	// received is the coalescing ratio.
+	AcksSent int64
+	// RecvBursts and RecvDatagrams count the inner endpoint's receive
+	// bursts and the datagrams (DATA and ACK) they carried; their ratio is
+	// the mean burst width.
+	RecvBursts    int64
+	RecvDatagrams int64
 }
 
 // Snapshot reports this endpoint's reliability counters. The values are
 // exact for this endpoint; the process-wide telemetry registry additionally
 // aggregates them across endpoints under the diwarp_rudp_* metric names.
 func (e *Endpoint) Snapshot() Snapshot {
+	bursts := e.recvBurstHist.Snapshot()
 	return Snapshot{
 		Retransmits:            e.retransmits.Load(),
 		RTOExpirations:         e.rtoExpired.Load(),
@@ -1303,6 +963,9 @@ func (e *Endpoint) Snapshot() Snapshot {
 		ECNMarks:               e.ccEcnMarks.Load(),
 		MDEvents:               e.ccMDEvents.Load(),
 		Cwnd:                   e.ccCwnd.Load(),
+		AcksSent:               e.acksSent.Load(),
+		RecvBursts:             bursts.Count,
+		RecvDatagrams:          bursts.Sum,
 	}
 }
 
@@ -1332,16 +995,18 @@ func (e *Endpoint) ArmedTimers() int { return e.wheel.Armed() }
 // LocalAddr implements transport.Datagram.
 func (e *Endpoint) LocalAddr() transport.Addr { return e.inner.LocalAddr() }
 
-// MaxDatagram implements transport.Datagram, reserving header and CRC
-// trailer space.
-func (e *Endpoint) MaxDatagram() int { return e.inner.MaxDatagram() - headerLen - crcx.Size }
+// MaxDatagram implements transport.Datagram, reserving the DATA trailer.
+func (e *Endpoint) MaxDatagram() int { return e.inner.MaxDatagram() - dataTrailerLen }
 
 // PathMTU implements transport.Datagram.
 func (e *Endpoint) PathMTU() int { return e.inner.PathMTU() }
 
 // Close implements transport.Datagram, closing the underlying endpoint and
-// recycling every wire buffer still sitting in a send window, so a closed
-// endpoint leaves its pool balanced even when peers never acked.
+// recycling every buffer this layer still holds — wire buffers sitting in a
+// send window, inner receive buffers parked in a reassembly ring or waiting
+// undelivered in the delivery queue — so a closed endpoint leaves both its
+// own pool and the inner one balanced even when peers never acked and the
+// application never received.
 func (e *Endpoint) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
@@ -1349,11 +1014,19 @@ func (e *Endpoint) Close() error {
 	close(e.done)
 	err := e.inner.Close()
 	e.wg.Wait()
-	// Loops are stopped: nothing takes new transmission references.
-	// Buffers still referenced by a SendTo mid-inner-send are recycled by
-	// its releaseRef once the window reference is dropped here.
+	// Loops are stopped: nothing takes new transmission references, parks or
+	// queues. Buffers still referenced by a SendBatch mid-inner-send are
+	// recycled by its releaseRef once the window reference is dropped here.
 	e.tab.Clear(func(ent *peerEntry) {
 		e.releaseWindow(ent)
+		e.releaseRing(&ent.V)
 	})
-	return err
+	var p [1][]byte
+	var from [1]transport.Addr
+	for {
+		if _, empty := e.dq.pop(p[:], from[:]); empty != nil {
+			return err
+		}
+		e.Recycle(p[0])
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/crcx"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -211,7 +210,7 @@ func TestPeerDeadAfterRetries(t *testing.T) {
 
 func TestMaxDatagramReservesHeader(t *testing.T) {
 	a, b := pair(t, simnet.Config{})
-	if a.MaxDatagram() != transport.MaxDatagramSize-headerLen-crcx.Size {
+	if a.MaxDatagram() != transport.MaxDatagramSize-dataTrailerLen {
 		t.Fatalf("MaxDatagram = %d", a.MaxDatagram())
 	}
 	if err := a.SendTo(make([]byte, a.MaxDatagram()+1), b.LocalAddr()); !errors.Is(err, transport.ErrTooLarge) {
@@ -241,10 +240,10 @@ func TestCloseUnblocksRecv(t *testing.T) {
 }
 
 // TestTimeoutNeverHidesDeliveredMessage: a receive whose deadline has
-// already passed when a message sits in the inbox must return the message.
-// select picks at random among ready cases, so without the last look after
-// the timer fires about half of these iterations report ErrTimeout for a
-// message rudp promised to deliver.
+// already passed when a message sits in the delivery queue must return the
+// message. select picks at random among ready cases, so without the last
+// look after the timer fires about half of these iterations report
+// ErrTimeout for a message rudp promised to deliver.
 func TestTimeoutNeverHidesDeliveredMessage(t *testing.T) {
 	n := simnet.New(simnet.Config{})
 	ia, _ := n.OpenDatagram("a", 0)
@@ -252,15 +251,17 @@ func TestTimeoutNeverHidesDeliveredMessage(t *testing.T) {
 	defer a.Close()
 	fired := make(chan time.Time)
 	close(fired) // a timer that expired before the wait began
+	var p [1][]byte
+	var from [1]transport.Addr
 	for i := 0; i < 1000; i++ {
-		a.inbox <- message{payload: []byte{byte(i)}}
-		m, err := a.await(fired)
-		if err != nil || m.payload[0] != byte(i) {
-			t.Fatalf("iteration %d: await = %v, %v with a message delivered", i, m.payload, err)
+		a.dq.put([]message{{payload: []byte{byte(i)}}})
+		n, err := a.dq.popWait(p[:], from[:], fired)
+		if err != nil || n != 1 || p[0][0] != byte(i) {
+			t.Fatalf("iteration %d: popWait = %d, %v, %v with a message delivered", i, n, p[0], err)
 		}
 	}
-	if _, err := a.await(fired); !errors.Is(err, transport.ErrTimeout) {
-		t.Fatalf("empty inbox, expired timer: %v; want ErrTimeout", err)
+	if _, err := a.dq.popWait(p[:], from[:], fired); !errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("empty queue, expired timer: %v; want ErrTimeout", err)
 	}
 }
 

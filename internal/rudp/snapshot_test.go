@@ -39,7 +39,7 @@ func TestSnapshotCountsLossRecovery(t *testing.T) {
 	if s.Retransmits == 0 {
 		t.Fatalf("30%% loss produced no retransmits: %+v", s)
 	}
-	// Every retransmission is triggered by an RTO expiry or a dup-ACK fast
+	// Every retransmission is triggered by an RTO expiry or a fast
 	// retransmit; expiries can exceed their share only by fatal
 	// (retries-exhausted) events, of which a delivered run has none.
 	if s.RTOExpirations+s.FastRetransmits != s.Retransmits {

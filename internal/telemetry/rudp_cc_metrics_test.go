@@ -15,8 +15,9 @@ import (
 // TestRudpCCMetricNames pins the congestion-control metric names in the
 // Prometheus exposition: dashboards and alerts key on these strings, so a
 // rename must fail a test, not a production scrape. A lossy, ECN-marking
-// simnet run must move the mark/decrease counters and leave a positive
-// cwnd gauge; the remaining cc series must at least be present.
+// simnet run must move the mark/decrease counters, the ACK counter and the
+// receive-burst histogram, and leave a positive cwnd gauge; the remaining
+// cc series must at least be present.
 func TestRudpCCMetricNames(t *testing.T) {
 	nw := simnet.New(simnet.Config{
 		LossRate: 0.15,
@@ -76,6 +77,9 @@ func TestRudpCCMetricNames(t *testing.T) {
 		"diwarp_rudp_cc_ecn_marks_total",
 		"diwarp_rudp_cc_md_events_total",
 		"diwarp_simnet_marked_total",
+		"diwarp_rudp_acks_sent_total",
+		"diwarp_rudp_recv_burst_datagrams_count",
+		"diwarp_rudp_recv_burst_datagrams_sum",
 	} {
 		v, ok := scrapeValue(text, name)
 		if !ok || v <= 0 {

@@ -183,6 +183,30 @@ func TestDatagramContract(t *testing.T) {
 				t.Fatalf("RecvPoolStats went backwards: %d/%d -> %d/%d", h0, m0, h1, m1)
 			}
 
+			// A recycled buffer is reused: a steady send → receive → Recycle
+			// loop is served from buffers that came back, and RecvPoolStats
+			// shows the hits — through every decorator, and through rudp,
+			// whose delivered payloads are the endpoint-below's own buffers.
+			// (1 KiB: large enough that no layer copies it out of its receive
+			// buffer. Misses are not bounded: simnet's sync.Pool keeps a
+			// per-P slot another P cannot see.)
+			kib := bytes.Repeat([]byte{0x5a}, 1024)
+			h0, m0 = b.RecvPoolStats()
+			const rounds = 64
+			for i := 0; i < rounds; i++ {
+				if err := a.SendTo(kib, to); err != nil {
+					t.Fatal(err)
+				}
+				p, _, err := b.Recv(wait)
+				if err != nil || !bytes.Equal(p, kib) {
+					t.Fatalf("round %d: %d bytes, %v", i, len(p), err)
+				}
+				b.Recycle(p)
+			}
+			if h1, m1 := b.RecvPoolStats(); h1-h0 < rounds/2 {
+				t.Fatalf("%d recycled receives: %d pool hits, %d misses; recycled buffers are not being reused", rounds, h1-h0, m1-m0)
+			}
+
 			// Close wakes a blocked receive with ErrClosed, and later
 			// receives say the same.
 			errc := make(chan error, 1)

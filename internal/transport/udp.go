@@ -328,4 +328,10 @@ func (e *UDPEndpoint) MaxDatagram() int { return MaxDatagramSize }
 func (e *UDPEndpoint) PathMTU() int { return e.mtu }
 
 // Close implements Datagram.
-func (e *UDPEndpoint) Close() error { return e.conn.Close() }
+func (e *UDPEndpoint) Close() error {
+	err := e.conn.Close()
+	if e.kern != nil {
+		e.kern.close(e.pool)
+	}
+	return err
+}

@@ -410,3 +410,77 @@ func BenchmarkUDPSendBatch(b *testing.B) {
 		}
 	}
 }
+
+// TestUDPRecvBatchStagesWhatTheSocketDelivers pins the adaptive arm width:
+// a caller with room for 32 on a socket that delivers one datagram per
+// wakeup must not draw 32 pool buffers and put 31 back on every call — the
+// per-call staging that doubled set-up time and raised idle latency for any
+// layer polling with a wide RecvBatch. A lone datagram costs at most two
+// pool gets, from the first call on; a steady 16-datagram burst is taken in
+// at most two syscalls once the width has followed it; and nothing staged
+// stays out of the pool past Close.
+func TestUDPRecvBatchStagesWhatTheSocketDelivers(t *testing.T) {
+	for _, mode := range []UDPBatchMode{BatchMmsg, BatchAuto} {
+		t.Run(modeName(mode), func(t *testing.T) {
+			src, dst := udpPairMode(t, BatchPortable, mode)
+			if !dst.BatchFeatures().Recvmmsg {
+				t.Skipf("kernel without recvmmsg (features %v)", dst.BatchFeatures())
+			}
+			to := dst.LocalAddr()
+			pkts := make([][]byte, 32)
+			froms := make([]Addr, 32)
+			gets := func() int64 { h, m := dst.pool.Stats(); return h + m }
+
+			for i := 0; i < 8; i++ {
+				if err := src.SendTo([]byte{byte(i)}, to); err != nil {
+					t.Fatal(err)
+				}
+				before := gets()
+				n, err := dst.RecvBatch(pkts, froms, 2*time.Second)
+				if err != nil || n != 1 || pkts[0][0] != byte(i) {
+					t.Fatalf("lone datagram %d: n=%d err=%v", i, n, err)
+				}
+				if d := gets() - before; d > 2 {
+					t.Fatalf("lone datagram %d drew %d buffers from the pool, want ≤ 2", i, d)
+				}
+				dst.Recycle(pkts[0])
+			}
+
+			const burst = 16
+			msg := bytes.Repeat([]byte{5}, 300)
+			calls := 0
+			for round := 0; round < 8; round++ {
+				for i := 0; i < burst; i++ {
+					msg[0] = byte(round*burst + i) // unequal to the last round's: GRO must not fuse rounds
+					if err := src.SendTo(msg, to); err != nil {
+						t.Fatal(err)
+					}
+				}
+				calls = 0
+				for got := 0; got < burst; calls++ {
+					n, err := dst.RecvBatch(pkts, froms, 2*time.Second)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < n; i++ {
+						if want := byte(round*burst + got + i); pkts[i][0] != want {
+							t.Fatalf("round %d: datagram %d out of order (%d)", round, got+i, pkts[i][0])
+						}
+						dst.Recycle(pkts[i])
+					}
+					got += n
+				}
+			}
+			if calls > 2 {
+				t.Fatalf("a %d-datagram burst took %d syscalls after warm-up, want ≤ 2", burst, calls)
+			}
+
+			if err := dst.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if out := dst.pool.Outstanding(); out != 0 {
+				t.Fatalf("%d receive buffers still staged after Close", out)
+			}
+		})
+	}
+}

@@ -64,7 +64,9 @@ type kernelBatch struct {
 	riovs  [mmsgMax]syscall.Iovec
 	rnames [mmsgMax]syscall.RawSockaddrInet6
 	rctrl  [mmsgMax][32]byte // per-message UDP_GRO cmsg space
-	rbufs  [mmsgMax][]byte   // pooled buffers pinned across the syscall
+	rbufs  [mmsgMax][]byte   // pooled buffers staged behind the headers, [0,staged) non-nil
+	staged int               // buffers held across calls: armed for a harvest that left them empty
+	rwant  int               // next arm width, before the caller's room bounds it (armRecv)
 	recvFn func(uintptr) bool
 	rview  int // vlen armed for recvFn
 	rn     int // recvFn result: messages received
@@ -101,7 +103,7 @@ func newKernelBatch(conn *net.UDPConn, mode UDPBatchMode) *kernelBatch {
 	if err != nil {
 		return nil
 	}
-	k := &kernelBatch{rc: rc, dests: make(map[Addr]*rawDest)}
+	k := &kernelBatch{rc: rc, dests: make(map[Addr]*rawDest), rwant: 1}
 	la, ok := conn.LocalAddr().(*net.UDPAddr)
 	if !ok {
 		return nil
@@ -413,7 +415,7 @@ func (k *kernelBatch) recvLocked(e *UDPEndpoint, pkts [][]byte, froms []Addr, ma
 		if err := e.conn.SetReadDeadline(deadline); err != nil {
 			return 0, mapRecvErr(err)
 		}
-		k.armRecv(e.pool, min(max, mmsgMax))
+		k.armRecv(e.pool, min(max, k.rwant))
 		err := k.rc.Read(k.recvFn)
 		if timeout > 0 {
 			// Never leave a stale deadline armed on the shared socket: a
@@ -424,7 +426,7 @@ func (k *kernelBatch) recvLocked(e *UDPEndpoint, pkts [][]byte, froms []Addr, ma
 			err = mapSendErrno(k.rerrno)
 		}
 		if err != nil {
-			k.releaseRecv(e.pool, 0)
+			k.releaseRecv(e.pool)
 			return 0, mapRecvErr(err)
 		}
 		n := k.finishRecv(e, pkts, froms, max)
@@ -454,16 +456,28 @@ func (k *kernelBatch) takePending(pkts [][]byte, froms []Addr, max int) int {
 	return n
 }
 
-// armRecv stages vlen pooled buffers behind the mmsg headers. Control space
-// is attached only on GRO sockets — without coalescing there is nothing to
-// parse and the kernel skips the copy.
+// armRecv arms vlen receive slots. A slot keeps the pooled buffer a previous
+// call staged and the kernel left empty; only the slots past those draw from
+// the pool. Control space is attached only on GRO sockets — without
+// coalescing there is nothing to parse and the kernel skips the copy.
+//
+// The width is the socket's own recent traffic, not the caller's room: a
+// caller asking for 32 on a socket that delivers one datagram per wakeup
+// would otherwise draw 32 buffers from the pool and put 31 back on every
+// call. rwant starts at 1, doubles (up to mmsgMax) after a harvest that
+// filled every armed slot — more may be queued than was asked for — and is
+// otherwise one more than the harvest, so a steady burst size is taken in
+// one syscall with one buffer to spare.
 //
 //diwarp:hotpath
 func (k *kernelBatch) armRecv(pool *nio.Pool, vlen int) {
 	for i := 0; i < vlen; i++ {
-		buf, _ := pool.TryGet()
-		buf = buf[:cap(buf)]
-		k.rbufs[i] = buf
+		buf := k.rbufs[i]
+		if buf == nil {
+			buf, _ = pool.TryGet()
+			buf = buf[:cap(buf)]
+			k.rbufs[i] = buf
+		}
 		k.riovs[i].Base = &buf[0]
 		k.riovs[i].SetLen(len(buf))
 		h := &k.rhdrs[i].hdr
@@ -481,18 +495,41 @@ func (k *kernelBatch) armRecv(pool *nio.Pool, vlen int) {
 		h.Flags = 0
 		k.rhdrs[i].n = 0
 	}
+	k.staged = max(k.staged, vlen)
 	k.rview = vlen
 }
 
-// releaseRecv returns armed-but-unfilled buffers (slots from..rview) to the
-// pool after an error or a short harvest.
-func (k *kernelBatch) releaseRecv(pool *nio.Pool, from int) {
-	for i := from; i < k.rview; i++ {
-		if k.rbufs[i] != nil {
-			pool.Put(k.rbufs[i])
-			k.rbufs[i] = nil
-		}
+// keepStaged closes a harvest of rn datagrams: the buffers armed but not
+// filled move to the front of the ring, where the next arm finds them, and
+// the next arm width follows what the socket just delivered.
+func (k *kernelBatch) keepStaged(rn int) {
+	n := copy(k.rbufs[:], k.rbufs[rn:k.staged])
+	clear(k.rbufs[n:k.staged])
+	k.staged = n
+	if rn == k.rview {
+		k.rwant = min(2*k.rview, mmsgMax)
+	} else {
+		k.rwant = rn + 1
 	}
+}
+
+// close returns the staged buffers once the socket is closed. A receiver
+// parked under recvMu has been woken by the close and releases them itself
+// on its way out; this takes the ones no receiver was holding.
+func (k *kernelBatch) close(pool *nio.Pool) {
+	k.recvMu.Lock()
+	k.releaseRecv(pool)
+	k.recvMu.Unlock()
+}
+
+// releaseRecv returns every staged buffer to the pool: after a receive
+// error, and at close.
+func (k *kernelBatch) releaseRecv(pool *nio.Pool) {
+	for i, buf := range k.rbufs[:k.staged] {
+		pool.Put(buf)
+		k.rbufs[i] = nil
+	}
+	k.staged = 0
 }
 
 // finishRecv harvests one recvmmsg result: truncated datagrams are dropped,
@@ -508,7 +545,6 @@ func (k *kernelBatch) finishRecv(e *UDPEndpoint, pkts [][]byte, froms []Addr, ma
 	delivered := 0
 	for i := 0; i < k.rn; i++ {
 		buf := k.rbufs[i][:k.rhdrs[i].n]
-		k.rbufs[i] = nil
 		if k.rhdrs[i].hdr.Flags&syscall.MSG_TRUNC != 0 {
 			// A coalesced blob larger than the pool's 64 KB buffers: the
 			// tail is gone, so the whole datagram is unusable. UD semantics
@@ -538,7 +574,7 @@ func (k *kernelBatch) finishRecv(e *UDPEndpoint, pkts [][]byte, froms []Addr, ma
 			delivered++
 		}
 	}
-	k.releaseRecv(e.pool, k.rn)
+	k.keepStaged(k.rn)
 	observeBatch(1, int64(delivered))
 	return out
 }

@@ -5,6 +5,8 @@ package transport
 import (
 	"net"
 	"time"
+
+	"repro/internal/nio"
 )
 
 // kernelBatch is absent on platforms without the mmsg/GSO/GRO datapath:
@@ -27,5 +29,9 @@ func (*kernelBatch) recvBatch(*UDPEndpoint, [][]byte, []Addr, time.Duration) (in
 }
 
 func (*kernelBatch) recvOne(*UDPEndpoint, time.Duration) ([]byte, Addr, error) {
+	panic("transport: kernel batch path unavailable on this platform")
+}
+
+func (*kernelBatch) close(*nio.Pool) {
 	panic("transport: kernel batch path unavailable on this platform")
 }
