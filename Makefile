@@ -25,8 +25,9 @@ vet:
 
 # Import direction (DESIGN.md §4.4): telemetry and peertab are leaves below
 # transport — that is what lets transport use the registry and the peer
-# table instead of hand copies — and neither the message layer nor the
-# reliable-datagram layer links the simulator.
+# table instead of hand copies — no production datapath layer (msg, rudp,
+# ddp, core) links the simulator, and rudp sits strictly below ddp (ddp
+# names *rudp.Endpoint to pick its framing; the edge must never turn back).
 import-guard:
 	@if $(GO) list -deps ./internal/telemetry ./internal/peertab | grep -qx repro/internal/transport; then \
 		echo "import-guard: internal/telemetry and internal/peertab must not depend on internal/transport"; exit 1; fi
@@ -34,6 +35,10 @@ import-guard:
 		echo "import-guard: internal/msg must not depend on internal/simnet"; exit 1; fi
 	@if $(GO) list -deps ./internal/rudp | grep -qx repro/internal/simnet; then \
 		echo "import-guard: internal/rudp must not depend on internal/simnet"; exit 1; fi
+	@if $(GO) list -e -deps ./internal/rudp 2>/dev/null | grep -qx repro/internal/ddp; then \
+		echo "import-guard: internal/rudp must not depend on internal/ddp"; exit 1; fi
+	@if $(GO) list -deps ./internal/ddp ./internal/core | grep -qx repro/internal/simnet; then \
+		echo "import-guard: internal/ddp and internal/core must not depend on internal/simnet"; exit 1; fi
 
 # Custom invariants compiled into one vettool: the datapath analyzers
 # (DESIGN.md §4.5: poolcheck, hotpath, wirecheck, errflow) and the

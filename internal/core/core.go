@@ -173,7 +173,7 @@ type Stats struct {
 
 	// Receive-datapath counters (UD QPs; zero on RC QPs).
 	BatchesRecv    int64 // RecvBatch bursts pulled from the LLP
-	SegmentsRecv   int64 // CRC-valid segments handed to the placement pipeline
+	SegmentsRecv   int64 // verified segments handed to the placement pipeline
 	Recycled       int64 // receive buffers returned to the LLP's pool
 	RecvPoolHits   int64 // LLP receive buffers served from its pool
 	RecvPoolMisses int64 // LLP receive buffers that had to be allocated

@@ -117,7 +117,7 @@ const recvBurst = 32
 // the RNR backpressure a hardware receive pipeline would apply.
 const workerQueueDepth = 256
 
-// recvItem is one parsed, CRC-valid segment in flight from the demux stage
+// recvItem is one parsed, verified segment in flight from the demux stage
 // to a placement worker. The segment's Payload aliases Raw, which the
 // worker recycles after placement.
 type recvItem struct {
@@ -337,7 +337,7 @@ func (qp *UDQP) PostWriteRecord(id uint64, dest transport.Addr, stag memreg.STag
 }
 
 // recvLoop is the receive pipeline's demux stage: it pulls bursts of
-// CRC-valid segments from the DDP channel and shards each to a placement
+// verified segments from the DDP channel and shards each to a placement
 // worker by source peer, so one queue wakeup and one batch of queue locks
 // serve up to recvBurst datagrams. It exits when the endpoint closes,
 // draining the workers before flushing posted receives. It blocks without

@@ -12,10 +12,12 @@
 //     and MPA supplies integrity.
 //   - DatagramChannel rides any transport.Datagram (the paper's UDP
 //     binding). Every segment is self-describing — it carries the message
-//     length and sequence number in addition to the stream binding's fields
-//     — and carries its own CRC32C trailer, because the paper requires
-//     "the use of CRC32 when sending messages" in datagram mode with the
-//     UDP checksum disabled.
+//     length and sequence number in addition to the stream binding's fields.
+//     Over an unreliable LLP it also carries its own CRC32C trailer, because
+//     the paper requires "the use of CRC32 when sending messages" in
+//     datagram mode with the UDP checksum disabled. Over rudp it carries
+//     none: rudp's full-frame CRC is the integrity check, as MPA's is for
+//     the stream binding.
 //
 // Deviation from the 2002 wire format, documented for clarity: both tagged
 // and untagged headers here carry MSN and MsgLen in both bindings (the RC
@@ -125,9 +127,9 @@ func (s *Segment) HeaderLen() int {
 	return UntaggedHdrLen
 }
 
-// Parse decodes one DDP segment from pkt. With withCRC set (datagram
-// binding), the trailing CRC32C is verified over header+payload and
-// stripped. The returned Segment's Payload aliases pkt.
+// Parse decodes one DDP segment from pkt. With withCRC set (the datagram
+// binding over an unreliable LLP), the trailing CRC32C is verified over
+// header+payload and stripped. The returned Segment's Payload aliases pkt.
 func Parse(pkt []byte, withCRC bool) (Segment, error) {
 	if withCRC {
 		if len(pkt) < crcx.Size {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/crcx"
 	"repro/internal/memreg"
 	"repro/internal/nio"
+	"repro/internal/rudp"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -26,12 +27,23 @@ const (
 	maxBatchBytes    = 256 << 10
 )
 
-// DatagramChannel binds DDP to an unreliable datagram LLP: the paper's
-// datagram-iWARP datapath (Figure 4, right column). There is no MPA layer —
-// "MPA bypassed for datagrams" — because datagrams carry their own message
-// boundaries. Every segment instead carries a CRC32C trailer, per the
-// paper's operating conditions ("datagram-iWARP always requires the use of
-// CRC32 when sending messages").
+// DatagramChannel binds DDP to a datagram LLP: the paper's datagram-iWARP
+// datapath (Figure 4, right column). There is no MPA layer — "MPA bypassed
+// for datagrams" — because datagrams carry their own message boundaries.
+//
+// Integrity is checked once per frame, by whichever layer owns it. Over an
+// unreliable LLP (raw simnet, kernel UDP, and any wrapper of them) every
+// segment carries a CRC32C trailer, per the paper's operating conditions
+// ("datagram-iWARP always requires the use of CRC32 when sending
+// messages"): nothing else below would catch a damaged segment. Over an
+// *rudp.Endpoint the segment is header + payload with no trailer, iWARP's
+// own rule for an LLP that verifies the frame — over MPA, MPA owns the CRC
+// and DDP carries none. rudp's CRC32C covers the whole frame and is checked
+// before the frame is acknowledged or handed up, so a DDP CRC above it
+// could only ever re-verify bytes already verified. NewDatagramChannel
+// decides the framing once from the LLP's type; rudp only talks to rudp, so
+// both ends agree, and a wrapper that hides the rudp endpoint falls back to
+// the trailer — one extra pass, never zero checks.
 //
 // Segmentation differs from the stream binding in the way the paper
 // describes: a message is cut into datagram-sized DDP segments (up to the
@@ -48,6 +60,10 @@ const (
 // lock-free free list and (under simnet) one queue lock per batch.
 type DatagramChannel struct {
 	ep transport.Datagram
+	// trailer is the per-segment CRC32C trailer length: crcx.Size over an
+	// unreliable LLP, 0 over rudp (see the type comment). Fixed at
+	// construction; MaxSegment, send and parseBatch all read it.
+	trailer int
 
 	pool     *nio.Pool // segment wire buffers, capacity ep.MaxDatagram()
 	burst    int       // segments per send burst: both bounds, at this LLP's MaxDatagram
@@ -67,10 +83,11 @@ type DatagramChannel struct {
 	// aggregates every channel for the process-wide scrape.
 	batches       *telemetry.Counter   // SendBatch bursts issued
 	segments      *telemetry.Counter   // wire segments emitted (batched or not)
-	crcFail       *telemetry.Counter   // inbound segments dropped on CRC/parse
+	crcFail       *telemetry.Counter   // inbound segments dropped on the DDP CRC
+	malformed     *telemetry.Counter   // inbound segments dropped as runts or bad versions
 	batchHist     *telemetry.Histogram // segments per burst
 	recvBatches   *telemetry.Counter   // RecvBatch bursts pulled
-	recvSegments  *telemetry.Counter   // CRC-valid segments delivered upward
+	recvSegments  *telemetry.Counter   // valid segments delivered upward
 	recvBatchHist *telemetry.Histogram // datagrams per received burst
 	recycled      *telemetry.Counter   // receive buffers returned to the LLP pool
 	recvPoolHit   *telemetry.Counter   // endpoint receive-pool hits (delta-pulled)
@@ -89,15 +106,22 @@ type recvScratch struct {
 }
 
 // NewDatagramChannel wraps a datagram endpoint (raw simnet/UDP for UD, or
-// an rudp.Endpoint for the reliable-datagram mode).
+// an rudp.Endpoint for the reliable-datagram mode) and fixes the segment
+// framing from it: no CRC trailer over rudp, the CRC32C trailer otherwise.
 func NewDatagramChannel(ep transport.Datagram) *DatagramChannel {
+	trailer := crcx.Size
+	if _, ok := ep.(*rudp.Endpoint); ok {
+		trailer = 0
+	}
 	ch := &DatagramChannel{
 		ep:            ep,
+		trailer:       trailer,
 		pool:          nio.NewPool(ep.MaxDatagram()),
 		burst:         max(1, min(maxBatchSegments, maxBatchBytes/ep.MaxDatagram())),
 		batches:       telemetry.Default.Counter("diwarp_ddp_batches_total"),
 		segments:      telemetry.Default.Counter("diwarp_ddp_segments_total"),
 		crcFail:       telemetry.Default.Counter("diwarp_ddp_crc_fail_total"),
+		malformed:     telemetry.Default.Counter("diwarp_ddp_malformed_total"),
 		batchHist:     telemetry.Default.Histogram("diwarp_ddp_batch_segments"),
 		recvBatches:   telemetry.Default.Counter("diwarp_ddp_recv_batches_total"),
 		recvSegments:  telemetry.Default.Counter("diwarp_ddp_recv_segments_total"),
@@ -121,7 +145,7 @@ func NewDatagramChannel(ep transport.Datagram) *DatagramChannel {
 
 // MaxSegment returns the largest DDP payload one datagram segment carries.
 func (ch *DatagramChannel) MaxSegment() int {
-	return ch.ep.MaxDatagram() - TaggedHdrLen - crcx.Size
+	return ch.ep.MaxDatagram() - TaggedHdrLen - ch.trailer
 }
 
 // Endpoint returns the underlying datagram endpoint.
@@ -166,10 +190,11 @@ func (ch *DatagramChannel) SendTagged(to transport.Addr, stag memreg.STag, toff 
 }
 
 // send cuts one message into per-segment pooled buffers — header, payload
-// range, CRC32C trailer — and hands them to the LLP in bursts. Buffer
-// ownership: every buffer is drawn from ch.pool, passed down while the LLP
-// call is in flight (the LLP must not retain it, per the transport
-// contract), and returned to the pool here before send returns.
+// range, and the CRC32C trailer where the binding carries one — and hands
+// them to the LLP in bursts. Buffer ownership: every buffer is drawn from
+// ch.pool, passed down while the LLP call is in flight (the LLP must not
+// retain it, per the transport contract), and returned to the pool here
+// before send returns.
 //
 //diwarp:hotpath
 func (ch *DatagramChannel) send(to transport.Addr, proto *Segment, payload nio.Vec) error {
@@ -178,7 +203,7 @@ func (ch *DatagramChannel) send(to transport.Addr, proto *Segment, payload nio.V
 		return errTooBig(total)
 	}
 	proto.MsgLen = uint32(total)
-	maxSeg := ch.ep.MaxDatagram() - proto.HeaderLen() - crcx.Size
+	maxSeg := ch.ep.MaxDatagram() - proto.HeaderLen() - ch.trailer
 
 	pktsp := ch.batchBuf.Get().(*[][]byte)
 	pkts := (*pktsp)[:0]
@@ -203,7 +228,9 @@ func (ch *DatagramChannel) send(to transport.Addr, proto *Segment, payload nio.V
 		proto.Last = off+n == total
 		pkt := AppendHeader(ch.pool.Get(), proto)
 		pkt = payload.AppendRange(pkt, off, n)
-		pkt = nio.PutU32(pkt, crcx.Checksum(pkt))
+		if ch.trailer != 0 {
+			pkt = nio.PutU32(pkt, crcx.Checksum(pkt))
+		}
 		pkts = append(pkts, pkt)
 		off += n
 		if proto.Tagged {
@@ -232,27 +259,33 @@ func errTooBig(n int) error {
 	return fmt.Errorf("%w: %d bytes", ErrTooBig, n)
 }
 
-// dropBad disposes of a corrupt or runt datagram: drop and keep receiving.
-// The QP does not error out (paper §IV.B item 2). CRC failures are the UD
-// error model's one observable, so they are counted and traced. Outlined
-// from the annotated batch parse loop as its cold path.
+// dropBad disposes of a corrupt or malformed datagram: drop and keep
+// receiving. The QP does not error out (paper §IV.B item 2). Every drop is
+// counted and traced under its cause — a CRC mismatch (UD's error model), or
+// a segment Parse rejects as a runt or an unknown version (over rudp, whose
+// CRC already vouched for the bytes, the only way DDP drops). Outlined from
+// the annotated batch parse loop as its cold path.
 func (ch *DatagramChannel) dropBad(pkt []byte, from transport.Addr, err error) {
 	if errors.Is(err, ErrCRC) {
 		ch.crcFail.Inc()
 		telemetry.DefaultTrace.Record(telemetry.EvCRCFail, telemetry.PeerToken(from), len(pkt), 0)
+	} else {
+		ch.malformed.Inc()
+		telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(from), len(pkt), telemetry.DropMalformed)
 	}
 	ch.Recycle(pkt)
 }
 
 // RecvBatch fills segs and froms with up to min(len(segs), len(froms))
-// CRC-valid segments pulled from the LLP in one burst: a single RecvBatch
-// call below pulls the raw datagrams, the burst is verified segment-by-segment
-// (crcx dispatches to hardware CRC32C), and valid segments are handed up
-// in place — each Segment's Payload aliases its Raw buffer, so nothing is
-// re-copied. Segments failing CRC are dropped and counted, per the paper's
+// valid segments pulled from the LLP in one burst: a single RecvBatch call
+// below pulls the raw datagrams, the burst is parsed segment-by-segment —
+// CRC-verified first where the binding carries a trailer (crcx dispatches
+// to hardware CRC32C) — and valid segments are handed up in place — each
+// Segment's Payload aliases its Raw buffer, so nothing is re-copied.
+// Segments failing CRC or parse are dropped and counted, per the paper's
 // UD error model (errors are reported, the channel stays usable); a burst
-// that was ALL corrupt pulls again until the deadline. A zero timeout
-// blocks. Returns the number of valid segments; n ≥ 1 on nil error.
+// that was ALL bad pulls again until the deadline. A zero timeout blocks.
+// Returns the number of valid segments; n ≥ 1 on nil error.
 func (ch *DatagramChannel) RecvBatch(segs []Segment, froms []transport.Addr, timeout time.Duration) (int, error) {
 	max := min(len(segs), len(froms))
 	if max == 0 {
@@ -285,7 +318,7 @@ func (ch *DatagramChannel) RecvBatch(segs []Segment, froms []transport.Addr, tim
 		if m > 0 {
 			return m, nil
 		}
-		// Whole burst failed CRC: drop and keep pulling.
+		// Whole burst was dropped: keep pulling.
 	}
 }
 
@@ -295,9 +328,10 @@ func (ch *DatagramChannel) RecvBatch(segs []Segment, froms []transport.Addr, tim
 //
 //diwarp:hotpath
 func (ch *DatagramChannel) parseBatch(pkts [][]byte, addrs []transport.Addr, segs []Segment, froms []transport.Addr) int {
+	withCRC := ch.trailer != 0
 	m := 0
 	for i, pkt := range pkts {
-		seg, err := Parse(pkt, true)
+		seg, err := Parse(pkt, withCRC)
 		if err != nil {
 			ch.dropBad(pkt, addrs[i], err)
 			pkts[i] = nil
@@ -331,7 +365,7 @@ func (ch *DatagramChannel) pullPoolStats() {
 }
 
 // RecvStats reports the channel's receive-side counters: bursts pulled from
-// the LLP's RecvBatch, CRC-valid segments delivered, buffers recycled to
+// the LLP's RecvBatch, valid segments delivered, buffers recycled to
 // the LLP, and the endpoint receive pool's hit/miss counts as last pulled.
 func (ch *DatagramChannel) RecvStats() (batches, segments, recycled, poolHits, poolMisses int64) {
 	ch.pstatsMu.Lock()

@@ -9,15 +9,18 @@ import (
 	"repro/internal/nio"
 )
 
-// FuzzDDPSegment round-trips fuzzed segments through the datagram wire
-// format — AppendHeader + payload + CRC32C trailer, then Parse — and checks
+// FuzzDDPSegment round-trips fuzzed segments through both datagram wire
+// formats — AppendHeader + payload, plus the CRC32C trailer when withCRC
+// (the unreliable-LLP binding) and bare over rudp — then Parse, and checks
 // every header field and the payload survive. The fuzzed payload is also
-// fed to Parse directly as a hostile packet: decoding must reject or
+// fed to Parse in both modes as a hostile packet: decoding must reject or
 // succeed, never panic.
 func FuzzDDPSegment(f *testing.F) {
-	f.Add(false, true, byte(0x41), uint32(1), uint32(7), uint32(512), uint32(4096), uint64(0), []byte("payload"))
-	f.Add(true, false, byte(0x00), uint32(0xdeadbeef), uint32(0), uint32(0), uint32(1), uint64(1<<40), []byte{})
-	f.Fuzz(func(t *testing.T, tagged, last bool, rdmap byte, a, msn, mo, msgLen uint32, to uint64, payload []byte) {
+	f.Add(true, false, true, byte(0x41), uint32(1), uint32(7), uint32(512), uint32(4096), uint64(0), []byte("payload"))
+	f.Add(true, true, false, byte(0x00), uint32(0xdeadbeef), uint32(0), uint32(0), uint32(1), uint64(1<<40), []byte{})
+	f.Add(false, false, true, byte(0x41), uint32(1), uint32(7), uint32(512), uint32(4096), uint64(0), []byte("payload"))
+	f.Add(false, true, false, byte(0x00), uint32(0xdeadbeef), uint32(0), uint32(0), uint32(1), uint64(1<<40), []byte{1})
+	f.Fuzz(func(t *testing.T, withCRC, tagged, last bool, rdmap byte, a, msn, mo, msgLen uint32, to uint64, payload []byte) {
 		in := &Segment{Tagged: tagged, Last: last, RDMAP: rdmap, MSN: msn, MsgLen: msgLen}
 		if tagged {
 			in.STag = memreg.STag(a)
@@ -32,9 +35,11 @@ func FuzzDDPSegment(f *testing.F) {
 			t.Fatalf("AppendHeader wrote %d bytes, HeaderLen says %d", len(pkt), in.HeaderLen())
 		}
 		pkt = append(pkt, payload...)
-		pkt = nio.PutU32(pkt, crcx.Checksum(pkt))
+		if withCRC {
+			pkt = nio.PutU32(pkt, crcx.Checksum(pkt))
+		}
 
-		out, err := Parse(pkt, true)
+		out, err := Parse(pkt, withCRC)
 		if err != nil {
 			t.Fatalf("Parse rejected own encoding: %v", err)
 		}
@@ -48,8 +53,10 @@ func FuzzDDPSegment(f *testing.F) {
 			t.Fatalf("payload round-trip mismatch: sent %d bytes, got %d", len(payload), len(out.Payload))
 		}
 
-		// A flipped bit anywhere in the packet must fail the CRC.
-		if len(pkt) > 0 {
+		// A flipped bit anywhere in the packet must fail the CRC. Without a
+		// trailer DDP detects nothing — the LLP below owns integrity — so
+		// the assertion belongs to the CRC binding alone.
+		if withCRC {
 			corrupt := append([]byte(nil), pkt...)
 			corrupt[int(msn)%len(corrupt)] ^= 0x80
 			if _, err := Parse(corrupt, true); err == nil {

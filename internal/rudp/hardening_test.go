@@ -166,6 +166,37 @@ func TestCorruptedHeadersDropped(t *testing.T) {
 	}
 }
 
+// TestRuntsCountedApartFromCRCFailures: a datagram too short to hold a
+// frame trailer and a full-length frame with one flipped bit are different
+// faults — a truncating path versus a corrupting one — and each moves its
+// own counter, not both the CRC one.
+func TestRuntsCountedApartFromCRCFailures(t *testing.T) {
+	net := newMemNet()
+	x, ib := net.open("x"), net.open("b")
+	b := New(ib)
+	defer b.Close()
+	defer x.Close()
+
+	flipped := AppendData(nil, 7, 1, []byte("damaged"))
+	flipped[2] ^= 0x10
+	good := AppendData(nil, 7, 1, []byte("intact"))
+	net.inject(ib,
+		[][]byte{make([]byte, dataTrailerLen-1), flipped, good},
+		[]transport.Addr{x.addr, x.addr, x.addr})
+	p, _, err := b.Recv(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(p) != "intact" {
+		t.Fatalf("delivered %q, want the intact frame only", p)
+	}
+	b.Recycle(p)
+	// The burst's drops were counted before its yield was published.
+	if s := b.Snapshot(); s.Runts != 1 || s.CRCFailures != 1 {
+		t.Fatalf("Runts %d CRCFailures %d, want 1 and 1", s.Runts, s.CRCFailures)
+	}
+}
+
 // TestFarFutureSeqNotBuffered pins the bounded acceptance window: a DATA
 // far beyond the in-order point must not reserve reassembly state (the
 // pre-fix behavior buffered anything up to 2^31 ahead, so one bad packet

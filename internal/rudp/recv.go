@@ -138,6 +138,9 @@ func (e *Endpoint) handleRun(rx *rxBurst, i, j int, now time.Time) {
 		kept := false
 		tf := rx.tf[k]
 		switch {
+		case len(pkt) < dataTrailerLen:
+			e.runts.Inc()
+			telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(from), len(pkt), telemetry.DropMalformed)
 		case tf == 0:
 			e.crcFail.Inc()
 			telemetry.DefaultTrace.Record(telemetry.EvCRCFail, telemetry.PeerToken(from), len(pkt), 0)

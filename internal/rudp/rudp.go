@@ -43,11 +43,14 @@
 // header fields need it because they are control plane: a bit flipped in
 // cumAck would make the sender drop packets the receiver never got (silent
 // loss), and a flipped seq would poison the receiver's reassembly state.
-// The payload needs it because this layer acknowledges a frame before DDP,
-// one layer up, verifies its own CRC: a frame with a sound header and a
-// damaged payload would be ACKed here — the sender frees it — and then
-// dropped above, which on a reliable service is silent loss. Corrupt frames
-// are discarded here and recovered exactly like losses.
+// The payload needs it because this CRC *is* the reliable-datagram
+// service's integrity check: DDP carries no CRC of its own over rudp
+// (iWARP's rule for an LLP that verifies the frame — over MPA, MPA owns the
+// CRC), and a check anywhere above would come too late anyway, since this
+// layer acknowledges a frame — the sender frees it — before handing it up,
+// so a damaged payload dropped one layer up would be silent loss. Corrupt
+// frames are discarded here, before they are ACKed or delivered, and
+// recovered exactly like losses.
 //
 // The epoch byte identifies one incarnation of the sender's conversation
 // state: it is drawn at random when a peer's state is created and stamped
@@ -201,6 +204,7 @@ type Endpoint struct {
 	ackSendFail   *telemetry.Counter   // ACK sends the inner transport rejected
 	dataSendFail  *telemetry.Counter   // retransmission sends the inner transport rejected
 	crcFail       *telemetry.Counter   // inbound packets dropped by the frame CRC
+	runts         *telemetry.Counter   // inbound packets too short to be a frame
 	windowDrops   *telemetry.Counter   // DATA beyond the acceptance window, not buffered
 	evictions     *telemetry.Counter   // peers evicted (dead on observation, or idle)
 	epochMismatch *telemetry.Counter   // packets from a different conversation incarnation
@@ -455,6 +459,7 @@ func newEndpoint(inner transport.Datagram, cfg Config) *Endpoint {
 		ackSendFail:   telemetry.Default.Counter("diwarp_rudp_ack_send_fail_total"),
 		dataSendFail:  telemetry.Default.Counter("diwarp_rudp_retransmit_send_fail_total"),
 		crcFail:       telemetry.Default.Counter("diwarp_rudp_crc_fail_total"),
+		runts:         telemetry.Default.Counter("diwarp_rudp_runt_total"),
 		windowDrops:   telemetry.Default.Counter("diwarp_rudp_window_drops_total"),
 		evictions:     telemetry.Default.Counter("diwarp_rudp_peer_evictions_total"),
 		epochMismatch: telemetry.Default.Counter("diwarp_rudp_epoch_mismatch_total"),
@@ -909,6 +914,9 @@ type Snapshot struct {
 	RetransmitSendFailures int64
 	// CRCFailures counts inbound packets dropped by the frame CRC check.
 	CRCFailures int64
+	// Runts counts inbound packets dropped as too short to hold a frame
+	// trailer, before any CRC could be checked.
+	Runts int64
 	// WindowDrops counts DATA packets beyond the acceptance window.
 	WindowDrops int64
 	// PeerEvictions counts peers whose state was torn down (dead peers on
@@ -955,6 +963,7 @@ func (e *Endpoint) Snapshot() Snapshot {
 		AckSendFailures:        e.ackSendFail.Load(),
 		RetransmitSendFailures: e.dataSendFail.Load(),
 		CRCFailures:            e.crcFail.Load(),
+		Runts:                  e.runts.Load(),
 		WindowDrops:            e.windowDrops.Load(),
 		PeerEvictions:          e.evictions.Load(),
 		EpochMismatches:        e.epochMismatch.Load(),

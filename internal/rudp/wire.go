@@ -60,7 +60,7 @@ func appendAck(dst []byte, epoch, flags byte, cum uint32, sack uint64) []byte {
 // CRC is checked before anything else is read: a corrupt frame is
 // indistinguishable from a hostile one, and acting on it corrupts protocol
 // state, so it is dropped and recovered as a loss. A runt too short to be a
-// frame fails the same way.
+// frame fails the same way (the receive loop counts the two apart by length).
 func frameType(p []byte) (tf byte, ok bool) {
 	if len(p) < dataTrailerLen {
 		return 0, false

@@ -84,6 +84,16 @@ func TestRecvPipelineMetricNames(t *testing.T) {
 			t.Errorf("scrape: %s = %d (present=%v), want > 0", name, v, ok)
 		}
 	}
+	// Drop causes are exported from the first channel on, moving or not:
+	// an alert on a cause must not wait for the first drop to find its name.
+	for _, name := range []string{
+		"diwarp_ddp_crc_fail_total",
+		"diwarp_ddp_malformed_total",
+	} {
+		if _, ok := scrapeValue(text, name); !ok {
+			t.Errorf("scrape: %s missing", name)
+		}
+	}
 	// Pool traffic: every receive is either a hit or a miss, and recycling
 	// under steady traffic must produce at least one hit.
 	hits, okH := scrapeValue(text, "diwarp_ddp_recv_pool_hits_total")

@@ -91,6 +91,8 @@ func TestRudpCCMetricNames(t *testing.T) {
 	for _, name := range []string{
 		"diwarp_rudp_cc_fast_retransmits_total",
 		"diwarp_rudp_cc_spurious_rexmits_total",
+		"diwarp_rudp_crc_fail_total",
+		"diwarp_rudp_runt_total",
 	} {
 		if _, ok := scrapeValue(text, name); !ok {
 			t.Errorf("scrape: %s missing from exposition", name)

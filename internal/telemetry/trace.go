@@ -33,6 +33,7 @@ const (
 	DropNoRecv                       // completed message found no posted receive
 	DropQueue                        // destination queue gone at send time
 	DropIncomplete                   // Write-Record message discarded with holes (socket layer)
+	DropMalformed                    // runt rudp frame or DDP segment, or an unknown DDP version
 )
 
 func (t EventType) String() string {
