@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-portable race vet import-guard lint lint-concurrency fuzz-short bench bench-datapath bench-smoke telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke check clean
+.PHONY: all build test test-portable race vet cross import-guard lint lint-concurrency fuzz-short bench bench-datapath bench-smoke telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke check clean
 
 all: build
 
@@ -22,6 +22,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The other architectures keep building: crcx's folding kernel is amd64
+# assembly behind a build tag, and everything else must not come to depend
+# on it (amd64's own .s frames are checked by vet's asmdecl above).
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 # Import direction (DESIGN.md §4.4): telemetry and peertab are leaves below
 # transport — that is what lets transport use the registry and the peer
@@ -55,14 +62,15 @@ lint: bin/diwarp-vet
 lint-concurrency: bin/diwarp-vet
 	$(GO) vet -vettool=bin/diwarp-vet -lockorder -atomiccheck -unlockcheck ./...
 
-# Wire-format fuzzers, 10s each (separate invocations: go test allows only
-# one -fuzz target per run).
+# Wire-format fuzzers and the CRC32C engine differential, 10s each
+# (separate invocations: go test allows only one -fuzz target per run).
 fuzz-short:
 	$(GO) test ./internal/mpa -run='^$$' -fuzz=FuzzMPAHeader -fuzztime=10s
 	$(GO) test ./internal/ddp -run='^$$' -fuzz=FuzzDDPSegment -fuzztime=10s
 	$(GO) test ./internal/rdmap -run='^$$' -fuzz=FuzzRDMAPHeader -fuzztime=10s
 	$(GO) test ./internal/msg -run='^$$' -fuzz=FuzzMsgHeader -fuzztime=10s
 	$(GO) test ./internal/rudp -run='^$$' -fuzz=FuzzRudpFrame -fuzztime=10s
+	$(GO) test ./internal/crcx -run='^$$' -fuzz=FuzzCRC32C -fuzztime=10s
 
 # Full benchmark sweep: one benchmark per paper figure plus ablations.
 bench:
@@ -122,7 +130,7 @@ soak-smoke:
 	$(GO) run ./cmd/iwarpd -soak-peers 1000 -duration 2s
 
 # What CI should run.
-check: build vet import-guard test test-portable race lint lint-concurrency telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke
+check: build vet cross import-guard test test-portable race lint lint-concurrency telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke
 
 clean:
 	rm -rf bin

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	iwarp "repro/internal/core"
+	"repro/internal/crcx"
 	"repro/internal/memreg"
 	"repro/internal/nio"
 	"repro/internal/pcap"
@@ -135,7 +136,7 @@ func runServer(host string, port uint16, service string) error {
 		return err
 	}
 	defer qp.Close()
-	log.Printf("UD %s service on %s", service, qp.LocalAddr())
+	log.Printf("UD %s service on %s (crc32c engine: %s)", service, qp.LocalAddr(), crcx.Engine())
 
 	var sink *memreg.Region
 	if service == "sink" {

@@ -3,21 +3,27 @@
 // the paper's datagram mode "always requires the use of CRC32" on every
 // segment because the UDP-layer checksum is assumed disabled for performance.
 //
-// Two bit-identical implementations back the package, selected once at init
-// through a function pointer:
+// Three bit-identical engines back the package; one is chosen once at init
+// and named by Engine:
 //
-//   - a fast path that dispatches to hash/crc32's Castagnoli engine on
-//     architectures where the Go runtime uses hardware CRC32C instructions
-//     (SSE4.2 on amd64, the ARMv8 CRC32 extension on arm64, and the s390x
-//     and ppc64le vector engines) — the per-segment cost the paper assumes
-//     an RNIC would absorb;
-//   - a self-contained portable fallback (slicing-by-8 over locally
-//     generated tables) so the stack never depends on hardware CRC support,
+//   - "vpclmulqdq": a carry-less-multiply folding kernel (fold_amd64.s)
+//     that folds four 64-byte accumulators 256 bytes per step with AVX-512
+//     VPCLMULQDQ — the per-byte cost the paper assumes an RNIC would
+//     absorb, at vector rather than scalar-instruction speed. Chosen on
+//     amd64 when CPUID reports AVX-512F and VPCLMULQDQ and the OS saves the
+//     ZMM state; inputs under 256 bytes go to hash/crc32.
+//   - "stdlib": hash/crc32's Castagnoli engine, which uses hardware CRC32C
+//     instructions (SSE4.2 on amd64, the ARMv8 CRC32 extension on arm64,
+//     the s390x and ppc64le vector engines). Chosen on those architectures
+//     when the folding kernel is not.
+//   - "portable": a self-contained slicing-by-8 fallback over locally
+//     generated tables, so the stack never depends on hardware CRC support,
 //     mirroring the software iWARP implementation evaluated in the paper.
+//     Chosen everywhere else.
 //
-// Both produce results bit-compatible with hash/crc32's Castagnoli
-// polynomial; crcx_test.go cross-checks them against each other and the
-// standard library over random lengths and offsets.
+// The choice has no knob: the CPU decides. All three compose mid-stream
+// and match hash/crc32 bit for bit; crosscheck_test.go and FuzzCRC32C pin
+// them against each other and the standard library.
 package crcx
 
 import (
@@ -57,31 +63,30 @@ var tables = func() (t [8][256]uint32) {
 // Castagnoli implementation internally when the CPU provides one.
 var stdTable = crc32.MakeTable(crc32.Castagnoli)
 
-// update is the implementation every public entry point dispatches through,
-// chosen once at package init.
-var update = updatePortable
+// update is the engine every public entry point dispatches through and
+// engine its name, chosen once at package init.
+var update, engine = pick()
 
-// accelerated records whether the fast path was selected.
-var accelerated = false
-
-func init() {
+func pick() (func(uint32, []byte) uint32, string) {
+	if foldMissing() == "" {
+		return updateFold, "vpclmulqdq"
+	}
 	// hash/crc32 keys its hardware dispatch on CPU features this package
-	// cannot observe directly; the architectures below are the ones where
-	// the runtime carries a hardware (or vectorized) Castagnoli engine. On
-	// those, defer to the stdlib — even when the specific CPU lacks the
-	// instructions, its slicing-by-8 fallback is no slower than ours, so the
-	// dispatch is never a regression.
+	// does not re-check; the architectures below are the ones where the
+	// runtime carries a hardware (or vectorized) Castagnoli engine. Even
+	// when the specific CPU lacks the instructions, the stdlib's
+	// slicing-by-8 fallback is no slower than ours.
 	switch runtime.GOARCH {
 	case "amd64", "arm64", "s390x", "ppc64le":
-		update = updateStdlib
-		accelerated = true
+		return updateStdlib, "stdlib"
 	}
+	return updatePortable, "portable"
 }
 
-// Accelerated reports whether the hardware-backed fast path is in use.
-func Accelerated() bool { return accelerated }
+// Engine names the engine in use: "vpclmulqdq", "stdlib" or "portable".
+func Engine() string { return engine }
 
-// updateStdlib is the fast path: hash/crc32's Castagnoli engine, which uses
+// updateStdlib is hash/crc32's Castagnoli engine, which uses
 // CRC32 instructions where the CPU has them. Its Update composes exactly
 // like ours (state is un-inverted at the API boundary), so the two are
 // interchangeable mid-stream.
@@ -126,19 +131,6 @@ func Update(crc uint32, p []byte) uint32 { return update(crc, p) }
 //
 //diwarp:hotpath
 func Checksum(p []byte) uint32 { return update(0, p) }
-
-// ChecksumVec returns the CRC32C over the concatenation of the given
-// segments, allowing gather-style messages to be checksummed without
-// flattening.
-//
-//diwarp:hotpath
-func ChecksumVec(segs ...[]byte) uint32 {
-	var crc uint32
-	for _, s := range segs {
-		crc = update(crc, s)
-	}
-	return crc
-}
 
 // Size is the number of bytes a CRC32C trailer occupies on the wire.
 const Size = 4

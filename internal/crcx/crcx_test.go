@@ -61,16 +61,6 @@ func TestUpdateComposesQuick(t *testing.T) {
 	}
 }
 
-func TestChecksumVec(t *testing.T) {
-	p := []byte("direct data placement over datagrams")
-	if ChecksumVec(p[:7], p[7:20], p[20:]) != Checksum(p) {
-		t.Fatal("ChecksumVec must equal flat Checksum")
-	}
-	if ChecksumVec() != 0 {
-		t.Fatal("empty vec should be 0")
-	}
-}
-
 // Property: CRC32C detects every single-bit flip (it has Hamming distance
 // ≥ 2 for any length we use).
 func TestDetectsSingleBitFlips(t *testing.T) {

@@ -18,9 +18,15 @@ type packet struct {
 // queue is a bounded FIFO of packets supporting blocking put with
 // backpressure, timed get, reorder-insertion, and close. It is the receive
 // queue of a simulated socket.
+//
+// The live packets are q[head:]. The backing array is kept across drains —
+// a drained queue resets to q[:0] — and the live packets slide to the front
+// only when an append would otherwise grow it, so a steady burst cycle
+// reuses one array.
 type queue struct {
 	mu     sync.Mutex
 	q      []packet
+	head   int
 	cap    int
 	closed bool
 	avail  chan struct{} // pulsed when data arrives
@@ -62,9 +68,9 @@ func (q *queue) put(pkts []packet) (int, error) {
 			}
 			return i, transport.ErrClosed
 		}
-		for i < len(pkts) && len(q.q) < q.cap {
-			q.q = append(q.q, pkts[i])
-			if last := len(q.q) - 1; pkts[i].early && last > 0 {
+		for i < len(pkts) && q.size() < q.cap {
+			q.push(pkts[i])
+			if last := len(q.q) - 1; pkts[i].early && last > q.head {
 				q.q[last], q.q[last-1] = q.q[last-1], q.q[last]
 			}
 			i++
@@ -145,7 +151,7 @@ func (q *queue) pop(pkts [][]byte, froms []transport.Addr) (int, error) {
 		return 0, nil
 	}
 	q.mu.Lock()
-	if len(q.q) == 0 {
+	if q.size() == 0 {
 		closed := q.closed
 		q.mu.Unlock()
 		if closed {
@@ -153,16 +159,15 @@ func (q *queue) pop(pkts [][]byte, froms []transport.Addr) (int, error) {
 		}
 		return 0, transport.ErrTimeout
 	}
-	n = min(n, len(q.q))
-	for i := range q.q[:n] {
-		pkts[i], froms[i] = q.q[i].payload, q.q[i].from
-		q.q[i] = packet{}
+	live := q.q[q.head:]
+	n = min(n, len(live))
+	for i := range live[:n] {
+		pkts[i], froms[i] = live[i].payload, live[i].from
+		live[i] = packet{}
 	}
-	q.q = q.q[n:]
-	if len(q.q) == 0 {
-		// Reset backing storage so the slice does not grow without bound
-		// as the window slides.
-		q.q = nil
+	q.head += n
+	if q.size() == 0 {
+		q.q, q.head = q.q[:0], 0
 	} else {
 		// More data remains and other readers may be parked on the cap-1
 		// avail pulse this wakeup consumed; re-pulse so a concurrent reader
@@ -174,16 +179,31 @@ func (q *queue) pop(pkts [][]byte, froms []transport.Addr) (int, error) {
 	return n, nil
 }
 
+// size is the number of queued packets; the caller holds mu.
+func (q *queue) size() int { return len(q.q) - q.head }
+
+// push appends pk, first sliding the live packets to the front of the
+// backing array if it is full and a drained prefix can be reclaimed; the
+// caller holds mu and has checked the bound.
+func (q *queue) push(pk packet) {
+	if len(q.q) == cap(q.q) && q.head > 0 {
+		n := copy(q.q, q.q[q.head:])
+		clear(q.q[n:])
+		q.q, q.head = q.q[:n], 0
+	}
+	q.q = append(q.q, pk)
+}
+
 // putDrop appends pkt without blocking, dropping it when the queue is full
 // (ack traffic: losing one is harmless, the next ack is cumulative).
 func (q *queue) putDrop(pkt packet) {
 	q.mu.Lock()
-	if q.closed || len(q.q) >= q.cap {
+	if q.closed || q.size() >= q.cap {
 		q.mu.Unlock()
 		putPktBuf(pkt.payload)
 		return
 	}
-	q.q = append(q.q, pkt)
+	q.push(pkt)
 	q.mu.Unlock()
 	pulse(q.avail)
 }
