@@ -31,13 +31,17 @@ cross:
 	GOARCH=386 $(GO) build ./...
 
 # Import direction (DESIGN.md §4.4): telemetry and peertab are leaves below
-# transport — that is what lets transport use the registry and the peer
-# table instead of hand copies — no production datapath layer (msg, rudp,
-# ddp, core) links the simulator, and rudp sits strictly below ddp (ddp
-# names *rudp.Endpoint to pick its framing; the edge must never turn back).
+# transport — that is what lets transport use the registry instead of hand
+# copies — and transport never links peertab: an address is a value, so the
+# transport keeps no per-address state. No production datapath layer (msg,
+# rudp, ddp, core) links the simulator, and rudp sits strictly below ddp
+# (ddp names *rudp.Endpoint to pick its framing; the edge must never turn
+# back).
 import-guard:
 	@if $(GO) list -deps ./internal/telemetry ./internal/peertab | grep -qx repro/internal/transport; then \
 		echo "import-guard: internal/telemetry and internal/peertab must not depend on internal/transport"; exit 1; fi
+	@if $(GO) list -deps ./internal/transport | grep -qx repro/internal/peertab; then \
+		echo "import-guard: internal/transport must not depend on internal/peertab"; exit 1; fi
 	@if $(GO) list -deps ./internal/msg | grep -qx repro/internal/simnet; then \
 		echo "import-guard: internal/msg must not depend on internal/simnet"; exit 1; fi
 	@if $(GO) list -deps ./internal/rudp | grep -qx repro/internal/simnet; then \

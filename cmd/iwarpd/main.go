@@ -19,8 +19,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"time"
 
 	iwarp "repro/internal/core"
@@ -202,22 +200,16 @@ func runServer(host string, port uint16, service string) error {
 }
 
 func runPing(host, target string, size, count int) error {
-	node, portStr, ok := strings.Cut(target, ":")
-	if !ok {
-		return fmt.Errorf("bad -ping target %q (want host:port)", target)
+	dst, err := transport.ResolveAddr(target)
+	if err != nil {
+		return fmt.Errorf("bad -ping target %q (want host:port): %w", target, err)
 	}
-	p, err := strconv.Atoi(portStr)
-	if err != nil || p <= 0 || p > 65535 {
-		return fmt.Errorf("bad -ping port %q", portStr)
-	}
-	port := uint16(p)
 
 	qp, _, _, scq, rcq, err := openQP(host, 0)
 	if err != nil {
 		return err
 	}
 	defer qp.Close()
-	dst := transport.Addr{Node: node, Port: port}
 	payload := make([]byte, size)
 	buf := make([]byte, size+16)
 	sample := 0.0

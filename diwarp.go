@@ -144,8 +144,8 @@ var (
 func VecOf(segs ...[]byte) Vec { return nio.VecOf(segs...) }
 
 // NewSimNetwork creates an in-process simulated network with configurable
-// MTU, loss, reordering and duplication — the default substrate for tests
-// and benchmarks.
+// MTU, per-fragment loss and latency — the default substrate for tests and
+// benchmarks.
 func NewSimNetwork(cfg SimConfig) *SimNetwork { return simnet.New(cfg) }
 
 // GroupAddr builds the address of simulated multicast group n. Datagram

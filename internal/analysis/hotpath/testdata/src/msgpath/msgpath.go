@@ -12,8 +12,8 @@ import (
 )
 
 type addr struct {
-	node string
-	port uint16
+	hi, lo uint64
+	port   uint16
 }
 
 type message struct {

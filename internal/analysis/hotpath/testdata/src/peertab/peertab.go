@@ -1,20 +1,23 @@
 // Package peertab mirrors the sharded peer table's datapath lookup
 // (internal/peertab, DESIGN.md §4.12): shard selection is pure hash
 // arithmetic and the read path is one atomic snapshot load plus one read of
-// an immutable map — no lock, no allocation. The fixture pins that this
-// idiom stays clean under the hotpath contract and that the tempting
-// shortcuts (locking the stripe on the read path, doing the copy-on-write
-// insert inline instead of outlining it) are flagged.
+// an immutable map — no lock, no allocation. The key is an address value
+// (netip.AddrPort's shape: the IP as two words, and a port), hashed as
+// words. The fixture pins that this idiom stays clean under the hotpath
+// contract and that the tempting shortcuts (keying by a rendered string,
+// locking the stripe on the read path, doing the copy-on-write insert
+// inline instead of outlining it) are flagged.
 package peertab
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
 type addr struct {
-	node string
-	port uint16
+	hi, lo uint64
+	port   uint16
 }
 
 type entry struct {
@@ -32,16 +35,29 @@ type table struct {
 	mask   uint32
 }
 
-// hashAddr is the chained FNV-1a shape: pure integer arithmetic.
+// hashAddr is the word-mixing shape of peertab.HashAddr: pure integer
+// arithmetic over the value, no byte loop.
 //
 //diwarp:hotpath
 func hashAddr(a addr) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(a.node); i++ {
-		h = (h ^ uint32(a.node[i])) * 16777619
-	}
-	h = (h ^ uint32(a.port&0xff)) * 16777619
-	return (h ^ uint32(a.port>>8)) * 16777619
+	return uint32(mix64(a.lo ^ uint64(a.port)<<48 ^ mix64(a.hi)))
+}
+
+//diwarp:hotpath
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
+}
+
+// badRenderedKey keys the peer by its rendering — the string address this
+// table's callers no longer carry: formatting allocates and boxes.
+//
+//diwarp:hotpath
+func badRenderedKey(a addr) string {
+	return fmt.Sprintf("%x:%x:%d", a.hi, a.lo, a.port) // want `calls fmt.Sprintf` `boxes` `boxes` `boxes`
 }
 
 // goodGet is the real Get shape: mask-select the stripe, one atomic load,

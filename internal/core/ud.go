@@ -163,24 +163,17 @@ type udClaim struct {
 	born    time.Time
 }
 
-// shardOf maps a source peer to a placement worker: FNV-1a over the node
-// name and port. All traffic from one peer lands on one worker — the
-// ordering invariant the completion semantics need — while independent
-// peers spread across the pool.
+// shardOf maps a source peer to a placement worker by the stack's one peer
+// hash. All traffic from one peer lands on one worker — the ordering
+// invariant the completion semantics need — while independent peers spread
+// across the pool.
 //
 //diwarp:hotpath
 func shardOf(from transport.Addr, n int) int {
 	if n == 1 {
 		return 0
 	}
-	h := uint32(2166136261)
-	for i := 0; i < len(from.Node); i++ {
-		h ^= uint32(from.Node[i])
-		h *= 16777619
-	}
-	h ^= uint32(from.Port)
-	h *= 16777619
-	return int(h % uint32(n))
+	return int(peertab.HashAddr(from) % uint32(n))
 }
 
 // wrKey identifies one in-flight Write-Record message at the target.
@@ -189,13 +182,9 @@ type wrKey struct {
 	msn  uint32
 }
 
-// hashWrKey shards the tracker tables by peer and MSN with the same FNV-1a
-// discipline as every other peer table in the stack.
-func hashWrKey(k wrKey) uint32 {
-	h := peertab.HashString(peertab.Seed(), k.from.Node)
-	h = peertab.HashUint32(h, uint32(k.from.Port))
-	return peertab.HashUint32(h, k.msn)
-}
+// hashWrKey shards the tracker tables by peer (the stack's one peer hash)
+// and MSN.
+func hashWrKey(k wrKey) uint32 { return peertab.HashUint32(peertab.HashAddr(k.from), k.msn) }
 
 // wrTracker accumulates placement state for a multi-segment Write-Record
 // message until its Last segment arrives (or it is swept).

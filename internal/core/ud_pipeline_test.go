@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/memreg"
 	"repro/internal/nio"
 	"repro/internal/rudp"
@@ -169,14 +170,17 @@ func TestUDPipelineStress(t *testing.T) {
 	const msgs = 30
 	const msgSize = 3000
 
+	// Loss is the wire's (simnet, per fragment); duplication and reordering
+	// are faultnet's, on every sender.
 	variants := []struct {
 		name    string
 		cfg     simnet.Config
+		fault   faultnet.Config
 		ordered bool // network delivers FIFO per peer (dups are adjacent)
 	}{
-		{"loss+dup/workers=1", simnet.Config{LossRate: 0.05, DupRate: 0.05, Seed: 7}, true},
-		{"loss+dup/workers=4", simnet.Config{LossRate: 0.05, DupRate: 0.05, Seed: 7}, true},
-		{"loss+reorder+dup/workers=4", simnet.Config{LossRate: 0.03, ReorderRate: 0.2, DupRate: 0.05, Seed: 11}, false},
+		{"loss+dup/workers=1", simnet.Config{LossRate: 0.05, Seed: 7}, faultnet.Config{Seed: 7, DupRate: 0.05}, true},
+		{"loss+dup/workers=4", simnet.Config{LossRate: 0.05, Seed: 7}, faultnet.Config{Seed: 7, DupRate: 0.05}, true},
+		{"loss+reorder+dup/workers=4", simnet.Config{LossRate: 0.03, Seed: 11}, faultnet.Config{Seed: 11, ReorderRate: 0.2, ReorderSpan: 2, DupRate: 0.05}, false},
 	}
 	for _, v := range variants {
 		v := v
@@ -204,10 +208,18 @@ func TestUDPipelineStress(t *testing.T) {
 
 			var wg sync.WaitGroup
 			for p := 0; p < peers; p++ {
-				nd := newUDNode(t, net, fmt.Sprintf("p%d", p), UDConfig{})
+				ep, err := net.OpenDatagram(fmt.Sprintf("p%d", p), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fault := v.fault
+				fault.Seed += int64(p)
+				fe := faultnet.Wrap(ep, fault)
+				nd := newUDNodeOver(t, fe, UDConfig{})
 				wg.Add(1)
 				go func(nd *udNode, p int) {
 					defer wg.Done()
+					defer fe.ReleaseHeld() // the last sends' held copies go out too
 					for i := 0; i < msgs; i++ {
 						msg := stressPayload(p, i, msgSize)
 						if err := nd.qp.PostSend(uint64(i), recv.qp.LocalAddr(), nio.VecOf(msg)); err != nil {
@@ -246,7 +258,7 @@ func TestUDPipelineStress(t *testing.T) {
 			if delivered == 0 {
 				t.Fatal("nothing delivered")
 			}
-			t.Logf("delivered %d/%d (loss %.0f%%, dup %.0f%%)", delivered, peers*msgs, v.cfg.LossRate*100, v.cfg.DupRate*100)
+			t.Logf("delivered %d/%d (loss %.0f%%, dup %.0f%%)", delivered, peers*msgs, v.cfg.LossRate*100, v.fault.DupRate*100)
 		})
 	}
 }

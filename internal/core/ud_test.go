@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/crcx"
 	"repro/internal/ddp"
+	"repro/internal/faultnet"
 	"repro/internal/memreg"
 	"repro/internal/nio"
 	"repro/internal/rdmap"
@@ -32,6 +33,14 @@ func newUDNode(t *testing.T, n *simnet.Network, name string, cfg UDConfig) *udNo
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newUDNodeOver(t, ep, cfg)
+}
+
+// newUDNodeOver opens a node's QP over ep — a simnet endpoint, or one
+// wrapped in faultnet for the impairments simnet does not model.
+func newUDNodeOver(t *testing.T, ep transport.Datagram, cfg UDConfig) *udNode {
+	t.Helper()
+	var err error
 	nd := &udNode{
 		pd:  memreg.NewPD(),
 		tbl: memreg.NewTable(),
@@ -44,6 +53,17 @@ func newUDNode(t *testing.T, n *simnet.Network, name string, cfg UDConfig) *udNo
 	}
 	t.Cleanup(func() { nd.qp.Close() })
 	return nd
+}
+
+// holds counts the packets fe has held back for reordering.
+func holds(fe *faultnet.Endpoint) int {
+	n := 0
+	for _, ev := range fe.Log().Events() {
+		if ev.Op == faultnet.OpHold {
+			n++
+		}
+	}
+	return n
 }
 
 func TestUDSendRecvRoundTrip(t *testing.T) {
@@ -197,8 +217,13 @@ func TestUDWriteRecordSingleSegment(t *testing.T) {
 }
 
 func TestUDWriteRecordMultiSegmentReordered(t *testing.T) {
-	net := simnet.New(simnet.Config{ReorderRate: 0.5, Seed: 13})
-	a := newUDNode(t, net, "a", UDConfig{})
+	net := simnet.New(simnet.Config{})
+	ep, err := net.OpenDatagram("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := faultnet.Wrap(ep, faultnet.Config{ReorderRate: 0.5, Seed: 13})
+	a := newUDNodeOver(t, fa, UDConfig{})
 	b := newUDNode(t, net, "b", UDConfig{})
 
 	region, err := b.tbl.Register(b.pd, make([]byte, 300<<10), memreg.RemoteWrite)
@@ -210,6 +235,10 @@ func TestUDWriteRecordMultiSegmentReordered(t *testing.T) {
 	if err := a.qp.PostWriteRecord(1, b.qp.LocalAddr(), region.STag(), 0, nio.VecOf(payload)); err != nil {
 		t.Fatal(err)
 	}
+	if holds(fa) == 0 {
+		t.Fatal("no segment was held back: nothing was reordered")
+	}
+	fa.ReleaseHeld() // the tail segments still held go out last, out of order
 	re, err := b.rcq.Poll(2 * time.Second)
 	if err != nil {
 		t.Fatal(err)

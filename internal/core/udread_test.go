@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/memreg"
 	"repro/internal/simnet"
 	"repro/internal/transport"
@@ -51,9 +52,14 @@ func TestUDReadSmall(t *testing.T) {
 }
 
 func TestUDReadLargeMultiSegment(t *testing.T) {
-	net := simnet.New(simnet.Config{ReorderRate: 0.3, Seed: 8})
+	net := simnet.New(simnet.Config{})
 	a := newUDNode(t, net, "a", UDConfig{})
-	b := newUDNode(t, net, "b", UDConfig{})
+	ep, err := net.OpenDatagram("b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := faultnet.Wrap(ep, faultnet.Config{ReorderRate: 0.3, Seed: 8}) // the responder's segments
+	b := newUDNodeOver(t, fb, UDConfig{})
 
 	data := make([]byte, 300<<10) // several response segments
 	rand.New(rand.NewSource(6)).Read(data)
@@ -68,9 +74,19 @@ func TestUDReadLargeMultiSegment(t *testing.T) {
 	if err := a.qp.PostRead(1, b.qp.LocalAddr(), sink.STag(), 0, src.STag(), 0, len(data)); err != nil {
 		t.Fatal(err)
 	}
-	e, err := a.scq.Poll(2 * time.Second)
+	// The response burst ends with segments still held back for reordering,
+	// and nothing later from b would release them: flush them while waiting.
+	deadline := time.Now().Add(2 * time.Second)
+	e, err := a.scq.Poll(10 * time.Millisecond)
+	for err != nil && time.Now().Before(deadline) {
+		fb.ReleaseHeld()
+		e, err = a.scq.Poll(10 * time.Millisecond)
+	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	if holds(fb) == 0 {
+		t.Fatal("no response segment was held back: nothing was reordered")
 	}
 	if e.Type != WTRead || !e.Ok() || e.ByteLen != len(data) {
 		t.Fatalf("CQE %+v", e)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"net/netip"
 	"testing"
 	"testing/quick"
 	"time"
@@ -393,7 +394,7 @@ func mkSeg(msn, mo, msgLen uint32, last bool, payload []byte) *Segment {
 	return &Segment{QN: QNSend, MSN: msn, MO: mo, MsgLen: msgLen, Last: last, Payload: payload}
 }
 
-var src = transport.Addr{Node: "peer", Port: 1}
+var src = netip.MustParseAddrPort("10.0.0.2:1")
 
 func TestReassemblerOutOfOrder(t *testing.T) {
 	r := NewReassembler(0)
@@ -424,7 +425,7 @@ func TestReassemblerDuplicateAbsorbed(t *testing.T) {
 
 func TestReassemblerIndependentPeers(t *testing.T) {
 	r := NewReassembler(0)
-	src2 := transport.Addr{Node: "other", Port: 2}
+	src2 := netip.MustParseAddrPort("10.0.0.3:2")
 	r.Add(src, mkSeg(1, 0, 8, false, []byte("aaaa")))
 	r.Add(src2, mkSeg(1, 0, 8, false, []byte("bbbb")))
 	if r.Pending() != 2 {

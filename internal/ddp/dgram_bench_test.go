@@ -2,6 +2,7 @@ package ddp
 
 import (
 	"fmt"
+	"net/netip"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func (d *discardEP) RecvBatch([][]byte, []transport.Addr, time.Duration) (int, e
 func (d *discardEP) Recycle([]byte)                {}
 func (d *discardEP) RecvPoolStats() (int64, int64) { return 0, 0 }
 
-func (d *discardEP) LocalAddr() transport.Addr { return transport.Addr{Node: "bench", Port: 1} }
+func (d *discardEP) LocalAddr() transport.Addr { return netip.MustParseAddrPort("10.0.0.1:1") }
 func (d *discardEP) MaxDatagram() int          { return d.maxDgram }
 func (d *discardEP) PathMTU() int              { return transport.DefaultMTU }
 func (d *discardEP) Close() error              { return nil }
@@ -79,7 +80,7 @@ func BenchmarkUDSendPath(b *testing.B) {
 				}
 				ch := NewDatagramChannel(ep)
 				vec := nio.VecOf(make([]byte, size))
-				to := transport.Addr{Node: "peer", Port: 2}
+				to := netip.MustParseAddrPort("10.0.0.2:2")
 				b.SetBytes(int64(size))
 				b.ResetTimer()
 				for b.Loop() {
@@ -99,7 +100,7 @@ func BenchmarkUDSendPathParallel(b *testing.B) {
 	const size = 64 << 10
 	ep := &discardBatchEP{discardEP{maxDgram: transport.MaxDatagramSize}}
 	ch := NewDatagramChannel(ep)
-	to := transport.Addr{Node: "peer", Port: 2}
+	to := netip.MustParseAddrPort("10.0.0.2:2")
 	b.SetBytes(size)
 	b.RunParallel(func(pb *testing.PB) {
 		vec := nio.VecOf(make([]byte, size))

@@ -2,6 +2,7 @@ package ddp
 
 import (
 	"fmt"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -57,11 +58,11 @@ func (r *replayEP) Recv(timeout time.Duration) ([]byte, transport.Addr, error) {
 	r.mu.Lock()
 	buf := r.next()
 	r.mu.Unlock()
-	return buf, transport.Addr{Node: "peer", Port: 9}, nil
+	return buf, netip.MustParseAddrPort("10.0.0.2:9"), nil
 }
 
 func (r *replayEP) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout time.Duration) (int, error) {
-	from := transport.Addr{Node: "peer", Port: 9}
+	from := netip.MustParseAddrPort("10.0.0.2:9")
 	r.mu.Lock()
 	for i := range pkts {
 		pkts[i] = r.next()

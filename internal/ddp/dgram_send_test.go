@@ -1,6 +1,7 @@
 package ddp
 
 import (
+	"net/netip"
 	"testing"
 
 	"repro/internal/nio"
@@ -13,7 +14,7 @@ import (
 // steady state, the acceptance bar for the pooled datapath — over an LLP
 // that takes the burst whole and over one that loops SendTo (rudp's shape).
 func TestSendPathAllocFree(t *testing.T) {
-	to := transport.Addr{Node: "peer", Port: 2}
+	to := netip.MustParseAddrPort("10.0.0.2:2")
 	for _, batch := range []bool{true, false} {
 		name := "batch"
 		var ep transport.Datagram
@@ -49,7 +50,7 @@ func TestSendPathAllocFree(t *testing.T) {
 func TestSendStatsCounters(t *testing.T) {
 	ep := &discardBatchEP{discardEP{maxDgram: transport.MaxDatagramSize}}
 	ch := NewDatagramChannel(ep)
-	to := transport.Addr{Node: "peer", Port: 2}
+	to := netip.MustParseAddrPort("10.0.0.2:2")
 	vec := nio.VecOf(make([]byte, 256<<10)) // 5 segments per message (max payload 65485)
 	for i := 0; i < 5; i++ {
 		if err := ch.SendUntagged(to, QNSend, uint32(i), 0, vec); err != nil {

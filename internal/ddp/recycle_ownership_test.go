@@ -1,6 +1,7 @@
 package ddp
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -27,7 +28,7 @@ func (s *scriptedEP) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
 	return len(pkts), nil
 }
 func (s *scriptedEP) RecvPoolStats() (int64, int64) { return 0, 0 }
-func (s *scriptedEP) LocalAddr() transport.Addr     { return transport.Addr{Node: "stub", Port: 1} }
+func (s *scriptedEP) LocalAddr() transport.Addr     { return netip.MustParseAddrPort("10.0.0.1:1") }
 func (s *scriptedEP) MaxDatagram() int              { return 65507 }
 func (s *scriptedEP) PathMTU() int                  { return 1500 }
 func (s *scriptedEP) Close() error                  { return nil }
@@ -39,7 +40,7 @@ func (s *scriptedEP) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout ti
 	s.served = true
 	n := copy(pkts, s.burst)
 	for i := 0; i < n; i++ {
-		froms[i] = transport.Addr{Node: "peer", Port: 9}
+		froms[i] = netip.MustParseAddrPort("10.0.0.2:9")
 	}
 	return n, nil
 }

@@ -2,6 +2,7 @@ package faultnet
 
 import (
 	"bytes"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -36,12 +37,12 @@ func (c *captureEP) RecvBatch([][]byte, []transport.Addr, time.Duration) (int, e
 }
 func (c *captureEP) Recycle([]byte)                {}
 func (c *captureEP) RecvPoolStats() (int64, int64) { return 0, 0 }
-func (c *captureEP) LocalAddr() transport.Addr     { return transport.Addr{Node: "inner", Port: 1} }
+func (c *captureEP) LocalAddr() transport.Addr     { return netip.MustParseAddrPort("10.0.0.1:1") }
 func (c *captureEP) MaxDatagram() int              { return transport.MaxDatagramSize }
 func (c *captureEP) PathMTU() int                  { return transport.DefaultMTU }
 func (c *captureEP) Close() error                  { return nil }
 
-var peer = transport.Addr{Node: "peer", Port: 7}
+var peer = netip.MustParseAddrPort("10.0.0.2:7")
 
 // driveScript pushes a fixed single-goroutine schedule through a fresh
 // Endpoint and returns the wire transcript plus the decision log.
@@ -130,7 +131,7 @@ func TestGEBurstLoss(t *testing.T) {
 func TestPartitionAndHeal(t *testing.T) {
 	inner := &captureEP{}
 	ep := Wrap(inner, Config{Seed: 1})
-	other := transport.Addr{Node: "other", Port: 8}
+	other := netip.MustParseAddrPort("10.0.0.3:8")
 	ep.PartitionTo(peer)
 	ep.SendTo([]byte("to-peer"), peer)   // swallowed
 	ep.SendTo([]byte("to-other"), other) // unaffected

@@ -119,13 +119,6 @@ const (
 
 func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
 
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = fnvByte(h, s[i])
-	}
-	return h
-}
-
 func fnvU64(h uint64, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h = fnvByte(h, byte(v>>(8*i)))
@@ -138,8 +131,10 @@ func (l *Log) append(op Op, peer transport.Addr, n int, arg uint32) {
 	l.total++
 	ev := Event{Seq: l.total, Op: op, Peer: peer, Len: n, Arg: arg}
 	h := fnvByte(l.fp, byte(op))
-	h = fnvString(h, peer.Node)
-	h = fnvU64(h, uint64(peer.Port))
+	for _, b := range peer.Addr().As16() {
+		h = fnvByte(h, b)
+	}
+	h = fnvU64(h, uint64(peer.Port()))
 	h = fnvU64(h, uint64(int64(n)))
 	l.fp = fnvU64(h, uint64(arg))
 	if len(l.events) == l.cap {

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"fmt"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func (d *discardEP) RecvBatch(_ [][]byte, _ []transport.Addr, timeout time.Durat
 func (d *discardEP) Recycle([]byte)                {}
 func (d *discardEP) RecvPoolStats() (int64, int64) { return 0, 0 }
 
-func (d *discardEP) LocalAddr() transport.Addr { return transport.Addr{Node: "bench", Port: 1} }
+func (d *discardEP) LocalAddr() transport.Addr { return netip.MustParseAddrPort("10.0.0.1:1") }
 func (d *discardEP) MaxDatagram() int          { return transport.MaxDatagramSize }
 func (d *discardEP) PathMTU() int              { return transport.DefaultMTU }
 func (d *discardEP) Close() error              { close(d.done); return nil }
@@ -60,7 +61,7 @@ func TestEagerSendAllocFree(t *testing.T) {
 	}
 	defer e.Close()
 
-	to := transport.Addr{Node: "peer", Port: 2}
+	to := netip.MustParseAddrPort("10.0.0.2:2")
 	payload := make([]byte, 4096)
 	for i := 0; i < 8; i++ { // warm hdr/vec/segment pools
 		if err := e.Send(to, payload); err != nil {

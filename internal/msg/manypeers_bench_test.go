@@ -2,7 +2,7 @@ package msg
 
 import (
 	"fmt"
-	"strconv"
+	"net/netip"
 	"sync/atomic"
 	"testing"
 
@@ -30,7 +30,7 @@ func BenchmarkMsgManyPeers(b *testing.B) {
 			defer e.Close()
 			addrs := make([]transport.Addr, peers)
 			for i := range addrs {
-				addrs[i] = transport.Addr{Node: "peer" + strconv.Itoa(i), Port: uint16(i%60000) + 1}
+				addrs[i] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}), uint16(i%60000)+1)
 			}
 			payload := make([]byte, 512)
 			var next atomic.Uint64

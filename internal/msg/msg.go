@@ -404,7 +404,7 @@ func Open(ep transport.Datagram, cfg Config) (*Endpoint, error) {
 		hdrPool:   nio.NewPool(HeaderLen),
 		sinks:     newSinkPool(),
 		rxBufs:    make(map[uint64][]byte, cfg.RecvDepth),
-		peers:     peertab.New[transport.Addr, peer](hashAddr, peertab.Options{}),
+		peers:     peertab.New[transport.Addr, peer](peertab.HashAddr, peertab.Options{}),
 		inbound:   peertab.New[inKey, *inboundRdv](hashInKey, peertab.Options{}),
 		byStag:    peertab.New[memreg.STag, *inboundRdv](hashSTag, peertab.Options{}),
 		m:         getMetrics(),
@@ -481,14 +481,7 @@ func (e *Endpoint) BufOutstanding() int64 {
 	return e.rxPool.Outstanding() + e.hdrPool.Outstanding() + e.sinks.outstanding()
 }
 
-// hashAddr mirrors rudp's address hash so one peer lands on the same shard
-// index at every layer of the stack.
-func hashAddr(a transport.Addr) uint32 {
-	h := peertab.HashString(peertab.Seed(), a.Node)
-	return peertab.HashUint32(h, uint32(a.Port))
-}
-
-func hashInKey(k inKey) uint32 { return peertab.HashUint32(hashAddr(k.from), k.id) }
+func hashInKey(k inKey) uint32 { return peertab.HashUint32(peertab.HashAddr(k.from), k.id) }
 
 func hashSTag(s memreg.STag) uint32 { return peertab.HashUint32(peertab.Seed(), uint32(s)) }
 

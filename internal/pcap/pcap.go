@@ -8,9 +8,10 @@
 //
 // Traffic is re-encapsulated: datagrams as Ethernet/IPv4/UDP frames, stream
 // chunks as Ethernet/IPv4/TCP segments with a synthetic handshake and
-// tracked sequence numbers. transport.Addr nodes that parse as IPv4 keep
-// their address; symbolic simnet nodes ("a", "b", "mcast") map
-// deterministically into 10.0.0.0/8 so two-node captures stay legible.
+// tracked sequence numbers. An IPv4 transport.Addr keeps its address (simnet
+// gives its named nodes 10.0.0.0/8 addresses, so captures of them are
+// legible as they are); an IPv6 one, which the IPv4 encapsulation cannot
+// carry, is recorded by its low 32 bits.
 //
 // All pcap integers are written big-endian with the standard magic; pcap
 // readers detect byte order from the magic, and the tree's wire-format
@@ -20,9 +21,7 @@ package pcap
 import (
 	"bufio"
 	"encoding/binary"
-	"hash/fnv"
 	"io"
-	"net"
 	"sync"
 	"time"
 
@@ -111,18 +110,11 @@ func (pw *Writer) Close() error {
 	return pw.err
 }
 
-// ipFor maps a transport node name to an IPv4 address: parseable v4
-// addresses pass through; anything else hashes into 10.0.0.0/8.
-func ipFor(node string) [4]byte {
-	if ip := net.ParseIP(node); ip != nil {
-		if v4 := ip.To4(); v4 != nil {
-			return [4]byte(v4)
-		}
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(node)) // fnv's Write cannot fail
-	s := h.Sum32()
-	return [4]byte{10, byte(s >> 16), byte(s >> 8), byte(s)}
+// ipv4Of is an address as the capture's IPv4 header carries it: the
+// low 32 bits of its 16-byte form, which for an IPv4 address is the address.
+func ipv4Of(a transport.Addr) [4]byte {
+	b := a.Addr().As16()
+	return [4]byte(b[12:])
 }
 
 // onesComplement computes the RFC 1071 internet checksum of b.
@@ -150,7 +142,7 @@ func (pw *Writer) writeFrame(src, dst transport.Addr, proto byte, seq, ack uint3
 	if pw.err != nil {
 		return
 	}
-	sip, dip := ipFor(src.Node), ipFor(dst.Node)
+	sip, dip := ipv4Of(src), ipv4Of(dst)
 	l4len := udpHdrLen
 	if proto == 6 {
 		l4len = tcpHdrLen
@@ -180,8 +172,8 @@ func (pw *Writer) writeFrame(src, dst transport.Addr, proto byte, seq, ack uint3
 
 	// Transport header.
 	l4 := ip[ipv4HdrLen:]
-	binary.BigEndian.PutUint16(l4[0:], src.Port)
-	binary.BigEndian.PutUint16(l4[2:], dst.Port)
+	binary.BigEndian.PutUint16(l4[0:], src.Port())
+	binary.BigEndian.PutUint16(l4[2:], dst.Port())
 	if proto == 17 {
 		binary.BigEndian.PutUint16(l4[4:], uint16(udpHdrLen+len(payload)))
 		binary.BigEndian.PutUint16(l4[6:], 0) // UDP checksum 0: "not computed"
@@ -275,7 +267,7 @@ func TapDatagram(inner transport.Datagram, pw *Writer) *DatagramTap {
 
 // sentOne captures and counts one datagram the inner endpoint accepted.
 // local is the inner endpoint's address, looked up once per call into the
-// tap (a kernel endpoint renders it afresh each time).
+// tap.
 func (t *DatagramTap) sentOne(local transport.Addr, p []byte, to transport.Addr) {
 	t.pw.writeFrame(local, to, 17, 0, 0, 0, p)
 	t.sent.Inc()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -126,8 +127,8 @@ func TestDatagramTapPcap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := transport.Addr{Node: "10.1.2.3", Port: 4660}
-	dst := transport.Addr{Node: "pcap-test-peer", Port: 9}
+	src := netip.MustParseAddrPort("10.1.2.3:4660")
+	dst := netip.MustParseAddrPort("[2001:db8::10.20.30.40]:9")
 	tap := TapDatagram(&fakeDgram{local: src}, pw)
 
 	payloads := [][]byte{[]byte("alpha"), []byte("bee"), make([]byte, 1200)}
@@ -171,16 +172,19 @@ func TestDatagramTapPcap(t *testing.T) {
 	if cs := onesComplement(ip[:20]); cs != 0 {
 		t.Fatalf("IPv4 header checksum residue %#x, want 0", cs)
 	}
-	// src parses as a literal IPv4 address and must pass through.
+	// An IPv4 address passes through; an IPv6 one is its low 32 bits.
 	if !bytes.Equal(ip[12:16], []byte{10, 1, 2, 3}) {
 		t.Fatalf("src IP = %v, want 10.1.2.3", ip[12:16])
 	}
-	udp := ip[20:]
-	if sp := binary.BigEndian.Uint16(udp[0:]); sp != src.Port {
-		t.Fatalf("UDP src port = %d, want %d", sp, src.Port)
+	if !bytes.Equal(ip[16:20], []byte{10, 20, 30, 40}) {
+		t.Fatalf("dst IP = %v, want 10.20.30.40", ip[16:20])
 	}
-	if dp := binary.BigEndian.Uint16(udp[2:]); dp != dst.Port {
-		t.Fatalf("UDP dst port = %d, want %d", dp, dst.Port)
+	udp := ip[20:]
+	if sp := binary.BigEndian.Uint16(udp[0:]); sp != src.Port() {
+		t.Fatalf("UDP src port = %d, want %d", sp, src.Port())
+	}
+	if dp := binary.BigEndian.Uint16(udp[2:]); dp != dst.Port() {
+		t.Fatalf("UDP dst port = %d, want %d", dp, dst.Port())
 	}
 	if ul := binary.BigEndian.Uint16(udp[4:]); int(ul) != 8+len(payloads[0]) {
 		t.Fatalf("UDP length = %d, want %d", ul, 8+len(payloads[0]))
@@ -197,8 +201,8 @@ func TestStreamTapPcap(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := &fakeStream{
-		l: transport.Addr{Node: "pcap-test-l", Port: 1},
-		r: transport.Addr{Node: "pcap-test-r", Port: 2},
+		l: netip.MustParseAddrPort("10.0.0.1:1"),
+		r: netip.MustParseAddrPort("10.0.0.2:2"),
 	}
 	tap := TapStream(inner, pw)
 	msg := []byte("stream chunk")
@@ -252,11 +256,11 @@ func TestPcapWriterStickyError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := TapDatagram(&fakeDgram{local: transport.Addr{Node: "x", Port: 1}}, pw)
+	tap := TapDatagram(&fakeDgram{local: netip.MustParseAddrPort("10.0.0.1:1")}, pw)
 	// The datapath must not fail even though the capture sink does; the
 	// header fits the bufio buffer, so the error surfaces on Close's flush.
 	for i := 0; i < 10; i++ {
-		if err := tap.SendTo(make([]byte, 60000), transport.Addr{Node: "y", Port: 2}); err != nil {
+		if err := tap.SendTo(make([]byte, 60000), netip.MustParseAddrPort("10.0.0.2:2")); err != nil {
 			t.Fatalf("tap leaked sink error into datapath: %v", err)
 		}
 	}

@@ -123,6 +123,7 @@ type Table[K comparable, V any] struct {
 	mask   uint32
 	cap    int
 	len    atomic.Int64
+	empty  *map[K]*Entry[K, V] // the one empty snapshot every stripe starts from
 
 	occupancy *telemetry.Gauge   // diwarp_peertab_occupancy
 	shardMax  *telemetry.Gauge   // diwarp_peertab_shard_max
@@ -156,8 +157,9 @@ func New[K comparable, V any](hash func(K) uint32, opts Options) *Table[K, V] {
 		rejected:  telemetry.Default.Counter("diwarp_peertab_admission_rejects_total"),
 	}
 	empty := make(map[K]*Entry[K, V])
+	t.empty = &empty
 	for i := range t.shards {
-		t.shards[i].snap.Store(&empty)
+		t.shards[i].snap.Store(t.empty)
 	}
 	return t
 }
@@ -305,14 +307,22 @@ func (t *Table[K, V]) remove(e *Entry[K, V]) {
 	if old[e.Key] != e {
 		return
 	}
-	next := make(map[K]*Entry[K, V], len(old)-1)
-	for kk, vv := range old {
-		if vv != e {
-			next[kk] = vv
+	// A stripe emptied by this removal goes back to the shared empty
+	// snapshot (snapshots are immutable, so sharing is safe): per-message
+	// tables — one entry inserted and evicted per message — then allocate
+	// only on insert.
+	next := t.empty
+	if len(old) > 1 {
+		m := make(map[K]*Entry[K, V], len(old)-1)
+		for kk, vv := range old {
+			if vv != e {
+				m[kk] = vv
+			}
 		}
+		next = &m
 	}
-	s.snap.Store(&next)
-	s.count.Store(int64(len(next)))
+	s.snap.Store(next)
+	s.count.Store(int64(len(*next)))
 	t.len.Add(-1)
 	t.occupancy.Add(-1)
 	t.updateImbalance()

@@ -3,6 +3,7 @@ package peertab
 import (
 	"errors"
 	"fmt"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,9 +16,16 @@ type testVal struct {
 }
 
 func newTestTable(opts Options) *Table[string, testVal] {
-	return New[string, testVal](func(k string) uint32 {
-		return HashString(Seed(), k)
-	}, opts)
+	return New[string, testVal](hashString, opts)
+}
+
+// hashString stripes the tests' string-keyed tables: FNV-1a by hand.
+func hashString(k string) uint32 {
+	h := Seed()
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint32(k[i])) * fnvPrime
+	}
+	return h
 }
 
 func TestGetOrCreateAndGet(t *testing.T) {
@@ -294,5 +302,38 @@ func TestHammerCapacity(t *testing.T) {
 	wg.Wait()
 	if n := tab.Len(); n > cap+4 /* Shards-1 slack */ {
 		t.Fatalf("occupancy %d blew past capacity %d + shard slack", n, cap)
+	}
+}
+
+// TestHashAddr pins the one peer hash: an IPv4 address hashes the same
+// through its fast path as its 4-in-6 spelling does through the 16-byte
+// one, consecutive hosts and ports spread evenly over the stripes, and a
+// hash costs no allocation.
+func TestHashAddr(t *testing.T) {
+	v4 := netip.MustParseAddrPort("10.1.2.3:4791")
+	mapped := netip.AddrPortFrom(netip.AddrFrom16(v4.Addr().As16()), v4.Port())
+	if mapped.Addr().Is4() || HashAddr(v4) != HashAddr(mapped) {
+		t.Fatalf("HashAddr(%v) = %#x but HashAddr(%v) = %#x", v4, HashAddr(v4), mapped, HashAddr(mapped))
+	}
+	if HashAddr(v4) == HashAddr(netip.AddrPortFrom(v4.Addr(), v4.Port()+1)) {
+		t.Fatal("the port does not reach the hash")
+	}
+	const stripes, hosts, ports = 64, 256, 16
+	var load [stripes]int
+	for h := 0; h < hosts; h++ {
+		for p := 0; p < ports; p++ {
+			ap := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, byte(h >> 8), byte(h)}), uint16(49152+p))
+			load[HashAddr(ap)%stripes]++
+		}
+	}
+	mean := hosts * ports / stripes
+	for i, n := range load {
+		if n < mean/2 || n > mean*2 {
+			t.Fatalf("stripe %d holds %d of %d addresses (mean %d): %v", i, n, hosts*ports, mean, load)
+		}
+	}
+	v6 := netip.MustParseAddrPort("[2001:db8::1]:80")
+	if n := testing.AllocsPerRun(100, func() { HashAddr(v4); HashAddr(v6) }); n != 0 {
+		t.Fatalf("HashAddr allocates %.1f times", n)
 	}
 }

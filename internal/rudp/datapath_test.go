@@ -49,8 +49,8 @@ func dataBurst(epoch byte, first uint32, n int, size int) [][]byte {
 // run of same-source packets.
 func TestOneAckPerBurst(t *testing.T) {
 	net := newMemNet()
-	x, y := net.open("x"), net.open("y")
-	ib := net.open("b")
+	x, y := net.open(), net.open()
+	ib := net.open()
 	b := New(ib)
 	defer b.Close()
 	defer x.Close()
@@ -102,7 +102,7 @@ func TestOneAckPerBurst(t *testing.T) {
 // none.
 func TestLossInferredFromSackContent(t *testing.T) {
 	net := newMemNet()
-	ia, raw := net.open("a"), net.open("raw")
+	ia, raw := net.open(), net.open()
 	a := New(ia)
 	defer a.Close()
 	defer raw.Close()
@@ -177,7 +177,7 @@ func TestLossInferredFromSackContent(t *testing.T) {
 // reordered when the consumer finally drains.
 func TestAcksLeaveBeforeDeliveryWhenQueueFull(t *testing.T) {
 	net := newMemNet()
-	raw, ib := net.open("raw"), net.open("b")
+	raw, ib := net.open(), net.open()
 	b := New(ib)
 	defer b.Close()
 	defer raw.Close()
@@ -235,7 +235,7 @@ func TestInnerPoolBalanced(t *testing.T) {
 	const size = memBuf / 2 // ≥ a quarter of the buffer: handed up uncopied
 	open := func(t *testing.T, cfg Config) (*memNet, *memEP, *memEP, *Endpoint) {
 		net := newMemNet()
-		raw, ib := net.open("raw"), net.open("b")
+		raw, ib := net.open(), net.open()
 		b := NewConfig(ib, cfg)
 		t.Cleanup(func() { b.Close(); raw.Close() })
 		return net, raw, ib, b
@@ -342,7 +342,7 @@ func TestInnerPoolBalanced(t *testing.T) {
 // its one exact-size copy, and the big buffer does not travel with it.
 func TestSteadyStateAllocFree(t *testing.T) {
 	net := newMemNet()
-	ia, ib := net.open("a"), net.open("b")
+	ia, ib := net.open(), net.open()
 	a, b := New(ia), New(ib)
 	defer a.Close()
 	defer b.Close()
@@ -394,7 +394,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 // SendBatch call per window stretch, not one call per datagram.
 func TestSendBatchReachesInnerAsBatch(t *testing.T) {
 	net := newMemNet()
-	ia, ib := net.open("a"), net.open("b")
+	ia, ib := net.open(), net.open()
 	cb := &countingBatches{Datagram: ia}
 	a, b := New(cb), New(ib)
 	defer a.Close()

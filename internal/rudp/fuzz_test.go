@@ -36,8 +36,8 @@ func FuzzRudpFrame(f *testing.F) {
 	// pushed through the receive path by hand, as one datagram from a
 	// stranger whose queue then shows exactly what the endpoint answered.
 	net := newMemNet()
-	stranger := net.open("stranger")
-	e := newEndpoint(net.open("b"), Config{})
+	stranger := net.open()
+	e := newEndpoint(net.open(), Config{})
 	f.Cleanup(func() { e.Close(); stranger.Close() })
 	rx := &rxBurst{}
 	f.Fuzz(func(t *testing.T, p []byte) {

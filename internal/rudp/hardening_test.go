@@ -172,7 +172,7 @@ func TestCorruptedHeadersDropped(t *testing.T) {
 // own counter, not both the CRC one.
 func TestRuntsCountedApartFromCRCFailures(t *testing.T) {
 	net := newMemNet()
-	x, ib := net.open("x"), net.open("b")
+	x, ib := net.open(), net.open()
 	b := New(ib)
 	defer b.Close()
 	defer x.Close()

@@ -3,7 +3,7 @@ package rudp
 import (
 	"errors"
 	"fmt"
-	"strconv"
+	"net/netip"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -100,7 +100,7 @@ func (s *ackStub) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout time.
 func (s *ackStub) Recycle([]byte)                {}
 func (s *ackStub) RecvPoolStats() (int64, int64) { return 0, 0 }
 
-func (s *ackStub) LocalAddr() transport.Addr { return transport.Addr{Node: "ackstub"} }
+func (s *ackStub) LocalAddr() transport.Addr { return netip.MustParseAddrPort("10.0.0.1:1") }
 
 // MaxDatagram is kept small so the endpoint's wire-buffer pool deals in
 // 2KB buffers: the benchmark sends 32-byte payloads, and 64KB size-class
@@ -135,7 +135,7 @@ func BenchmarkRudpManyPeers(b *testing.B) {
 			defer e.Close()
 			addrs := make([]transport.Addr, peers)
 			for i := range addrs {
-				addrs[i] = transport.Addr{Node: "peer" + strconv.Itoa(i), Port: uint16(i%60000) + 1}
+				addrs[i] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}), uint16(i%60000)+1)
 			}
 			payload := make([]byte, 32)
 			var next atomic.Uint64

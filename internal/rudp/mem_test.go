@@ -1,6 +1,7 @@
 package rudp
 
 import (
+	"net/netip"
 	"sync"
 	"time"
 
@@ -49,15 +50,17 @@ type memEP struct {
 
 func newMemNet() *memNet { return &memNet{eps: make(map[transport.Addr]*memEP)} }
 
-func (n *memNet) open(node string) *memEP {
+// open attaches a new endpoint at the next address: 10.0.0.1:1,
+// 10.0.0.2:1, … in opening order.
+func (n *memNet) open() *memEP {
 	e := &memEP{
 		net:   n,
-		addr:  transport.Addr{Node: node, Port: 1},
 		pool:  nio.NewPool(memBuf),
 		avail: make(chan struct{}, 1),
 		done:  make(chan struct{}),
 	}
 	n.mu.Lock()
+	e.addr = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, byte(len(n.eps) + 1)}), 1)
 	n.eps[e.addr] = e
 	n.mu.Unlock()
 	return e

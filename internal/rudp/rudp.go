@@ -419,13 +419,6 @@ type pending struct {
 	refs     atomic.Int32
 }
 
-// hashAddr is the table's shard hash: FNV-1a over the address, the same
-// discipline (and therefore the same spread) as the core placement workers.
-func hashAddr(a transport.Addr) uint32 {
-	h := peertab.HashString(peertab.Seed(), a.Node)
-	return peertab.HashUint32(h, uint32(a.Port))
-}
-
 // New wraps inner with reliability using default Config. The Endpoint owns
 // inner and closes it.
 func New(inner transport.Datagram) *Endpoint { return NewConfig(inner, Config{}) }
@@ -448,7 +441,7 @@ func newEndpoint(inner transport.Datagram, cfg Config) *Endpoint {
 		cfg:     cfg,
 		pool:    nio.NewPool(inner.MaxDatagram()),
 		scratch: sync.Pool{New: func() any { return new(sendScratch) }},
-		tab: peertab.New[transport.Addr, peerState](hashAddr, peertab.Options{
+		tab: peertab.New[transport.Addr, peerState](peertab.HashAddr, peertab.Options{
 			Shards:   cfg.Shards,
 			Capacity: cfg.MaxPeers,
 		}),

@@ -9,22 +9,35 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
 func pair(t *testing.T, cfg simnet.Config) (*Endpoint, *Endpoint) {
+	return faultPair(t, cfg, nil)
+}
+
+// faultPair is pair with faultnet between each endpoint and the wire, for
+// the impairments simnet does not model; the two directions draw from
+// different seeds.
+func faultPair(t *testing.T, cfg simnet.Config, fault *faultnet.Config) (*Endpoint, *Endpoint) {
 	t.Helper()
 	n := simnet.New(cfg)
-	ia, err := n.OpenDatagram("a", 0)
-	if err != nil {
-		t.Fatal(err)
+	var inner [2]transport.Datagram
+	for i, node := range []string{"a", "b"} {
+		ep, err := n.OpenDatagram(node, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner[i] = ep
+		if fault != nil {
+			fc := *fault
+			fc.Seed += int64(i)
+			inner[i] = faultnet.Wrap(ep, fc)
+		}
 	}
-	ib, err := n.OpenDatagram("b", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := New(ia), New(ib)
+	a, b := New(inner[0]), New(inner[1])
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
 }
@@ -91,7 +104,7 @@ func TestDeliveryUnderHeavyLoss(t *testing.T) {
 }
 
 func TestDeliveryUnderReorderAndDup(t *testing.T) {
-	a, b := pair(t, simnet.Config{ReorderRate: 0.4, DupRate: 0.3, Seed: 5})
+	a, b := faultPair(t, simnet.Config{}, &faultnet.Config{ReorderRate: 0.4, DupRate: 0.3, Seed: 5})
 	const count = 100
 	go func() {
 		for i := 0; i < count; i++ {

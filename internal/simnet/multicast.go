@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"net/netip"
 	"sync"
 
 	"repro/internal/transport"
@@ -21,16 +22,12 @@ import (
 // precisely the scalability argument: one send, N deliveries, zero
 // connections.
 
-// McastNode is the node-name prefix identifying group addresses.
-const McastNode = "mcast"
-
-// GroupAddr builds the address of multicast group n.
+// GroupAddr builds the address of multicast group n: the administratively
+// scoped IPv4 group 239.0.n/16, port n. Any IP multicast address names a
+// group; this is a convenient numbering of them.
 func GroupAddr(n uint16) transport.Addr {
-	return transport.Addr{Node: McastNode, Port: n}
+	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{239, 0, byte(n >> 8), byte(n)}), n)
 }
-
-// IsGroupAddr reports whether a is a multicast group address.
-func IsGroupAddr(a transport.Addr) bool { return a.Node == McastNode }
 
 type mcastState struct {
 	mu     sync.Mutex
@@ -46,7 +43,7 @@ func (n *Network) mcast() *mcastState {
 
 // Join subscribes ep to multicast group addr (created on first join).
 func (n *Network) Join(group transport.Addr, ep *DatagramEndpoint) error {
-	if !IsGroupAddr(group) {
+	if !group.Addr().IsMulticast() {
 		return fmt.Errorf("simnet: %s is not a multicast group address", group)
 	}
 	m := n.mcast()

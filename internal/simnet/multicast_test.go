@@ -120,10 +120,10 @@ func TestJoinRejectsUnicastAddr(t *testing.T) {
 	if err := n.Join(a.LocalAddr(), a); err == nil {
 		t.Fatal("joined a unicast address")
 	}
-	if IsGroupAddr(a.LocalAddr()) {
+	if a.LocalAddr().Addr().IsMulticast() {
 		t.Fatal("unicast addr classified as group")
 	}
-	if !IsGroupAddr(GroupAddr(9)) {
-		t.Fatal("group addr not classified")
+	if !GroupAddr(9).Addr().IsMulticast() || GroupAddr(9) == GroupAddr(10) {
+		t.Fatal("group addrs must be distinct IP multicast addresses")
 	}
 }

@@ -4,20 +4,24 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/faultnet"
 )
 
-// TestDupLegBufferIndependence pins the pool-ownership contract of the
-// duplication leg: the duplicate of a datagram must be carried in its own
-// pooled buffer, so a receiver that consumes and recycles the first copy —
-// whose storage is then immediately reissued to a new send — cannot see the
-// second copy's bytes change underneath it. A shared buffer here is exactly
-// the double-delivery corruption the chaos harness's dup schedules target.
+// TestDupLegBufferIndependence pins the pool-ownership contract under
+// duplication: faultnet hands the wire the same caller buffer twice, and
+// each delivery must be carried in its own pooled buffer, so a receiver that
+// consumes and recycles the first copy — whose storage is then immediately
+// reissued to a new send — cannot see the second copy's bytes change
+// underneath it. A shared buffer here is exactly the double-delivery
+// corruption the chaos harness's dup schedules target.
 func TestDupLegBufferIndependence(t *testing.T) {
-	n := New(Config{DupRate: 1.0, Seed: 7})
-	a, err := n.OpenDatagram("a", 0)
+	n := New(Config{})
+	raw, err := n.OpenDatagram("a", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := faultnet.Wrap(raw, faultnet.Config{DupRate: 1.0, Seed: 7})
 	b, err := n.OpenDatagram("b", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -72,11 +76,12 @@ func TestPktBufBalanceAtQuiesce(t *testing.T) {
 	gets0, puts0 := PktBufBalance()
 	held0 := gets0 - puts0
 
-	n := New(Config{DupRate: 0.5, Seed: 3})
-	a, err := n.OpenDatagram("a", 0)
+	n := New(Config{})
+	raw, err := n.OpenDatagram("a", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := faultnet.Wrap(raw, faultnet.Config{DupRate: 0.5, Seed: 3})
 	b, err := n.OpenDatagram("b", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +95,7 @@ func TestPktBufBalanceAtQuiesce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	delivered := int64(n.Counters().DatagramsSent + n.Counters().DatagramsDup)
+	delivered := n.Counters().DatagramsSent // every copy faultnet sent crossed the wire
 	for i := int64(0); i < delivered; i++ {
 		p, _, err := b.Recv(time.Second)
 		if err != nil {
@@ -102,5 +107,17 @@ func TestPktBufBalanceAtQuiesce(t *testing.T) {
 	if held := gets1 - puts1; held != held0 {
 		t.Fatalf("pool balance drifted: %d buffers outstanding before, %d after a fully-recycled run",
 			held0, held)
+	}
+}
+
+// TestPktBufRoundTripAllocFree: a packet buffer taken from and handed back
+// to either size class costs no allocation — the pools hold the arrays'
+// own pointers, so a Put boxes nothing.
+func TestPktBufRoundTripAllocFree(t *testing.T) {
+	for _, n := range []int{100, smallPktBuf + 1} {
+		putPktBuf(getPktBuf(n)) // warm the class
+		if allocs := testing.AllocsPerRun(100, func() { putPktBuf(getPktBuf(n)) }); allocs != 0 {
+			t.Errorf("%d-byte buffer: get+put allocates %.1f times, want 0", n, allocs)
+		}
 	}
 }

@@ -23,15 +23,15 @@ const (
 // chaos harness can assert the gets == puts balance at quiesce.
 var pktBufGets, pktBufMisses, pktBufPuts atomic.Int64
 
+// The pools hold pointers to the arrays themselves, not to slice headers: a
+// buffer goes back as its own array pointer, so a Put boxes nothing.
 var smallPool = sync.Pool{New: func() any {
 	pktBufMisses.Add(1)
-	b := make([]byte, smallPktBuf)
-	return &b
+	return new([smallPktBuf]byte)
 }}
 var largePool = sync.Pool{New: func() any {
 	pktBufMisses.Add(1)
-	b := make([]byte, largePktBuf)
-	return &b
+	return new([largePktBuf]byte)
 }}
 
 // getPktBuf returns a buffer of length n backed by a pooled array when n
@@ -42,9 +42,9 @@ func getPktBuf(n int) []byte {
 	pktBufGets.Add(1)
 	switch {
 	case n <= smallPktBuf:
-		return (*smallPool.Get().(*[]byte))[:n]
+		return smallPool.Get().(*[smallPktBuf]byte)[:n]
 	case n <= largePktBuf:
-		return (*largePool.Get().(*[]byte))[:n]
+		return largePool.Get().(*[largePktBuf]byte)[:n]
 	default:
 		pktBufMisses.Add(1)
 		return make([]byte, n)
@@ -57,12 +57,10 @@ func putPktBuf(p []byte) {
 	switch cap(p) {
 	case smallPktBuf:
 		pktBufPuts.Add(1)
-		p = p[:smallPktBuf]
-		smallPool.Put(&p)
+		smallPool.Put((*[smallPktBuf]byte)(p[:smallPktBuf]))
 	case largePktBuf:
 		pktBufPuts.Add(1)
-		p = p[:largePktBuf]
-		largePool.Put(&p)
+		largePool.Put((*[largePktBuf]byte)(p[:largePktBuf]))
 	}
 }
 

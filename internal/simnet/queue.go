@@ -7,17 +7,15 @@ import (
 	"repro/internal/transport"
 )
 
-// packet is one datagram in flight. early asks the destination queue to
-// insert it one position ahead of the tail: adjacent-packet reordering.
+// packet is one datagram in flight.
 type packet struct {
 	payload []byte
 	from    transport.Addr
-	early   bool
 }
 
 // queue is a bounded FIFO of packets supporting blocking put with
-// backpressure, timed get, reorder-insertion, and close. It is the receive
-// queue of a simulated socket.
+// backpressure, timed get, and close. It is the receive queue of a
+// simulated socket.
 //
 // The live packets are q[head:]. The backing array is kept across drains —
 // a drained queue resets to q[:0] — and the live packets slide to the front
@@ -53,10 +51,9 @@ func pulse(ch chan struct{}) {
 // put appends a burst of packets under one lock acquisition per stretch of
 // free space, blocking while the queue is full, and returns the number
 // enqueued: a whole segmented message costs one (or a few, under
-// backpressure) lock round-trips instead of one per packet. A packet marked
-// early, arriving at a non-empty queue, goes in one position ahead of the
-// tail. Packets not enqueued because the queue closed are recycled here,
-// and the error is transport.ErrClosed.
+// backpressure) lock round-trips instead of one per packet. Packets not
+// enqueued because the queue closed are recycled here, and the error is
+// transport.ErrClosed.
 func (q *queue) put(pkts []packet) (int, error) {
 	i := 0
 	for i < len(pkts) {
@@ -70,9 +67,6 @@ func (q *queue) put(pkts []packet) (int, error) {
 		}
 		for i < len(pkts) && q.size() < q.cap {
 			q.push(pkts[i])
-			if last := len(q.q) - 1; pkts[i].early && last > q.head {
-				q.q[last], q.q[last-1] = q.q[last-1], q.q[last]
-			}
 			i++
 		}
 		q.mu.Unlock()

@@ -7,19 +7,19 @@ import (
 	"repro/internal/transport"
 )
 
+// queued lists the queue's packets by name, head first.
 func queued(q *queue) []string {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var s []string
 	for _, pk := range q.q[q.head:] {
-		s = append(s, pk.from.Node)
+		s = append(s, string(pk.payload))
 	}
 	return s
 }
 
-func pkt(node string, early bool) packet {
-	return packet{from: transport.Addr{Node: node}, early: early}
-}
+// pkt is a packet whose payload is its name.
+func pkt(name string) packet { return packet{payload: []byte(name)} }
 
 // TestQueueBurstCycleAllocFree: a queue that is never quite drained, fed
 // and drained in steady bursts, reuses one backing array — the head index
@@ -53,9 +53,9 @@ func TestQueueBurstCycleAllocFree(t *testing.T) {
 	}
 }
 
-// TestQueueOrderAcrossReuse: FIFO order, early insertion one ahead of the
-// tail, and the capacity bound all hold while the head index is advanced
-// and when the live packets slide to the front of the backing array.
+// TestQueueOrderAcrossReuse: FIFO order and the capacity bound both hold
+// while the head index is advanced and when the live packets slide to the
+// front of the backing array.
 func TestQueueOrderAcrossReuse(t *testing.T) {
 	q := newQueue(4)
 	pkts, froms := make([][]byte, 4), make([]transport.Addr, 4)
@@ -71,24 +71,24 @@ func TestQueueOrderAcrossReuse(t *testing.T) {
 			t.Fatalf("queued %v, want %v", got, s)
 		}
 	}
-	put(pkt("a", false), pkt("b", false), pkt("c", false))
-	if n, _ := q.pop(pkts[:2], froms); n != 2 || froms[0].Node != "a" || froms[1].Node != "b" {
-		t.Fatalf("popped %d %v, want a b", n, froms[:n])
+	put(pkt("a"), pkt("b"), pkt("c"))
+	if n, _ := q.pop(pkts[:2], froms); n != 2 || string(pkts[0]) != "a" || string(pkts[1]) != "b" {
+		t.Fatalf("popped %d %q, want a b", n, pkts[:n])
 	}
-	put(pkt("d", true)) // early, head advanced: lands ahead of c
-	want("d", "c")
-	put(pkt("e", false), pkt("f", false)) // reuses the drained prefix: d c slide to the front
-	want("d", "c", "e", "f")
-	q.putDrop(pkt("g", false)) // at the bound: dropped
-	want("d", "c", "e", "f")
+	put(pkt("d")) // head advanced: appended behind c
+	want("c", "d")
+	put(pkt("e"), pkt("f")) // reuses the drained prefix: c d slide to the front
+	want("c", "d", "e", "f")
+	q.putDrop(pkt("g")) // at the bound: dropped
+	want("c", "d", "e", "f")
 	if n, _ := q.pop(pkts, froms); n != 4 {
 		t.Fatalf("popped %d, want 4", n)
 	}
-	put(pkt("h", true)) // early into a drained queue: nothing to jump
+	put(pkt("h"))
 	want("h")
 	q.close()
-	if n, err := q.pop(pkts, froms); n != 1 || err != nil || froms[0].Node != "h" {
-		t.Fatalf("after close popped %d %v %v, want h", n, froms[:n], err)
+	if n, err := q.pop(pkts, froms); n != 1 || err != nil || string(pkts[0]) != "h" {
+		t.Fatalf("after close popped %d %q %v, want h", n, pkts[:n], err)
 	}
 	if _, err := q.pop(pkts, froms); err != transport.ErrClosed {
 		t.Fatalf("drained closed queue: %v, want ErrClosed", err)

@@ -12,11 +12,20 @@
 //     the cliff in Figures 7 and 8;
 //   - a 64 KB maximum datagram: messages beyond it need several datagrams,
 //     which is where Write-Record's partial placement starts to win;
-//   - independent Bernoulli loss per fragment at a configurable rate, plus
-//     optional reordering and duplication (datagram mode only — streams are
-//     reliable and ordered, like TCP);
+//   - independent Bernoulli loss per fragment at a configurable rate
+//     (datagram mode only — streams are reliable and ordered, like TCP);
+//   - an optional one-way latency;
 //   - bounded receive queues with sender backpressure, like loopback socket
 //     buffers.
+//
+// That is the whole wire model: topology, MTU and fragmentation, latency
+// and queues. Every other impairment — reordering, duplication, corruption,
+// congestion marks, partitions — is faultnet's, wrapped around an endpoint.
+//
+// Endpoints are named by node: a node name that parses as an IP address is
+// that address, and any other name is given the next free address in
+// 10.0.0.0/8 in first-use order, so a run's addresses are deterministic and
+// every endpoint's transport.Addr is a real socket address.
 //
 // All randomness is drawn from a single seeded source, so every experiment
 // is reproducible.
@@ -25,6 +34,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,20 +51,6 @@ type Config struct {
 	MaxDatagram int
 	// LossRate is the per-fragment drop probability in [0, 1).
 	LossRate float64
-	// ReorderRate is the probability a datagram is delivered behind the
-	// next one.
-	ReorderRate float64
-	// DupRate is the probability a datagram is delivered twice.
-	DupRate float64
-	// MarkRate is the probability a datagram is stamped with a congestion
-	// mark by Marker — the simulated analogue of an ECN-capable switch
-	// marking instead of dropping. No-op unless Marker is set.
-	MarkRate float64
-	// Marker rewrites a datagram in place to carry a congestion signal and
-	// reports whether it applied (rudp.MarkCongestion marks DATA frames and
-	// re-stamps their CRC; non-markable packets pass unchanged). It is
-	// called on the simulator's own pooled copy, never the caller's buffer.
-	Marker func(p []byte) bool
 	// Latency is an optional one-way delivery delay.
 	Latency time.Duration
 	// QueueLen bounds each endpoint's receive queue in packets
@@ -63,7 +59,7 @@ type Config struct {
 	// StreamBufSize sets each direction's stream buffering in bytes
 	// (default DefaultStreamBufSize) — the simulated SO_SNDBUF/SO_RCVBUF.
 	StreamBufSize int
-	// Seed seeds the loss/reorder/duplication RNG (default 1).
+	// Seed seeds the loss RNG (default 1).
 	Seed int64
 }
 
@@ -89,44 +85,41 @@ func (c Config) withDefaults() Config {
 // DatagramsLost their sum, so experiments can attribute loss instead of
 // guessing.
 type Counters struct {
-	DatagramsSent    int64
-	DatagramsLost    int64
-	LostLoss         int64 // Bernoulli wire loss (unicast legs)
-	LostLatency      int64 // latency-delayed packet found its destination closed
-	LostMcast        int64 // multicast legs lost (wire loss or closed member)
-	DatagramsDup     int64
-	DatagramsReorder int64
-	DatagramsMarked  int64 // congestion marks applied by Config.Marker
-	FragmentsSent    int64
-	BytesSent        int64
+	DatagramsSent int64
+	DatagramsLost int64
+	LostLoss      int64 // Bernoulli wire loss (unicast legs)
+	LostLatency   int64 // latency-delayed packet found its destination closed
+	LostMcast     int64 // multicast legs lost (wire loss or closed member)
+	FragmentsSent int64
+	BytesSent     int64
 }
 
 // Network is a simulated network segment. All endpoints opened on it can
-// exchange traffic; the Config's impairments apply to datagram traffic.
+// exchange traffic; the Config's loss and latency apply to datagram
+// traffic.
 type Network struct {
 	cfg Config
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	lossMicro    atomic.Int64 // LossRate * 1e6, runtime-adjustable
-	reorderMicro atomic.Int64
-	dupMicro     atomic.Int64
-	markMicro    atomic.Int64
+	lossMicro atomic.Int64 // LossRate * 1e6, runtime-adjustable
 
 	mu        sync.Mutex
 	dgram     map[transport.Addr]*DatagramEndpoint
 	listeners map[transport.Addr]*listener
-	nextPort  map[string]uint16
+	nextPort  map[netip.Addr]uint16
+	names     map[string]netip.Addr // interned node names
+	hosts     map[netip.Addr]bool   // every address a node holds
+	lastHost  uint32                // last 10.0.0.0/8 host number handed out
 
 	mcastOnce   sync.Once
 	mcastGroups *mcastState
 
 	// Traffic counters are telemetry-registry handles (DESIGN.md §4.6),
 	// with loss accounted per cause.
-	sent, dup, reorder, frags, bytes *telemetry.Counter
+	sent, frags, bytes               *telemetry.Counter
 	lostLoss, lostLatency, lostMcast *telemetry.Counter
-	marked                           *telemetry.Counter
 }
 
 // New creates a network with the given configuration.
@@ -137,21 +130,17 @@ func New(cfg Config) *Network {
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		dgram:     make(map[transport.Addr]*DatagramEndpoint),
 		listeners: make(map[transport.Addr]*listener),
-		nextPort:  make(map[string]uint16),
+		nextPort:  make(map[netip.Addr]uint16),
+		names:     make(map[string]netip.Addr),
+		hosts:     make(map[netip.Addr]bool),
 	}
 	n.lossMicro.Store(int64(cfg.LossRate * 1e6))
-	n.reorderMicro.Store(int64(cfg.ReorderRate * 1e6))
-	n.dupMicro.Store(int64(cfg.DupRate * 1e6))
-	n.markMicro.Store(int64(cfg.MarkRate * 1e6))
 	n.sent = telemetry.Default.Counter("diwarp_simnet_datagrams_sent_total")
-	n.dup = telemetry.Default.Counter("diwarp_simnet_dup_total")
-	n.reorder = telemetry.Default.Counter("diwarp_simnet_reorder_total")
 	n.frags = telemetry.Default.Counter("diwarp_simnet_fragments_total")
 	n.bytes = telemetry.Default.Counter("diwarp_simnet_bytes_sent_total")
 	n.lostLoss = telemetry.Default.Counter("diwarp_simnet_drop_loss_total")
 	n.lostLatency = telemetry.Default.Counter("diwarp_simnet_drop_latency_total")
 	n.lostMcast = telemetry.Default.Counter("diwarp_simnet_drop_mcast_total")
-	n.marked = telemetry.Default.Counter("diwarp_simnet_marked_total")
 	return n
 }
 
@@ -159,43 +148,17 @@ func New(cfg Config) *Network {
 // benchmark harness sweeps it the way the paper swept tc/netem rates.
 func (n *Network) SetLossRate(p float64) { n.lossMicro.Store(int64(p * 1e6)) }
 
-// SetReorderRate changes the reorder probability at runtime.
-func (n *Network) SetReorderRate(p float64) { n.reorderMicro.Store(int64(p * 1e6)) }
-
-// SetDupRate changes the duplication probability at runtime.
-func (n *Network) SetDupRate(p float64) { n.dupMicro.Store(int64(p * 1e6)) }
-
-// SetMarkRate changes the congestion-mark probability at runtime; the
-// goodput harness ramps it the way a switch's RED/ECN threshold engages as
-// its queue fills.
-func (n *Network) SetMarkRate(p float64) { n.markMicro.Store(int64(p * 1e6)) }
-
-// maybeMark stamps the simulator-owned buffer with Config.Marker at the
-// configured rate. Called only on pooled copies: the marker rewrites bytes
-// (flag bit + CRC trailer), which must never touch a caller's buffer.
-func (n *Network) maybeMark(buf []byte) {
-	if n.cfg.Marker == nil || !n.chance(n.markMicro.Load()) {
-		return
-	}
-	if n.cfg.Marker(buf) {
-		n.marked.Inc()
-	}
-}
-
 // Counters returns a snapshot of traffic statistics.
 func (n *Network) Counters() Counters {
 	loss, lat, mc := n.lostLoss.Load(), n.lostLatency.Load(), n.lostMcast.Load()
 	return Counters{
-		DatagramsSent:    n.sent.Load(),
-		DatagramsLost:    loss + lat + mc,
-		LostLoss:         loss,
-		LostLatency:      lat,
-		LostMcast:        mc,
-		DatagramsDup:     n.dup.Load(),
-		DatagramsReorder: n.reorder.Load(),
-		DatagramsMarked:  n.marked.Load(),
-		FragmentsSent:    n.frags.Load(),
-		BytesSent:        n.bytes.Load(),
+		DatagramsSent: n.sent.Load(),
+		DatagramsLost: loss + lat + mc,
+		LostLoss:      loss,
+		LostLatency:   lat,
+		LostMcast:     mc,
+		FragmentsSent: n.frags.Load(),
+		BytesSent:     n.bytes.Load(),
 	}
 }
 
@@ -213,8 +176,37 @@ func (n *Network) chance(micro int64) bool {
 	return v < micro
 }
 
-func (n *Network) allocPort(node string) uint16 {
-	p, ok := n.nextPort[node]
+// host interns a node name; the caller holds mu. A name that parses as an
+// IP address is that address; any other name is given the next address in
+// 10.0.0.0/8 that no node holds yet, in first-use order.
+func (n *Network) host(node string) netip.Addr {
+	if ip, err := netip.ParseAddr(node); err == nil {
+		ip = ip.Unmap()
+		n.hosts[ip] = true
+		return ip
+	}
+	if ip, ok := n.names[node]; ok {
+		return ip
+	}
+	for {
+		n.lastHost++
+		ip := netip.AddrFrom4([4]byte{10, byte(n.lastHost >> 16), byte(n.lastHost >> 8), byte(n.lastHost)})
+		if !n.hosts[ip] {
+			n.names[node] = ip
+			n.hosts[ip] = true
+			return ip
+		}
+	}
+}
+
+// bind returns node's address on port, allocating a free ephemeral port
+// for port 0; the caller holds mu.
+func (n *Network) bind(node string, port uint16) transport.Addr {
+	ip := n.host(node)
+	if port != 0 {
+		return netip.AddrPortFrom(ip, port)
+	}
+	p, ok := n.nextPort[ip]
 	if !ok {
 		p = 49152
 	}
@@ -223,15 +215,15 @@ func (n *Network) allocPort(node string) uint16 {
 		if p == 0 {
 			p = 49153
 		}
-		a := transport.Addr{Node: node, Port: p}
+		a := netip.AddrPortFrom(ip, p)
 		if _, used := n.dgram[a]; used {
 			continue
 		}
 		if _, used := n.listeners[a]; used {
 			continue
 		}
-		n.nextPort[node] = p
-		return p
+		n.nextPort[ip] = p
+		return a
 	}
 }
 
@@ -252,10 +244,7 @@ func (n *Network) fragments(sz int) int {
 func (n *Network) OpenDatagram(node string, port uint16) (*DatagramEndpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if port == 0 {
-		port = n.allocPort(node)
-	}
-	addr := transport.Addr{Node: node, Port: port}
+	addr := n.bind(node, port)
 	if _, used := n.dgram[addr]; used {
 		return nil, fmt.Errorf("simnet: address %s already bound", addr)
 	}
@@ -313,7 +302,7 @@ func (e *DatagramEndpoint) SendBatch(pkts [][]byte, to transport.Addr) (int, err
 			return 0, transport.ErrTooLarge
 		}
 	}
-	if IsGroupAddr(to) {
+	if to.Addr().IsMulticast() {
 		for _, dst := range nw.members(to) {
 			if dst != e {
 				e.sendLeg(dst, pkts, true) //diwarp:ignore errflow: a multicast leg cannot fail: deliver counts a departed member as a drop
@@ -347,8 +336,7 @@ func (e *DatagramEndpoint) sendLeg(dst *DatagramEndpoint, pkts [][]byte, mcast b
 	var err error
 	for i, p := range pkts {
 		wire = nw.transmit(wire, p, e.addr, dst.addr, mcast)
-		// One datagram stages at most two packets (itself and a duplicate).
-		if i+1 < len(pkts) && len(wire)+2 <= cap(wire) {
+		if i+1 < len(pkts) && len(wire) < cap(wire) {
 			continue
 		}
 		err = nw.deliver(dst, wire, mcast)
@@ -363,11 +351,9 @@ func (e *DatagramEndpoint) sendLeg(dst *DatagramEndpoint, pkts [][]byte, mcast b
 	return sent, err
 }
 
-// transmit runs one datagram over one leg of the wire and appends what
-// reaches the far end — nothing, the datagram, or the datagram and its
-// duplicate — to wire. This is the only place the loss, mark, reorder and
-// duplication models are drawn: SendTo, SendBatch and every multicast leg
-// come through here.
+// transmit runs one datagram over one leg of the wire and appends it to
+// wire if it reaches the far end. This is the only place the loss model is
+// drawn: SendTo, SendBatch and every multicast leg come through here.
 func (n *Network) transmit(wire []packet, p []byte, from, to transport.Addr, mcast bool) []packet {
 	n.sent.Inc()
 	n.bytes.Add(int64(len(p)))
@@ -382,24 +368,11 @@ func (n *Network) transmit(wire []packet, p []byte, from, to transport.Addr, mca
 			return wire // silently dropped, like a real lossy network
 		}
 	}
-	for copies := 1; ; copies++ {
-		// Every copy gets its own buffer — the caller's is never retained,
-		// and the receiver may recycle the first copy's storage before
-		// consuming the second — and its own mark and reorder draws: each
-		// wire traversal meets the queue anew.
-		buf := getPktBuf(len(p))
-		copy(buf, p)
-		n.maybeMark(buf)
-		early := n.chance(n.reorderMicro.Load())
-		if early {
-			n.reorder.Inc()
-		}
-		wire = append(wire, packet{payload: buf, from: from, early: early})
-		if copies == 2 || !n.chance(n.dupMicro.Load()) {
-			return wire
-		}
-		n.dup.Inc()
-	}
+	// The far end gets the network's own copy: the caller's buffer is
+	// never retained.
+	buf := getPktBuf(len(p))
+	copy(buf, p)
+	return append(wire, packet{payload: buf, from: from})
 }
 
 // dropped accounts one datagram lost on a leg toward to, by cause.

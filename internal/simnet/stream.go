@@ -273,10 +273,7 @@ var _ transport.Listener = (*listener)(nil)
 func (n *Network) Listen(node string, port uint16) (transport.Listener, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if port == 0 {
-		port = n.allocPort(node)
-	}
-	addr := transport.Addr{Node: node, Port: port}
+	addr := n.bind(node, port)
 	if _, used := n.listeners[addr]; used {
 		return nil, fmt.Errorf("simnet: address %s already listening", addr)
 	}
@@ -318,7 +315,7 @@ func (n *Network) Dial(node string, to transport.Addr) (transport.Stream, error)
 	l, ok := n.listeners[to]
 	var local transport.Addr
 	if ok {
-		local = transport.Addr{Node: node, Port: n.allocPort(node)}
+		local = n.bind(node, 0)
 	}
 	n.mu.Unlock()
 	if !ok {

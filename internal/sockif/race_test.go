@@ -76,7 +76,7 @@ func TestConnectPublishesUnderLock(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if cli.Peer().IsZero() {
+	if !cli.Peer().IsValid() {
 		t.Fatal("peer not published after Connect")
 	}
 }

@@ -279,7 +279,7 @@ func (s *Socket) Connect(to transport.Addr) error {
 // into the peer's ring instead of using send/recv.
 func (s *Socket) EnableWriteRecord(timeout time.Duration) error {
 	s.mu.Lock()
-	if s.typ != DatagramSocket || s.peer.IsZero() {
+	if s.typ != DatagramSocket || !s.peer.IsValid() {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: EnableWriteRecord needs a connected datagram socket", ErrBadSocket)
 	}
@@ -412,7 +412,7 @@ func (s *Socket) Send(p []byte) error {
 		s.mu.Lock()
 		peer := s.peer
 		s.mu.Unlock()
-		if peer.IsZero() {
+		if !peer.IsValid() {
 			return ErrNotConnected
 		}
 		return s.SendTo(p, peer)

@@ -28,8 +28,8 @@ func TestDatagramSendToRecvFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sb.Close()
-	if sb.LocalAddr().Port != 5060 {
-		t.Fatalf("bound port %d", sb.LocalAddr().Port)
+	if sb.LocalAddr().Port() != 5060 {
+		t.Fatalf("bound port %d", sb.LocalAddr().Port())
 	}
 
 	msg := []byte("datagram through the shim")

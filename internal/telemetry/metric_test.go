@@ -100,6 +100,37 @@ func TestRegistryAggregatesHandles(t *testing.T) {
 	}
 }
 
+// TestValidName pins the metric-name grammar [a-zA-Z_:][a-zA-Z0-9_:]*
+// class by class.
+func TestValidName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"", false},
+		{"a", true},
+		{"Z", true},
+		{"_", true},
+		{":", true},
+		{"9", false},
+		{"9lives", false},
+		{"a9", true},
+		{"diwarp_rudp_cc_cwnd", true},
+		{"job:diwarp_bytes:rate5m", true},
+		{"__private", true},
+		{"bad name", false},
+		{"bad-name", false},
+		{"bad.name", false},
+		{"bad!", false},
+		{"métrique", false},
+		{"a\x00b", false},
+	} {
+		if got := validName(c.name); got != c.ok {
+			t.Errorf("validName(%q) = %v, want %v", c.name, got, c.ok)
+		}
+	}
+}
+
 func TestRegistryRejectsBadName(t *testing.T) {
 	defer func() {
 		if recover() == nil {

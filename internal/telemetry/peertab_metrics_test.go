@@ -1,9 +1,9 @@
 package telemetry_test
 
 import (
-	"fmt"
 	"io"
 	"net/http"
+	"net/netip"
 	"testing"
 
 	"repro/internal/peertab"
@@ -17,20 +17,20 @@ import (
 // and an admission reject so every counter moves, then refreshes the
 // imbalance gauges via Stats.
 func TestPeertabMetricNames(t *testing.T) {
-	tab := peertab.New[string, int](
-		func(k string) uint32 { return peertab.HashString(peertab.Seed(), k) },
-		peertab.Options{Shards: 4, Capacity: 8},
-	)
+	tab := peertab.New[netip.AddrPort, int](peertab.HashAddr, peertab.Options{Shards: 4, Capacity: 8})
+	peer := func(i int) netip.AddrPort {
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}), 7000)
+	}
 	for i := 0; i < 8; i++ {
-		if _, _, err := tab.GetOrCreate(fmt.Sprintf("peer-%d", i), nil); err != nil {
+		if _, _, err := tab.GetOrCreate(peer(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Table full: one more admission must reject and count.
-	if _, _, err := tab.GetOrCreate("peer-overflow", nil); err == nil {
+	if _, _, err := tab.GetOrCreate(peer(8), nil); err == nil {
 		t.Fatal("admission past capacity succeeded")
 	}
-	if tab.Evict("peer-0") == nil {
+	if tab.Evict(peer(0)) == nil {
 		t.Fatal("evict of a live peer failed")
 	}
 	tab.Stats() // refresh the shard max/min gauges

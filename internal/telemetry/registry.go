@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 	"sync"
 )
@@ -11,10 +10,6 @@ import (
 // into; cmd/iwarpd exposes it over HTTP and cmd/iwarpbench prints it after
 // a run. Tests that need isolation construct their own [NewRegistry].
 var Default = NewRegistry()
-
-// nameRE is the Prometheus metric-name grammar; names are validated at
-// registration (cold path) so exposition never emits an unscrapable line.
-var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
 // Registry is a set of named metrics. Each call to Counter/Gauge/Histogram
 // creates a NEW handle registered under the name: components keep their
@@ -42,9 +37,24 @@ func NewRegistry() *Registry {
 // component construction, so a typo fails fast in any test that builds the
 // component rather than surfacing as a half-broken scrape in production.
 func checkName(name string) {
-	if !nameRE.MatchString(name) {
+	if !validName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
+}
+
+// validName reports whether name fits the Prometheus metric-name grammar,
+// [a-zA-Z_:][a-zA-Z0-9_:]*, so exposition never emits an unscrapable line.
+func validName(name string) bool {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		switch {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '_', c == ':':
+		case '0' <= c && c <= '9' && i > 0:
+		default:
+			return false
+		}
+	}
+	return name != ""
 }
 
 // Counter registers and returns a new counter handle under name.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/rudp"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
@@ -14,17 +15,12 @@ import (
 
 // TestRudpCCMetricNames pins the congestion-control metric names in the
 // Prometheus exposition: dashboards and alerts key on these strings, so a
-// rename must fail a test, not a production scrape. A lossy, ECN-marking
-// simnet run must move the mark/decrease counters, the ACK counter and the
-// receive-burst histogram, and leave a positive cwnd gauge; the remaining
-// cc series must at least be present.
+// rename must fail a test, not a production scrape. A lossy simnet run with
+// faultnet ECN-marking the data path must move the mark/decrease counters,
+// the ACK counter and the receive-burst histogram, and leave a positive
+// cwnd gauge; the remaining cc series must at least be present.
 func TestRudpCCMetricNames(t *testing.T) {
-	nw := simnet.New(simnet.Config{
-		LossRate: 0.15,
-		Seed:     99,
-		MarkRate: 0.5,
-		Marker:   rudp.MarkCongestion,
-	})
+	nw := simnet.New(simnet.Config{LossRate: 0.15, Seed: 99})
 	ia, err := nw.OpenDatagram("a", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +29,8 @@ func TestRudpCCMetricNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := rudp.New(ia), rudp.New(ib)
+	marking := faultnet.Wrap(ia, faultnet.Config{Seed: 99, MarkRate: 0.5, Marker: rudp.MarkCongestion})
+	a, b := rudp.New(marking), rudp.New(ib)
 	defer a.Close()
 	defer b.Close()
 
@@ -76,7 +73,7 @@ func TestRudpCCMetricNames(t *testing.T) {
 		"diwarp_rudp_cc_cwnd",
 		"diwarp_rudp_cc_ecn_marks_total",
 		"diwarp_rudp_cc_md_events_total",
-		"diwarp_simnet_marked_total",
+		"faultnet_marks_total",
 		"diwarp_rudp_acks_sent_total",
 		"diwarp_rudp_recv_burst_datagrams_count",
 		"diwarp_rudp_recv_burst_datagrams_sum",

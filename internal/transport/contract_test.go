@@ -18,9 +18,11 @@ import (
 // seam is one way to stand up a connected pair of transport.Datagram
 // endpoints. Assigning to the interface is itself the compile-time half of
 // the contract: every LLP and every decorator carries the whole seam.
+// allocFree seams must also send without allocating.
 type seam struct {
-	name string
-	open func(t *testing.T) (a, b transport.Datagram)
+	name      string
+	open      func(t *testing.T) (a, b transport.Datagram)
+	allocFree bool
 }
 
 func simPair(t *testing.T) (a, b *simnet.DatagramEndpoint) {
@@ -37,13 +39,13 @@ func simPair(t *testing.T) (a, b *simnet.DatagramEndpoint) {
 	return a, b
 }
 
-func udpSeam(mode transport.UDPBatchMode) func(*testing.T) (a, b transport.Datagram) {
+func udpSeam(host string, mode transport.UDPBatchMode) func(*testing.T) (a, b transport.Datagram) {
 	return func(t *testing.T) (transport.Datagram, transport.Datagram) {
-		a, err := transport.ListenUDPMode("127.0.0.1", 0, mode)
+		a, err := transport.ListenUDPMode(host, 0, mode)
 		if err != nil {
-			t.Skipf("no loopback UDP: %v", err)
+			t.Skipf("no UDP on %s: %v", host, err)
 		}
-		b, err := transport.ListenUDPMode("127.0.0.1", 0, mode)
+		b, err := transport.ListenUDPMode(host, 0, mode)
 		if err != nil {
 			a.Close()
 			t.Fatal(err)
@@ -56,18 +58,19 @@ var seams = []seam{
 	{"simnet", func(t *testing.T) (transport.Datagram, transport.Datagram) {
 		a, b := simPair(t)
 		return a, b
-	}},
-	{"udp-auto", udpSeam(transport.BatchAuto)},
-	{"udp-mmsg", udpSeam(transport.BatchMmsg)},
-	{"udp-portable", udpSeam(transport.BatchPortable)},
+	}, false},
+	{"udp-auto", udpSeam("127.0.0.1", transport.BatchAuto), true},
+	{"udp-mmsg", udpSeam("127.0.0.1", transport.BatchMmsg), true},
+	{"udp-portable", udpSeam("127.0.0.1", transport.BatchPortable), true},
+	{"udp-ipv6", udpSeam("::1", transport.BatchAuto), true},
 	{"rudp", func(t *testing.T) (transport.Datagram, transport.Datagram) {
 		a, b := simPair(t)
 		return rudp.New(a), rudp.New(b)
-	}},
+	}, false},
 	{"faultnet", func(t *testing.T) (transport.Datagram, transport.Datagram) {
 		a, b := simPair(t)
 		return faultnet.Wrap(a, faultnet.Config{}), faultnet.Wrap(b, faultnet.Config{})
-	}},
+	}, false},
 	{"pcap-tap", func(t *testing.T) (transport.Datagram, transport.Datagram) {
 		a, b := simPair(t)
 		pw, err := pcap.NewWriter(io.Discard)
@@ -75,7 +78,7 @@ var seams = []seam{
 			t.Fatal(err)
 		}
 		return pcap.TapDatagram(a, pw), pcap.TapDatagram(b, pw)
-	}},
+	}, false},
 }
 
 // wait bounds every receive the contract expects to succeed; a call that
@@ -161,6 +164,18 @@ func TestDatagramContract(t *testing.T) {
 				t.Fatalf("Recv = %q, %v, %v", p, from, err)
 			}
 
+			// An address is a value: the reported source is the sender's
+			// own LocalAddr, and a reply sent to it arrives back, from b.
+			reply := []byte("reply to the reported source")
+			if err := b.SendTo(reply, from); err != nil {
+				t.Fatalf("reply to %v: %v", from, err)
+			}
+			r, rfrom, err := a.Recv(wait)
+			if err != nil || !bytes.Equal(r, reply) || rfrom != to {
+				t.Fatalf("reply = %q from %v, %v; want %q from %v", r, rfrom, err, reply, to)
+			}
+			a.Recycle(r)
+
 			// Recycle takes back what was received and shrugs off what was
 			// not; the pool counters only ever grow.
 			h0, m0 := b.RecvPoolStats()
@@ -205,6 +220,28 @@ func TestDatagramContract(t *testing.T) {
 			}
 			if h1, m1 := b.RecvPoolStats(); h1-h0 < rounds/2 {
 				t.Fatalf("%d recycled receives: %d pool hits, %d misses; recycled buffers are not being reused", rounds, h1-h0, m1-m0)
+			}
+
+			// Sending costs no allocation where the seam promises it: no
+			// per-call parsing, resolution or rendering of the destination.
+			// What it sent is drained again before the close check below.
+			if s.allocFree {
+				burst := [][]byte{kib, kib, kib, kib}
+				if n := testing.AllocsPerRun(50, func() { a.SendTo(kib, to) }); n != 0 {
+					t.Errorf("SendTo allocates %.1f times per call, want 0", n)
+				}
+				if n := testing.AllocsPerRun(50, func() { a.SendBatch(burst, to) }); n != 0 {
+					t.Errorf("SendBatch allocates %.1f times per burst, want 0", n)
+				}
+				for {
+					n, err := b.RecvBatch(pkts, froms, 50*time.Millisecond)
+					if err != nil {
+						break
+					}
+					for _, p := range pkts[:n] {
+						b.Recycle(p)
+					}
+				}
 			}
 
 			// Close wakes a blocked receive with ErrClosed, and later

@@ -13,15 +13,11 @@ func (s *tcpStream) Read(p []byte) (int, error)  { return s.conn.Read(p) }
 func (s *tcpStream) Write(p []byte) (int, error) { return s.conn.Write(p) }
 func (s *tcpStream) Close() error                { return s.conn.Close() }
 
-func (s *tcpStream) LocalAddr() Addr {
-	a := s.conn.LocalAddr().(*net.TCPAddr)
-	return Addr{Node: a.IP.String(), Port: uint16(a.Port)}
-}
+func (s *tcpStream) LocalAddr() Addr  { return tcpAddr(s.conn.LocalAddr()) }
+func (s *tcpStream) RemoteAddr() Addr { return tcpAddr(s.conn.RemoteAddr()) }
 
-func (s *tcpStream) RemoteAddr() Addr {
-	a := s.conn.RemoteAddr().(*net.TCPAddr)
-	return Addr{Node: a.IP.String(), Port: uint16(a.Port)}
-}
+// tcpAddr is a kernel TCP socket address as an Addr.
+func tcpAddr(a net.Addr) Addr { return unmap(a.(*net.TCPAddr).AddrPort()) }
 
 // tcpListener adapts a kernel TCP listener to the Listener interface.
 type tcpListener struct {
@@ -29,14 +25,13 @@ type tcpListener struct {
 }
 
 // ListenTCP opens a stream listener on host:port for RC-mode iWARP over
-// real TCP (port 0 picks a free port).
+// real TCP (port 0 picks a free port; host "" binds every address).
 func ListenTCP(host string, port uint16) (Listener, error) {
-	ip := net.ParseIP(host)
-	l, err := net.ListenTCP("tcp", &net.TCPAddr{IP: ip, Port: int(port)})
+	l, err := net.Listen("tcp", hostPort(host, port))
 	if err != nil {
 		return nil, err
 	}
-	return &tcpListener{l: l}, nil
+	return &tcpListener{l: l.(*net.TCPListener)}, nil
 }
 
 func (tl *tcpListener) Accept() (Stream, error) {
@@ -50,20 +45,16 @@ func (tl *tcpListener) Accept() (Stream, error) {
 	return &tcpStream{conn: c}, nil
 }
 
-func (tl *tcpListener) Addr() Addr {
-	a := tl.l.Addr().(*net.TCPAddr)
-	return Addr{Node: a.IP.String(), Port: uint16(a.Port)}
-}
+func (tl *tcpListener) Addr() Addr { return tcpAddr(tl.l.Addr()) }
 
 func (tl *tcpListener) Close() error { return tl.l.Close() }
 
 // DialTCP connects a stream to the given address for RC-mode iWARP.
 func DialTCP(to Addr) (Stream, error) {
-	c, err := net.Dial("tcp", to.String())
+	c, err := net.DialTCP("tcp", nil, net.TCPAddrFromAddrPort(to))
 	if err != nil {
 		return nil, err
 	}
-	tc := c.(*net.TCPConn)
-	_ = tc.SetNoDelay(true) //diwarp:ignore errflow: socket-option tuning: the stream works (slower) without it
-	return &tcpStream{conn: tc}, nil
+	_ = c.SetNoDelay(true) //diwarp:ignore errflow: socket-option tuning: the stream works (slower) without it
+	return &tcpStream{conn: c}, nil
 }

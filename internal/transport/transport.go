@@ -12,24 +12,30 @@
 // same per-datagram step.
 //
 // Three interchangeable LLP families implement it, and two decorators
-// (faultnet's fault injector, pcap's wire tap) wrap any of them:
+// (faultnet's fault injector — reordering, duplication, corruption and the
+// rest — and pcap's wire tap) wrap any of them:
 //
 //   - package simnet: an in-process simulated network with configurable MTU,
-//     loss, reordering and duplication (stands in for the testbed + tc/netem
+//     per-fragment loss and latency (stands in for the testbed + tc/netem
 //     loss injection used in the paper's evaluation);
 //   - this package's udp.go / tcp.go: real kernel sockets, used by the
 //     cmd/iwarpd demo daemon and available to all benchmarks;
 //   - package rudp: a reliable-datagram layer (the paper's "reliable UDP"
 //     supplement) stacked on any Datagram.
 //
+// An address is a value: [Addr] is the socket address the kernel already
+// speaks, so no layer parses, renders or caches a peer on the datapath, and
+// the transport keeps no per-address state at all. Every edge that takes an
+// address from the kernel unmaps a 4-in-6 form, so one peer is one Addr.
+//
 // Import direction: transport sits above telemetry (its batch instruments
-// are ordinary registry handles) and peertab (the UDP endpoint's
-// source-address cache is a peertab.Table); neither may import it back.
+// are ordinary registry handles), which may not import it back.
 package transport
 
 import (
 	"errors"
-	"fmt"
+	"net"
+	"net/netip"
 	"time"
 )
 
@@ -60,18 +66,29 @@ const (
 	DefaultMTU = 1500
 )
 
-// Addr identifies an LLP endpoint: a node (hostname or IP text) and a port.
-// It is comparable and usable as a map key, which the UD completion path
-// relies on to report datagram sources back to applications.
-type Addr struct {
-	Node string
-	Port uint16
+// Addr identifies an LLP endpoint: an IP address and a port, the UDP
+// socket address a datagram-iWARP QP names its peer by. It is a comparable
+// value — a map key, hashed as words by peertab.HashAddr — which the UD
+// completion path relies on to report datagram sources back to
+// applications. The zero Addr is invalid (!IsValid()): "no peer".
+type Addr = netip.AddrPort
+
+// ResolveAddr turns "host:port" into an Addr, looking the host up once. It
+// is the edge where names become addresses; nothing below it resolves.
+func ResolveAddr(hostport string) (Addr, error) {
+	ua, err := net.ResolveUDPAddr("udp", hostport)
+	if err != nil {
+		return Addr{}, err
+	}
+	return unmap(ua.AddrPort()), nil
 }
 
-func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.Node, a.Port) }
-
-// IsZero reports whether the address is unset.
-func (a Addr) IsZero() bool { return a.Node == "" && a.Port == 0 }
+// unmap folds an IPv4-mapped IPv6 address (::ffff:a.b.c.d, how a
+// dual-stack socket reports IPv4 peers) to plain IPv4, so the same peer
+// compares equal whichever socket family saw it.
+func unmap(ap netip.AddrPort) Addr {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
 
 // Datagram is a connectionless, message-boundary-preserving LLP endpoint —
 // the service UDP provides. Implementations may silently drop, reorder, or
@@ -101,8 +118,8 @@ type Datagram interface {
 }
 
 // BatchSender is the send half of Datagram: SendBatch transmits a burst of
-// datagrams to one destination, amortizing per-send costs (address
-// resolution, queue locking, sendmmsg) across the batch. It returns the
+// datagrams to one destination, amortizing per-send costs (sockaddr
+// encoding, queue locking, sendmmsg) across the batch. It returns the
 // number of datagrams handed to the network before any error. Loss models
 // and kernel drops do NOT count as errors — handing a datagram to a lossy
 // network succeeds. Implementations must not retain any packet buffer after

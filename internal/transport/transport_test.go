@@ -8,16 +8,28 @@ import (
 	"time"
 )
 
+// TestAddrString pins the edge: ResolveAddr turns text into the value every
+// layer compares, a 4-in-6 spelling lands on the same IPv4 Addr, the value
+// renders back as its text, and the zero Addr is the invalid "no peer".
 func TestAddrString(t *testing.T) {
-	a := Addr{Node: "10.0.0.1", Port: 4096}
+	a, err := ResolveAddr("10.0.0.1:4096")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.String() != "10.0.0.1:4096" {
 		t.Fatalf("got %q", a.String())
 	}
-	if a.IsZero() {
-		t.Fatal("non-zero addr reported zero")
+	if m, err := ResolveAddr("[::ffff:10.0.0.1]:4096"); err != nil || m != a {
+		t.Fatalf("4-in-6 spelling resolved to %v, %v; want %v", m, err, a)
 	}
-	if !(Addr{}).IsZero() {
-		t.Fatal("zero addr not detected")
+	if v6, err := ResolveAddr("[::1]:80"); err != nil || v6.String() != "[::1]:80" {
+		t.Fatalf("IPv6 resolved to %v, %v", v6, err)
+	}
+	if !a.IsValid() || (Addr{}).IsValid() {
+		t.Fatal("validity: a set address must be valid and the zero Addr not")
+	}
+	if _, err := ResolveAddr("10.0.0.1"); err == nil {
+		t.Fatal("an address without a port resolved")
 	}
 }
 
@@ -46,8 +58,8 @@ func TestUDPEndpointRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("got %q", got)
 	}
-	if from.Port != a.LocalAddr().Port {
-		t.Fatalf("from = %v, want port %d", from, a.LocalAddr().Port)
+	if from != a.LocalAddr() {
+		t.Fatalf("from = %v, want %v", from, a.LocalAddr())
 	}
 }
 

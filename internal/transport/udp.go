@@ -2,14 +2,12 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"net"
-	"net/netip"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/nio"
-	"repro/internal/peertab"
 )
 
 // UDPEndpoint adapts a kernel UDP socket to the Datagram interface. It is
@@ -18,10 +16,10 @@ import (
 //
 // The receive path is pooled: buffers come from a per-endpoint nio.Pool
 // rather than a fresh 64 KB allocation per packet, and consumers hand them
-// back through Recycle — the software analogue of a receive ring. Source
-// addresses resolve through a small cache so the per-packet path performs
-// zero allocations in steady state (ReadFromUDP's *net.UDPAddr and
-// IP.String() would otherwise allocate twice per packet).
+// back through Recycle — the software analogue of a receive ring. Sources
+// and destinations are netip.AddrPort values end to end (ReadFromUDPAddrPort,
+// WriteToUDPAddrPort), so the per-packet path performs zero allocations in
+// steady state with no address cache to keep.
 type UDPEndpoint struct {
 	conn *net.UDPConn
 	mtu  int
@@ -37,38 +35,33 @@ type UDPEndpoint struct {
 
 var _ Datagram = (*UDPEndpoint)(nil)
 
-// maxAddrCache bounds the source-address cache (sources) and each kernel
-// endpoint's destination cache; at the bound a cache is reset wholesale (one
-// burst of re-resolution) rather than tracking LRU state on the per-packet
-// path.
-const maxAddrCache = 4096
-
 // aLongTimeAgo is an expired deadline: setting it makes the next read
 // non-blocking, which is how RecvBatch drains a burst after its first
 // (blocking) read.
 var aLongTimeAgo = time.Unix(1, 0)
 
-// ListenUDP binds a UDP endpoint on host:port (port 0 picks a free port).
-// The kernel batch datapath is probed per the DIWARP_UDP_BATCH environment
-// override ("portable", "mmsg", else auto); ListenUDPMode pins it in code.
+// ListenUDP binds a UDP endpoint on host:port (port 0 picks a free port;
+// host "" binds every address). The kernel batch datapath is probed per the
+// DIWARP_UDP_BATCH environment override ("portable", "mmsg", else auto).
 func ListenUDP(host string, port uint16) (*UDPEndpoint, error) {
-	return ListenUDPMode(host, port, envBatchMode())
+	return listenUDPMode(host, port, envBatchMode())
 }
 
-// ListenUDPMode is ListenUDP with the batch-capability probe pinned to
-// mode: BatchAuto probes everything, BatchMmsg forgoes the GSO/GRO
-// offloads, BatchPortable forces the one-syscall-per-datagram loop. Tests
+// hostPort joins a bind host and port into the net package's "host:port".
+func hostPort(host string, port uint16) string {
+	return net.JoinHostPort(host, strconv.Itoa(int(port)))
+}
+
+// listenUDPMode is ListenUDP with the batch-capability probe pinned to
+// mode: batchAuto probes everything, batchMmsg forgoes the GSO/GRO
+// offloads, batchPortable forces the one-syscall-per-datagram loop. Tests
 // use it to run the identical suite over every fallback tier.
-func ListenUDPMode(host string, port uint16, mode UDPBatchMode) (*UDPEndpoint, error) {
-	ip := net.ParseIP(host)
-	if ip == nil && host != "" {
-		addrs, err := net.LookupIP(host)
-		if err != nil || len(addrs) == 0 {
-			return nil, fmt.Errorf("transport: cannot resolve %q: %w", host, err)
-		}
-		ip = addrs[0]
+func listenUDPMode(host string, port uint16, mode batchMode) (*UDPEndpoint, error) {
+	laddr, err := net.ResolveUDPAddr("udp", hostPort(host, port))
+	if err != nil {
+		return nil, err
 	}
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: ip, Port: int(port)})
+	conn, err := net.ListenUDP("udp", laddr)
 	if err != nil {
 		return nil, err
 	}
@@ -97,37 +90,20 @@ func (e *UDPEndpoint) BatchFeatures() BatchFeatures {
 	return e.feats
 }
 
-// resolve maps a transport.Addr to a UDP socket address.
-func resolve(to Addr) (*net.UDPAddr, error) {
-	ip := net.ParseIP(to.Node)
-	if ip == nil {
-		addrs, err := net.LookupIP(to.Node)
-		if err != nil || len(addrs) == 0 {
-			return nil, fmt.Errorf("%w: %s", ErrNoRoute, to)
-		}
-		ip = addrs[0]
-	}
-	return &net.UDPAddr{IP: ip, Port: int(to.Port)}, nil
-}
-
 // SendTo implements Datagram.
 func (e *UDPEndpoint) SendTo(p []byte, to Addr) error {
 	if len(p) > MaxDatagramSize {
 		return ErrTooLarge
 	}
-	ua, err := resolve(to)
-	if err != nil {
-		return err
-	}
-	return e.writeOne(p, ua)
+	return e.writeOne(p, to)
 }
 
-// writeOne is the portable per-datagram send step: one syscall to a
-// resolved destination, under SendTo and the portable SendBatch loop alike.
+// writeOne is the portable per-datagram send step: one syscall, under
+// SendTo and the portable SendBatch loop alike.
 //
 //diwarp:hotpath
-func (e *UDPEndpoint) writeOne(p []byte, ua *net.UDPAddr) error {
-	_, err := e.conn.WriteToUDP(p, ua)
+func (e *UDPEndpoint) writeOne(p []byte, to Addr) error {
+	_, err := e.conn.WriteToUDPAddrPort(p, to)
 	if err != nil && errors.Is(err, net.ErrClosed) {
 		return ErrClosed
 	}
@@ -137,8 +113,7 @@ func (e *UDPEndpoint) writeOne(p []byte, ua *net.UDPAddr) error {
 // SendBatch implements Datagram. With the kernel batch datapath probed
 // in, the burst rides one sendmmsg(2) per mmsgMax chunk — or a single
 // UDP_SEGMENT (GSO) send when every datagram is the same size — instead of
-// one sendto per datagram; otherwise the portable writeBatch loop runs,
-// paying one resolve for the burst.
+// one sendto per datagram; otherwise the portable writeBatch loop runs.
 func (e *UDPEndpoint) SendBatch(pkts [][]byte, to Addr) (int, error) {
 	for _, p := range pkts {
 		if len(p) > MaxDatagramSize {
@@ -148,21 +123,17 @@ func (e *UDPEndpoint) SendBatch(pkts [][]byte, to Addr) (int, error) {
 	if e.kern != nil && e.feats.Sendmmsg {
 		return e.kern.sendBatch(pkts, to)
 	}
-	ua, err := resolve(to)
-	if err != nil {
-		return 0, err
-	}
-	return e.writeBatch(pkts, ua)
+	return e.writeBatch(pkts, to)
 }
 
-// writeBatch transmits a resolved burst one syscall per datagram: the
-// portable fallback behind the sendmmsg path, and the only path on
-// platforms without it.
+// writeBatch transmits a burst one syscall per datagram: the portable
+// fallback behind the sendmmsg path, and the only path on platforms
+// without it.
 //
 //diwarp:hotpath
-func (e *UDPEndpoint) writeBatch(pkts [][]byte, ua *net.UDPAddr) (int, error) {
+func (e *UDPEndpoint) writeBatch(pkts [][]byte, to Addr) (int, error) {
 	for i, p := range pkts {
-		if err := e.writeOne(p, ua); err != nil {
+		if err := e.writeOne(p, to); err != nil {
 			observeBatch(int64(i), int64(i))
 			return i, err
 		}
@@ -183,8 +154,8 @@ func mapRecvErr(err error) error {
 	return err
 }
 
-// readPooled performs one socket read into a pooled buffer and resolves the
-// source through the address cache. The buffer is returned to the pool on
+// readPooled performs one socket read into a pooled buffer, reporting the
+// source as the kernel decoded it. The buffer is returned to the pool on
 // error. This is the per-packet unit both Recv and RecvBatch are built on.
 //
 //diwarp:hotpath
@@ -196,50 +167,7 @@ func (e *UDPEndpoint) readPooled() ([]byte, Addr, error) {
 		e.pool.Put(buf)
 		return nil, Addr{}, mapRecvErr(err)
 	}
-	return buf[:n], cachedAddr(ap), nil
-}
-
-// sources memoizes source-address rendering, keyed by the kernel's socket
-// address: the per-packet hit is a lock-free snapshot lookup, and
-// steady-state receives never re-render an IP. The rendering is a pure
-// function of the socket address, so every endpoint shares one table.
-var sources = peertab.New[netip.AddrPort, Addr](hashSource, peertab.Options{})
-
-// hashSource stripes the source-address cache: FNV-1a over the 16-byte
-// address form and the port.
-//
-//diwarp:hotpath
-func hashSource(ap netip.AddrPort) uint32 {
-	b := ap.Addr().As16()
-	return peertab.HashUint32(peertab.HashBytes(peertab.Seed(), b[:]), uint32(ap.Port()))
-}
-
-// cachedAddr maps a socket address to a transport.Addr, memoizing the
-// string form so steady-state receives never re-render an IP.
-//
-//diwarp:hotpath
-func cachedAddr(ap netip.AddrPort) Addr {
-	// The kernel reports IPv4 peers on a dual-stack socket as 4-in-6
-	// (::ffff:a.b.c.d); unmap so the cached Node matches what resolve()
-	// parses on the send side.
-	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
-	if ent := sources.Get(ap); ent != nil {
-		return ent.V // written before the entry was published, never after
-	}
-	return cachedAddrSlow(ap)
-}
-
-// cachedAddrSlow renders and caches a first-seen source.
-func cachedAddrSlow(ap netip.AddrPort) Addr {
-	if sources.Len() >= maxAddrCache {
-		sources.Clear(nil)
-	}
-	a := Addr{Node: ap.Addr().String(), Port: ap.Port()}
-	ent, _, err := sources.GetOrCreate(ap, func(ent *peertab.Entry[netip.AddrPort, Addr]) { ent.V = a })
-	if err != nil {
-		return a // unreachable without Options.Capacity; the rendering is still right
-	}
-	return ent.V
+	return buf[:n], unmap(ap), nil
 }
 
 // Recv implements Datagram. The returned buffer is pool-backed: the caller
@@ -317,8 +245,7 @@ func (e *UDPEndpoint) RecvPoolStats() (hits, misses int64) { return e.pool.Stats
 
 // LocalAddr implements Datagram.
 func (e *UDPEndpoint) LocalAddr() Addr {
-	a := e.conn.LocalAddr().(*net.UDPAddr)
-	return Addr{Node: a.IP.String(), Port: uint16(a.Port)}
+	return unmap(e.conn.LocalAddr().(*net.UDPAddr).AddrPort())
 }
 
 // MaxDatagram implements Datagram.

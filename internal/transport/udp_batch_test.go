@@ -49,8 +49,8 @@ func TestUDPRecvBatch(t *testing.T) {
 			t.Fatalf("RecvBatch returned %d with nil error", n)
 		}
 		for i := 0; i < n; i++ {
-			if froms[i].Port != a.LocalAddr().Port {
-				t.Fatalf("from = %v, want port %d", froms[i], a.LocalAddr().Port)
+			if froms[i] != a.LocalAddr() {
+				t.Fatalf("from = %v, want %v", froms[i], a.LocalAddr())
 			}
 			seen, ok := sent[string(pkts[i])]
 			if !ok || seen {
@@ -97,11 +97,11 @@ func TestUDPRecvBatchPoolRoundTrip(t *testing.T) {
 }
 
 // TestUDPRecvAllocFree pins the pooled single-datagram receive path at
-// 0 allocs/op in steady state: pooled buffer, cached peer address.
+// 0 allocs/op in steady state: pooled buffer, source as a value.
 func TestUDPRecvAllocFree(t *testing.T) {
 	a, b := udpPair(t)
 	msg := bytes.Repeat([]byte{3}, 1024)
-	// Warm: first receive populates the buffer pool and the address cache.
+	// Warm: first receive populates the buffer pool.
 	for i := 0; i < 4; i++ {
 		if err := a.SendTo(msg, b.LocalAddr()); err != nil {
 			t.Fatal(err)
@@ -113,8 +113,7 @@ func TestUDPRecvAllocFree(t *testing.T) {
 		b.Recycle(pkt)
 	}
 	// Pre-queue the datagrams in the socket buffer so the measured closure
-	// is receive-only: SendTo resolves the peer address per call (ParseIP,
-	// *net.UDPAddr) and would charge sender allocations to the receive path.
+	// is receive-only.
 	const runs = 100
 	dst := b.LocalAddr()
 	for i := 0; i < runs+1; i++ { // +1: AllocsPerRun's warm-up call
@@ -146,9 +145,6 @@ func BenchmarkUDPRecvBatch(b *testing.B) {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				// SendBatch resolves the destination once per burst, so the
-				// feeder's per-packet allocation cost is amortized away and
-				// -benchmem reflects the receive side.
 				dstAddr := dst.LocalAddr()
 				feed := make([][]byte, 64)
 				for i := range feed {

@@ -41,37 +41,36 @@ func (f BatchFeatures) String() string {
 	return s
 }
 
-// UDPBatchMode selects how far down the kernel batch datapath a UDP
-// endpoint is allowed to go. It exists so the portable fallback stays
-// testable on kernels that support everything: the capability probe can be
-// overridden to force the exact code paths an unsupporting kernel would
-// take.
-type UDPBatchMode int
+// batchMode selects how far down the kernel batch datapath a UDP endpoint
+// is allowed to go. It exists so the portable fallback stays testable on
+// kernels that support everything: the capability probe can be overridden
+// to force the exact code paths an unsupporting kernel would take.
+type batchMode int
 
 const (
-	// BatchAuto probes the kernel and uses everything that works:
+	// batchAuto probes the kernel and uses everything that works:
 	// sendmmsg/recvmmsg, then UDP_SEGMENT/UDP_GRO on top.
-	BatchAuto UDPBatchMode = iota
-	// BatchMmsg uses the batch syscalls but leaves the GSO/GRO offloads
+	batchAuto batchMode = iota
+	// batchMmsg uses the batch syscalls but leaves the GSO/GRO offloads
 	// off even when the kernel supports them.
-	BatchMmsg
-	// BatchPortable disables the kernel batch path entirely: one syscall
+	batchMmsg
+	// batchPortable disables the kernel batch path entirely: one syscall
 	// per datagram through the portable net.UDPConn loop.
-	BatchPortable
+	batchPortable
 )
 
 // envBatchMode reads the DIWARP_UDP_BATCH override once per process:
 // "portable" forces the portable loop, "mmsg" caps at the batch syscalls,
 // anything else (including unset) probes everything. It is the CI lever for
 // running the full suite over the fallback paths on a capable kernel.
-var envBatchMode = sync.OnceValue(func() UDPBatchMode {
+var envBatchMode = sync.OnceValue(func() batchMode {
 	switch os.Getenv("DIWARP_UDP_BATCH") {
 	case "portable", "off":
-		return BatchPortable
+		return batchPortable
 	case "mmsg":
-		return BatchMmsg
+		return batchMmsg
 	default:
-		return BatchAuto
+		return batchAuto
 	}
 })
 

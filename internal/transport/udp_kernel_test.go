@@ -146,9 +146,8 @@ func TestUDPBatchEquivalence(t *testing.T) {
 						t.Fatalf("after %d/%d: %v", got, total, err)
 					}
 					for i := 0; i < n; i++ {
-						if froms[i].Port != src.LocalAddr().Port {
-							t.Fatalf("packet %d from %v, want port %d",
-								got+i, froms[i], src.LocalAddr().Port)
+						if froms[i] != src.LocalAddr() {
+							t.Fatalf("packet %d from %v, want %v", got+i, froms[i], src.LocalAddr())
 						}
 						key := string(pkts[i])
 						if want[key] == 0 {
@@ -242,7 +241,7 @@ func TestUDPSendBatchAllocFree(t *testing.T) {
 	}
 	ragged := [][]byte{equal[0][:100], equal[1], equal[2][:300]} // mmsg only
 	for name, burst := range map[string][][]byte{"equal": equal, "ragged": ragged} {
-		// Warm the destination cache; the receiver never reads, drops are fine.
+		// Warm the socket; the receiver never reads, drops are fine.
 		if _, err := src.SendBatch(burst, to); err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +257,7 @@ func TestUDPSendBatchAllocFree(t *testing.T) {
 }
 
 // TestUDPRecvBatchAllocFreeKernel pins the recvmmsg path at 0 allocs/op in
-// steady state: pooled buffers, cached peer, prebuilt syscall closure.
+// steady state: pooled buffers, source as a value, prebuilt syscall closure.
 func TestUDPRecvBatchAllocFreeKernel(t *testing.T) {
 	src, dst := udpPairMode(t, BatchAuto, BatchAuto)
 	if !dst.BatchFeatures().Recvmmsg {

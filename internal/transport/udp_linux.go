@@ -43,13 +43,10 @@ type kernelBatch struct {
 	gsoOff atomic.Bool   // runtime GSO degrade (send path rejected the option)
 	family int           // socket address family: AF_INET or AF_INET6
 
-	// Destination sockaddr cache: Addr → kernel-ready sockaddr, so the
-	// send path never re-parses an IP string. Bounded by maxAddrCache.
-	destMu sync.RWMutex
-	dests  map[Addr]*rawDest
-
-	// Send state, guarded by sendMu.
+	// Send state, guarded by sendMu. dest is the burst's one destination,
+	// encoded afresh per burst: a handful of stores, never a lookup.
 	sendMu sync.Mutex
+	dest   rawDest
 	shdrs  [mmsgMax]mmsghdr
 	siovs  [mmsgMax]syscall.Iovec
 	sctrl  [32]byte // one UDP_SEGMENT cmsg (gsoCmsgSpace ≤ 32)
@@ -95,15 +92,15 @@ type pendingPkt struct {
 // portable loop should run. The probe is a setsockopt/zero-length-syscall
 // trial at endpoint creation — no capability matrix by kernel version, just
 // "did the kernel take it".
-func newKernelBatch(conn *net.UDPConn, mode UDPBatchMode) *kernelBatch {
-	if mode == BatchPortable {
+func newKernelBatch(conn *net.UDPConn, mode batchMode) *kernelBatch {
+	if mode == batchPortable {
 		return nil
 	}
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil
 	}
-	k := &kernelBatch{rc: rc, dests: make(map[Addr]*rawDest), rwant: 1}
+	k := &kernelBatch{rc: rc, rwant: 1}
 	la, ok := conn.LocalAddr().(*net.UDPAddr)
 	if !ok {
 		return nil
@@ -122,7 +119,7 @@ func newKernelBatch(conn *net.UDPConn, mode UDPBatchMode) *kernelBatch {
 		if _, errno := recvmmsg(fd, nil, 0, syscall.MSG_DONTWAIT); errno == 0 || errno == syscall.EAGAIN {
 			k.feats.Recvmmsg = true
 		}
-		if mode == BatchAuto {
+		if mode == batchAuto {
 			// UDP_SEGMENT 0 is "no per-socket segmentation": it proves the
 			// option exists without changing behaviour (the send path passes
 			// the segment size per burst via cmsg). UDP_GRO 1 arms receive
@@ -178,50 +175,17 @@ func (k *kernelBatch) features() BatchFeatures {
 	return f
 }
 
-// resolveDest returns the kernel-ready sockaddr for to, from the cache on
-// the hot path and via one cold resolve+encode on first contact.
-func (k *kernelBatch) resolveDest(to Addr) (*rawDest, error) {
-	k.destMu.RLock()
-	rd := k.dests[to]
-	k.destMu.RUnlock()
-	if rd != nil {
-		return rd, nil
-	}
-	ua, err := resolve(to)
-	if err != nil {
-		return nil, err
-	}
-	rd = &rawDest{}
-	var a4 [4]byte
-	var a16 [16]byte
-	ip4 := ua.IP.To4()
-	if ip4 != nil {
-		copy(a4[:], ip4)
-	}
-	copy(a16[:], ua.IP.To16())
-	if !rd.encode(k.family, a4, a16, ip4 != nil, uint16(ua.Port)) {
-		return nil, fmt.Errorf("%w: %s (address family mismatch)", ErrNoRoute, to)
-	}
-	k.destMu.Lock()
-	if len(k.dests) >= maxAddrCache {
-		k.dests = make(map[Addr]*rawDest)
-	}
-	k.dests[to] = rd
-	k.destMu.Unlock()
-	return rd, nil
-}
-
 // sendBatch transmits the burst through the kernel batch path: one GSO
 // send when the burst is eligible, else sendmmsg in mmsgMax chunks. It
 // matches BatchSender semantics — datagrams handed to the network before
 // any error are counted.
 func (k *kernelBatch) sendBatch(pkts [][]byte, to Addr) (int, error) {
-	rd, err := k.resolveDest(to)
-	if err != nil {
-		return 0, err
-	}
 	k.sendMu.Lock()
 	defer k.sendMu.Unlock()
+	rd := &k.dest
+	if !rd.encode(k.family, to) {
+		return 0, fmt.Errorf("%w: %s (address family mismatch)", ErrNoRoute, to)
+	}
 	if k.feats.GSO && !k.gsoOff.Load() {
 		if segsz, ok := gsoEligible(pkts); ok {
 			err := k.sendGSO(pkts, rd, segsz)
@@ -535,9 +499,9 @@ func (k *kernelBatch) releaseRecv(pool *nio.Pool) {
 // finishRecv harvests one recvmmsg result: truncated datagrams are dropped,
 // GRO super-segments are split back into per-datagram buffers (the first
 // segment keeps the pooled receive buffer, trailing segments copy into
-// fresh pooled buffers, overflow queues on pending), and sources resolve
-// through the source-address cache. Returns how many datagrams landed
-// in the caller's arrays.
+// fresh pooled buffers, overflow queues on pending), and sources arrive
+// as the kernel decoded them. Returns how many datagrams landed in the
+// caller's arrays.
 //
 //diwarp:hotpath
 func (k *kernelBatch) finishRecv(e *UDPEndpoint, pkts [][]byte, froms []Addr, max int) int {
@@ -552,7 +516,7 @@ func (k *kernelBatch) finishRecv(e *UDPEndpoint, pkts [][]byte, froms []Addr, ma
 			e.pool.Put(buf)
 			continue
 		}
-		from := cachedAddr(decodeAddr(&k.rnames[i]))
+		from := decodeAddr(&k.rnames[i])
 		segsz := 0
 		if k.feats.GRO {
 			segsz = groSegSize(k.rctrl[i][:], int(k.rhdrs[i].hdr.Controllen))
@@ -590,14 +554,14 @@ func (k *kernelBatch) emit(pkts [][]byte, froms []Addr, max, out int, buf []byte
 	return out
 }
 
-// decodeAddr converts a kernel-written sockaddr into a netip.AddrPort;
-// 4-in-6 unmapping happens in the source-address cache.
+// decodeAddr converts a kernel-written sockaddr into an Addr, unmapping
+// the 4-in-6 form a dual-stack socket reports IPv4 peers in.
 //
 //diwarp:hotpath
-func decodeAddr(sa *syscall.RawSockaddrInet6) netip.AddrPort {
+func decodeAddr(sa *syscall.RawSockaddrInet6) Addr {
 	if sa.Family == syscall.AF_INET {
 		sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
 		return netip.AddrPortFrom(netip.AddrFrom4(sa4.Addr), ntohs(&sa4.Port))
 	}
-	return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr), ntohs(&sa.Port))
+	return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr).Unmap(), ntohs(&sa.Port))
 }

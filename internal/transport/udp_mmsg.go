@@ -13,6 +13,7 @@
 package transport
 
 import (
+	"net/netip"
 	"syscall"
 	"unsafe"
 )
@@ -92,10 +93,9 @@ func groSegSize(buf []byte, controllen int) int {
 	return 0
 }
 
-// rawDest is a destination sockaddr pre-encoded for the socket's family,
-// cached per transport.Addr so the send path never re-parses an IP. The
-// name pointer targets the struct's own storage, so a cached *rawDest keeps
-// its sockaddr alive for as long as any in-flight msghdr references it.
+// rawDest is a destination sockaddr encoded for the socket's family. The
+// name pointer targets the struct's own storage, so a msghdr armed with it
+// stays valid for as long as the rawDest does.
 type rawDest struct {
 	sa4     syscall.RawSockaddrInet4
 	sa6     syscall.RawSockaddrInet6
@@ -103,24 +103,25 @@ type rawDest struct {
 	namelen uint32
 }
 
-// encodeDest fills a rawDest for ip:port in the given address family
-// (syscall.AF_INET or AF_INET6). IPv4 destinations on a v6 socket are
-// encoded v4-mapped, mirroring what the net package does below WriteToUDP.
-func (rd *rawDest) encode(family int, ip4 [4]byte, ip16 [16]byte, is4 bool, port uint16) bool {
-	switch family {
-	case syscall.AF_INET:
-		if !is4 {
-			return false
-		}
+// encode fills rd for to in the given address family (syscall.AF_INET or
+// AF_INET6). IPv4 destinations on a v6 socket are encoded v4-mapped,
+// mirroring what the net package does below WriteToUDPAddrPort (which
+// also takes a 4-in-6 destination on a v4 socket); an IPv6 destination on
+// a v4 socket, or an invalid one, is rejected.
+//
+//diwarp:hotpath
+func (rd *rawDest) encode(family int, to netip.AddrPort) bool {
+	ip := to.Addr().Unmap()
+	switch {
+	case family == syscall.AF_INET && ip.Is4():
 		rd.sa4.Family = syscall.AF_INET
-		rd.sa4.Addr = ip4
-		htons(&rd.sa4.Port, port)
+		rd.sa4.Addr = ip.As4()
+		htons(&rd.sa4.Port, to.Port())
 		rd.name = (*byte)(unsafe.Pointer(&rd.sa4))
 		rd.namelen = syscall.SizeofSockaddrInet4
-	case syscall.AF_INET6:
-		rd.sa6.Family = syscall.AF_INET6
-		rd.sa6.Addr = ip16
-		htons(&rd.sa6.Port, port)
+	case family == syscall.AF_INET6 && ip.IsValid():
+		rd.sa6 = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Addr: ip.As16()}
+		htons(&rd.sa6.Port, to.Port())
 		rd.name = (*byte)(unsafe.Pointer(&rd.sa6))
 		rd.namelen = syscall.SizeofSockaddrInet6
 	default:

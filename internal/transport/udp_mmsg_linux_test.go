@@ -3,7 +3,6 @@
 package transport
 
 import (
-	"bytes"
 	"net/netip"
 	"syscall"
 	"testing"
@@ -112,7 +111,7 @@ func TestKernelBatchPending(t *testing.T) {
 	k := &kernelBatch{}
 	pkts := make([][]byte, 2)
 	froms := make([]Addr, 2)
-	from := Addr{Node: "127.0.0.1", Port: 9}
+	from := netip.MustParseAddrPort("127.0.0.1:9")
 	out := 0
 	for i := 0; i < 5; i++ {
 		out = k.emit(pkts, froms, 2, out, []byte{byte(i)}, from)
@@ -146,42 +145,43 @@ func TestKernelBatchPending(t *testing.T) {
 }
 
 // TestDecodeAddr pins the sockaddr decode against both families, including
-// the network-byte-order port fix-up.
+// the network-byte-order port fix-up and the unmapping of a 4-in-6 source.
 func TestDecodeAddr(t *testing.T) {
 	var sa6 syscall.RawSockaddrInet6
 	sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(&sa6))
 	sa4.Family = syscall.AF_INET
 	sa4.Addr = [4]byte{192, 0, 2, 7}
 	htons(&sa4.Port, 4791)
-	ap := decodeAddr(&sa6)
-	if want := netip.AddrPortFrom(netip.AddrFrom4([4]byte{192, 0, 2, 7}), 4791); ap != want {
-		t.Fatalf("AF_INET decode = %v, want %v", ap, want)
+	want4 := netip.MustParseAddrPort("192.0.2.7:4791")
+	if ap := decodeAddr(&sa6); ap != want4 {
+		t.Fatalf("AF_INET decode = %v, want %v", ap, want4)
+	}
+
+	sa6 = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Addr: netip.MustParseAddr("::ffff:192.0.2.7").As16()}
+	htons(&sa6.Port, 4791)
+	if ap := decodeAddr(&sa6); ap != want4 {
+		t.Fatalf("4-in-6 decode = %v, want %v", ap, want4)
 	}
 
 	sa6 = syscall.RawSockaddrInet6{}
 	sa6.Family = syscall.AF_INET6
 	sa6.Addr = [16]byte{0: 0x20, 1: 0x01, 2: 0x0d, 3: 0xb8, 15: 0x01}
 	htons(&sa6.Port, 443)
-	ap = decodeAddr(&sa6)
-	if want := netip.AddrPortFrom(netip.AddrFrom16(sa6.Addr), 443); ap != want {
+	if ap, want := decodeAddr(&sa6), netip.AddrPortFrom(netip.AddrFrom16(sa6.Addr), 443); ap != want {
 		t.Fatalf("AF_INET6 decode = %v, want %v", ap, want)
 	}
 }
 
 // TestRawDestEncode pins the destination encoder: v4 on a v4 socket, v4
-// mapped onto a v6 socket, and the family-mismatch rejection.
+// mapped onto a v6 socket, and the rejections — v6 on a v4 socket, and the
+// zero Addr anywhere.
 func TestRawDestEncode(t *testing.T) {
-	ip4 := [4]byte{10, 0, 0, 1}
-	var ip16 [16]byte
-	copy(ip16[:], bytes.Repeat([]byte{0}, 10))
-	ip16[10], ip16[11] = 0xff, 0xff
-	copy(ip16[12:], ip4[:])
-
+	to := netip.MustParseAddrPort("10.0.0.1:4791")
 	var rd rawDest
-	if !rd.encode(syscall.AF_INET, ip4, ip16, true, 4791) {
+	if !rd.encode(syscall.AF_INET, to) {
 		t.Fatal("v4 destination rejected on a v4 socket")
 	}
-	if rd.namelen != syscall.SizeofSockaddrInet4 || rd.sa4.Addr != ip4 {
+	if rd.namelen != syscall.SizeofSockaddrInet4 || rd.sa4.Addr != [4]byte{10, 0, 0, 1} {
 		t.Fatal("v4 sockaddr mis-encoded")
 	}
 	if ntohs(&rd.sa4.Port) != 4791 {
@@ -189,15 +189,23 @@ func TestRawDestEncode(t *testing.T) {
 	}
 
 	var rd6 rawDest
-	if !rd6.encode(syscall.AF_INET6, ip4, ip16, true, 80) {
+	if !rd6.encode(syscall.AF_INET6, to) {
 		t.Fatal("v4-mapped destination rejected on a v6 socket")
 	}
-	if rd6.namelen != syscall.SizeofSockaddrInet6 || rd6.sa6.Addr != ip16 {
+	if rd6.namelen != syscall.SizeofSockaddrInet6 || rd6.sa6.Addr != netip.MustParseAddr("::ffff:10.0.0.1").As16() {
 		t.Fatal("v4-mapped sockaddr mis-encoded")
 	}
 
+	var rdm rawDest
+	if !rdm.encode(syscall.AF_INET, netip.MustParseAddrPort("[::ffff:10.0.0.1]:4791")) || rdm.sa4 != rd.sa4 {
+		t.Fatal("4-in-6 destination on a v4 socket not encoded as its IPv4 address")
+	}
+
 	var bad rawDest
-	if bad.encode(syscall.AF_INET, ip4, ip16, false, 1) {
+	if bad.encode(syscall.AF_INET, netip.MustParseAddrPort("[2001:db8::1]:1")) {
 		t.Fatal("v6 destination accepted on a v4 socket")
+	}
+	if bad.encode(syscall.AF_INET6, netip.AddrPort{}) || bad.encode(syscall.AF_INET, netip.AddrPort{}) {
+		t.Fatal("the zero Addr encoded as a destination")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // behind an `e.kern != nil` gate and is unreachable here.
 type kernelBatch struct{}
 
-func newKernelBatch(*net.UDPConn, UDPBatchMode) *kernelBatch { return nil }
+func newKernelBatch(*net.UDPConn, batchMode) *kernelBatch { return nil }
 
 func (*kernelBatch) features() BatchFeatures { return BatchFeatures{} }
 
