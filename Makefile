@@ -87,6 +87,8 @@ bench-datapath:
 # One fast pass over both datapath benchmarks (send + batched receive):
 # not for numbers — it proves the benchmarks still build, run, and hold
 # the 0 allocs/op receive bar (TestRecvPathAllocFree runs alongside).
+# TestUDSendRecvAllocFree holds the same bar for the whole UD verbs path:
+# PostSend, both completions and the receive re-post, over simnet.
 # The transport pass covers the kernel batch tiers: its alloc tests skip
 # cleanly when the kernel lacks sendmmsg or the UDP_SEGMENT/UDP_GRO
 # offloads (the capability probe decides at runtime). Then every benchmark
@@ -96,6 +98,7 @@ bench-datapath:
 bench-smoke:
 	$(GO) test -bench='BenchmarkUDSendPath|BenchmarkUDRecvPath' -benchtime=0.2s -benchmem \
 		-run='TestRecvPathAllocFree|TestSendPathAllocFree' ./internal/ddp/
+	$(GO) test -count=1 -run='TestUDSendRecvAllocFree' ./internal/core/
 	$(GO) test -bench='BenchmarkUDPSendBatch|BenchmarkUDPRecvBatch' -benchtime=0.2s -benchmem \
 		-run='TestUDPSendBatchAllocFree|TestUDPRecvBatchAllocFreeKernel' ./internal/transport/
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...

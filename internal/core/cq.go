@@ -1,7 +1,6 @@
 package iwarp
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -14,9 +13,7 @@ import (
 type CQ struct {
 	ch       chan CQE
 	overruns atomic.Int64
-
-	mu     sync.Mutex
-	closed bool
+	closed   atomic.Bool
 }
 
 // DefaultCQDepth is the completion queue capacity used when depth 0 is
@@ -34,11 +31,11 @@ func NewCQ(depth int) *CQ {
 
 // post adds a completion. A full queue drops the entry and counts an
 // overrun — the hardware-CQ overflow behaviour; sizing the CQ to the sum of
-// queue depths avoids it, as on a real RNIC.
+// queue depths avoids it, as on a real RNIC. The channel is never closed,
+// so the closed flag needs no lock: a post racing Close may still land,
+// which is harmless — queued entries stay pollable after Close anyway.
 func (cq *CQ) post(e CQE) {
-	cq.mu.Lock()
-	if cq.closed {
-		cq.mu.Unlock()
+	if cq.closed.Load() {
 		return
 	}
 	select {
@@ -46,7 +43,6 @@ func (cq *CQ) post(e CQE) {
 	default:
 		cq.overruns.Add(1)
 	}
-	cq.mu.Unlock()
 }
 
 // Poll returns the next completion, waiting up to timeout. A zero timeout
@@ -121,8 +117,4 @@ func (cq *CQ) Overruns() int64 { return cq.overruns.Load() }
 
 // Close marks the queue closed; queued entries remain pollable. Posting
 // after Close is a silent no-op so racing QPs shut down cleanly.
-func (cq *CQ) Close() {
-	cq.mu.Lock()
-	cq.closed = true
-	cq.mu.Unlock()
-}
+func (cq *CQ) Close() { cq.closed.Store(true) }

@@ -7,10 +7,15 @@ import "sync"
 // will be placed" (§II): each completed untagged message consumes the WR at
 // the head. The avail channel is pulsed on every post so an RNR-blocked
 // placement worker parks on a notification instead of spin-polling.
+//
+// The WRs live in a fixed ring of depth slots allocated once, like an RNIC's
+// receive queue: a steady post/pop cycle moves the head and count and never
+// touches the allocator.
 type recvQueue struct {
 	mu    sync.Mutex
-	wrs   []RecvWR
-	depth int
+	ring  []RecvWR // len(ring) is the queue depth
+	head  int      // index of the oldest posted WR
+	n     int      // posted WRs
 	avail chan struct{}
 }
 
@@ -18,7 +23,7 @@ func newRecvQueue(depth int) *recvQueue {
 	if depth <= 0 {
 		depth = 256
 	}
-	return &recvQueue{depth: depth, avail: make(chan struct{}, 1)}
+	return &recvQueue{ring: make([]RecvWR, depth), avail: make(chan struct{}, 1)}
 }
 
 // notify pulses a capacity-1 channel without blocking.
@@ -29,14 +34,23 @@ func notify(ch chan struct{}) {
 	}
 }
 
+// wrap maps i in [0, 2·depth) onto a ring index without a division.
+func (q *recvQueue) wrap(i int) int {
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	return i
+}
+
 // post appends a receive WR, failing when the queue is at depth.
 func (q *recvQueue) post(wr RecvWR) error {
 	q.mu.Lock()
-	if len(q.wrs) >= q.depth {
+	if q.n == len(q.ring) {
 		q.mu.Unlock()
 		return ErrRecvQueueFull
 	}
-	q.wrs = append(q.wrs, wr)
+	q.ring[q.wrap(q.head+q.n)] = wr
+	q.n++
 	q.mu.Unlock()
 	notify(q.avail)
 	return nil
@@ -48,17 +62,15 @@ func (q *recvQueue) post(wr RecvWR) error {
 // wakeup on so no posted receive strands a waiter (lost-wakeup avoidance).
 func (q *recvQueue) pop() (RecvWR, bool) {
 	q.mu.Lock()
-	if len(q.wrs) == 0 {
+	if q.n == 0 {
 		q.mu.Unlock()
 		return RecvWR{}, false
 	}
-	wr := q.wrs[0]
-	q.wrs[0] = RecvWR{}
-	q.wrs = q.wrs[1:]
-	remaining := len(q.wrs)
-	if remaining == 0 {
-		q.wrs = nil
-	}
+	wr := q.ring[q.head]
+	q.ring[q.head] = RecvWR{} // drop the buffer reference
+	q.head = q.wrap(q.head + 1)
+	q.n--
+	remaining := q.n
 	q.mu.Unlock()
 	if remaining > 0 {
 		notify(q.avail)
@@ -66,12 +78,18 @@ func (q *recvQueue) pop() (RecvWR, bool) {
 	return wr, true
 }
 
-// drain removes and returns every posted WR (for flushing at close).
+// drain removes and returns every posted WR, oldest first (for flushing at
+// close).
 func (q *recvQueue) drain() []RecvWR {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := q.wrs
-	q.wrs = nil
+	out := make([]RecvWR, q.n)
+	for i := range out {
+		j := q.wrap(q.head + i)
+		out[i] = q.ring[j]
+		q.ring[j] = RecvWR{}
+	}
+	q.head, q.n = 0, 0
 	return out
 }
 
@@ -79,5 +97,5 @@ func (q *recvQueue) drain() []RecvWR {
 func (q *recvQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.wrs)
+	return q.n
 }

@@ -295,7 +295,9 @@ func (qp *UDQP) postUntagged(id uint64, to transport.Addr, payload nio.Vec, op r
 	}
 	qp.stats.msgsSent.Inc()
 	qp.stats.bytesSent.Add(int64(n))
-	telemetry.DefaultTrace.Record(telemetry.EvSend, telemetry.PeerToken(to), n, msn)
+	if telemetry.Sampled(msn) {
+		telemetry.DefaultTrace.Record(telemetry.EvSend, telemetry.PeerToken(to), n, msn)
+	}
 	qp.sendCQ.post(CQE{WRID: id, Type: WTSend, ByteLen: n, Src: to})
 	return nil
 }
@@ -320,7 +322,9 @@ func (qp *UDQP) PostWriteRecord(id uint64, dest transport.Addr, stag memreg.STag
 	}
 	qp.stats.msgsSent.Inc()
 	qp.stats.bytesSent.Add(int64(n))
-	telemetry.DefaultTrace.Record(telemetry.EvSend, telemetry.PeerToken(dest), n, msn)
+	if telemetry.Sampled(msn) {
+		telemetry.DefaultTrace.Record(telemetry.EvSend, telemetry.PeerToken(dest), n, msn)
+	}
 	qp.sendCQ.post(CQE{WRID: id, Type: WTWriteRecord, ByteLen: n, Src: dest})
 	return nil
 }
@@ -456,7 +460,9 @@ func (qp *UDQP) handleSend(w *udWorker, from transport.Addr, seg *ddp.Segment) {
 	copy(wr.Buf, seg.Payload)
 	qp.stats.msgsRecv.Inc()
 	qp.stats.bytesRecv.Add(int64(len(seg.Payload)))
-	telemetry.DefaultTrace.Record(telemetry.EvRecv, telemetry.PeerToken(from), len(seg.Payload), seg.MSN)
+	if telemetry.Sampled(seg.MSN) {
+		telemetry.DefaultTrace.Record(telemetry.EvRecv, telemetry.PeerToken(from), len(seg.Payload), seg.MSN)
+	}
 	qp.recvCQ.post(CQE{WRID: wr.ID, Type: WTRecv, ByteLen: len(seg.Payload), Src: from})
 }
 
@@ -515,7 +521,9 @@ func (qp *UDQP) placeUntagged(w *udWorker, from transport.Addr, seg *ddp.Segment
 	qp.stats.reassembled.Inc()
 	qp.stats.msgsRecv.Inc()
 	qp.stats.bytesRecv.Add(int64(cl.msgLen))
-	telemetry.DefaultTrace.Record(telemetry.EvRecv, telemetry.PeerToken(from), int(cl.msgLen), seg.MSN)
+	if telemetry.Sampled(seg.MSN) {
+		telemetry.DefaultTrace.Record(telemetry.EvRecv, telemetry.PeerToken(from), int(cl.msgLen), seg.MSN)
+	}
 	qp.recvCQ.post(CQE{WRID: cl.wr.ID, Type: WTRecv, ByteLen: int(cl.msgLen), Src: from})
 }
 
@@ -573,7 +581,9 @@ func (qp *UDQP) handleWriteRecord(from transport.Addr, seg *ddp.Segment) {
 	region.Record(seg.TO, len(seg.Payload))
 	qp.stats.placed.Inc()
 	qp.stats.bytesRecv.Add(int64(len(seg.Payload)))
-	telemetry.DefaultTrace.Record(telemetry.EvWriteRecord, telemetry.PeerToken(from), len(seg.Payload), uint32(seg.STag))
+	if telemetry.Sampled(seg.MSN) {
+		telemetry.DefaultTrace.Record(telemetry.EvWriteRecord, telemetry.PeerToken(from), len(seg.Payload), uint32(seg.STag))
+	}
 
 	if qp.cfg.PerChunkCompletions {
 		var v memreg.ValidityMap

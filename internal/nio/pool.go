@@ -49,14 +49,19 @@ func idleBound(size int) int {
 // every Put) costs one 24-byte allocation per recycle, which would defeat
 // the zero-alloc send path. The stack is striped poolStripes ways so
 // concurrent senders on different peers do not collide on one lock; the
-// Get/Put counters double as the stripe selectors, spreading traffic
-// round-robin without any extra atomics on the hot path.
+// Put counter doubles as the stripe selector, spreading returns
+// round-robin, and Get probes from the stripe of the latest Put backwards
+// (see TryGet).
 type Pool struct {
 	size    int
 	maxIdle int // per-stripe bound
 	gets    atomic.Int64
 	misses  atomic.Int64
 	puts    atomic.Int64
+	// hint is where a run of Gets with no Put between them last found a
+	// buffer: the Put count it saw, shifted left 3, and the number of
+	// stripes it probed back from the latest Put's. Stale once a Put lands.
+	hint atomic.Uint64
 
 	stripes [poolStripes]poolStripe
 
@@ -113,18 +118,32 @@ func (pl *Pool) Get() []byte {
 // their own hit/miss telemetry use it to count without re-deriving deltas
 // from Stats.
 func (pl *Pool) TryGet() ([]byte, bool) {
-	home := uint64(pl.gets.Add(1)) & (poolStripes - 1)
-	// Start at the home stripe; on a miss, sweep the others before paying
-	// for an allocation — a nearly-empty pool must still find the buffers
-	// it does have (and the recycle invariant depends on it).
-	for i := uint64(0); i < poolStripes; i++ {
-		s := &pl.stripes[(home+i)&(poolStripes-1)]
+	pl.gets.Add(1)
+	// Start at the stripe the most recent Put pushed onto and walk back
+	// through the stripes earlier Puts used: LIFO across stripes, so the
+	// buffer handed out is the cache-hot one, and a pool cycling one buffer
+	// takes one stripe lock per Get. A run of Gets with no Put between
+	// them — draining a filled pool — resumes where the previous one hit
+	// (hint) instead of re-probing the stripes it emptied. On a miss, sweep
+	// them all before paying for an allocation — a nearly-empty pool must
+	// still find the buffers it does have (and the recycle invariant
+	// depends on it).
+	last := uint64(pl.puts.Load())
+	skip := uint64(0)
+	if h := pl.hint.Load(); h>>3 == last {
+		skip = h & (poolStripes - 1)
+	}
+	for i := skip; i < skip+poolStripes; i++ {
+		s := &pl.stripes[(last-i)&(poolStripes-1)]
 		s.mu.Lock()
 		if n := len(s.free); n > 0 {
 			b := s.free[n-1]
 			s.free[n-1] = nil
 			s.free = s.free[:n-1]
 			s.mu.Unlock()
+			if i != skip {
+				pl.hint.Store(last<<3 | i&(poolStripes-1))
+			}
 			pl.guard.onGet(b)
 			return b[:0], true
 		}

@@ -1,6 +1,9 @@
 package nio
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 func TestPoolRecycleInvariant(t *testing.T) {
 	pl := NewPool(128)
@@ -120,6 +123,105 @@ func TestPoolGetPutAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Get/Put cycle allocates %.2f times per run, want 0", allocs)
+	}
+}
+
+// TestPoolGetIsLIFO: Get hands back the buffer of the most recent Put — the
+// cache-hot one — by probing that Put's stripe first.
+func TestPoolGetIsLIFO(t *testing.T) {
+	pl := NewPool(64)
+	a, b := pl.Get(), pl.Get()
+	pl.Put(a)
+	pl.Put(b)
+	if got := pl.Get(); &got[:1][0] != &b[:1][0] {
+		t.Fatal("Get after Put(a), Put(b) did not return b")
+	}
+	if got := pl.Get(); &got[:1][0] != &a[:1][0] {
+		t.Fatal("second Get did not return a")
+	}
+}
+
+// TestPoolGetTakesOneStripeLock: a pool cycling one buffer finds it in the
+// first stripe Get probes. Every other stripe is held locked, so a Get that
+// probed anywhere else first would block.
+func TestPoolGetTakesOneStripeLock(t *testing.T) {
+	pl := NewPool(64)
+	pl.Put(pl.Get())
+	for i := 0; i < 3*poolStripes; i++ {
+		home := pl.puts.Load() & (poolStripes - 1) // the latest Put's stripe
+		for j := range pl.stripes {
+			if int64(j) != home {
+				pl.stripes[j].mu.Lock()
+			}
+		}
+		got := make(chan []byte, 1)
+		go func() { got <- pl.Get() }()
+		var b []byte
+		select {
+		case b = <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cycle %d: Get probed a stripe other than the last Put's (%d)", i, home)
+		}
+		for j := range pl.stripes {
+			if int64(j) != home {
+				pl.stripes[j].mu.Unlock()
+			}
+		}
+		pl.Put(b)
+	}
+	if _, misses := pl.Stats(); misses != 1 {
+		t.Fatalf("%d misses cycling one buffer, want 1", misses)
+	}
+}
+
+// TestPoolDrainResumesAtLastHit: Gets with no Put between them resume at
+// the stripe the previous Get hit, not at an emptied stripe they would have
+// to probe again. The emptied stripe is held locked, so a Get that probed
+// it would block.
+func TestPoolDrainResumesAtLastHit(t *testing.T) {
+	pl := NewPool(64)
+	pl.Fill(make([]byte, 2*poolStripes*64)) // two buffers per stripe
+	pl.Get()
+	pl.Get() // the latest Put's stripe (0: none yet) is now empty
+	pl.Get() // walks back to stripe 7
+	for j := 0; j < poolStripes-1; j++ {
+		pl.stripes[j].mu.Lock()
+	}
+	got := make(chan []byte, 1)
+	go func() { got <- pl.Get() }()
+	select {
+	case <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Get re-probed the stripes the drain had already passed")
+	}
+	for j := 0; j < poolStripes-1; j++ {
+		pl.stripes[j].mu.Unlock()
+	}
+}
+
+// BenchmarkPoolGetPutOne is the single-buffer Get/Put alternation a
+// single-segment send puts its segment pool through: one stripe lock per
+// Get, one per Put.
+func BenchmarkPoolGetPutOne(b *testing.B) {
+	pl := NewPool(2048)
+	pl.Put(pl.Get())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pl.Put(pl.Get())
+	}
+}
+
+// BenchmarkPoolDrainFilled is a receive ring posted at start-up: Fill a
+// pool, then Get every buffer with no Put between them.
+func BenchmarkPoolDrainFilled(b *testing.B) {
+	const size, n = 2048, 256
+	slab := make([]byte, n*size)
+	for i := 0; i < b.N; i++ {
+		pl := NewPool(size)
+		pl.Fill(slab)
+		for j := 0; j < n; j++ {
+			pl.Get()
+		}
 	}
 }
 

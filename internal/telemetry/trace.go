@@ -12,14 +12,15 @@ type EventType uint8
 // Datapath event types. Arg is event-specific: the DDP/RUDP sequence
 // number for sends, receives and retransmits, a drop-cause code for drops
 // (see simnet's DropCause values), and the STag for Write-Record
-// placements.
+// placements. The three success-path types are recorded only for Sampled
+// messages.
 const (
 	EvNone        EventType = iota
-	EvSend                  // message handed to the LLP
-	EvRecv                  // message completed to the application
+	EvSend                  // message handed to the LLP (sampled)
+	EvRecv                  // message completed to the application (sampled)
 	EvRetransmit            // rudp DATA packet resent after RTO expiry
 	EvDrop                  // datagram dropped (wire loss, no posted receive, ...)
-	EvWriteRecord           // tagged segment placed into a registered region
+	EvWriteRecord           // tagged segment placed into a registered region (sampled)
 	EvCRCFail               // DDP segment or MPA FPDU failed its CRC32C
 	EvFault                 // faultnet injected a fault (Arg = faultnet op code)
 )
@@ -56,6 +57,21 @@ func (t EventType) String() string {
 		return "NONE"
 	}
 }
+
+// SampleEvery is the success-path trace sampling period: EvSend, EvRecv
+// and EvWriteRecord are recorded for one message in SampleEvery, chosen by
+// its MSN. Every other event type — drops, CRC failures, retransmits,
+// faults — is recorded for every occurrence.
+const SampleEvery = 64
+
+// Sampled reports whether the message numbered msn is traced on the success
+// path. The rule is a pure function of the MSN, which both ends of a
+// message see, so a sampled message keeps its send, every placed segment
+// and its completion, and an unsampled one costs one AND and one branch
+// before any peer interning.
+//
+//diwarp:hotpath
+func Sampled(msn uint32) bool { return msn&(SampleEvery-1) == 0 }
 
 // Event is one decoded trace-ring entry. Seq is the ring's global sequence
 // number (1-based, gapless across the process lifetime of the ring), which

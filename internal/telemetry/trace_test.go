@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"net/netip"
 	"sync"
 	"testing"
 )
@@ -168,4 +169,46 @@ func TestEventTypeString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", ty, got, want)
 		}
 	}
+}
+
+// TestSampledOneInSampleEvery: any SampleEvery consecutive MSNs — across
+// the 32-bit wrap too — hold exactly one sampled message.
+func TestSampledOneInSampleEvery(t *testing.T) {
+	for _, start := range []uint32{1, 1000, 1<<32 - 40} {
+		n := 0
+		for i := uint32(0); i < SampleEvery; i++ {
+			if Sampled(start + i) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("MSNs %d..%d+%d: %d sampled, want 1", start, start, SampleEvery-1, n)
+		}
+	}
+}
+
+// BenchmarkRecord prices one Record, what the success path pays for a
+// traced message (the interning lookup plus the Record), and what it pays
+// per message once sampled 1 in SampleEvery.
+func BenchmarkRecord(b *testing.B) {
+	r := NewRing(DefaultTraceSize)
+	peer := netip.MustParseAddrPort("10.0.0.2:7")
+	tok := PeerToken(peer)
+	b.Run("record", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r.Record(EvSend, tok, 1024, uint32(i))
+		}
+	})
+	b.Run("traced", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r.Record(EvSend, PeerToken(peer), 1024, uint32(i))
+		}
+	})
+	b.Run("sampled-1-in-64", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if msn := uint32(i); Sampled(msn) {
+				r.Record(EvSend, PeerToken(peer), 1024, msn)
+			}
+		}
+	})
 }
