@@ -34,9 +34,9 @@ cross:
 # transport — that is what lets transport use the registry instead of hand
 # copies — and transport never links peertab: an address is a value, so the
 # transport keeps no per-address state. No production datapath layer (msg,
-# rudp, ddp, core) links the simulator, and rudp sits strictly below ddp
-# (ddp names *rudp.Endpoint to pick its framing; the edge must never turn
-# back).
+# rudp, ddp, core, sockif) links the simulator, and rudp sits strictly below
+# ddp (ddp names *rudp.Endpoint to pick its framing; the edge must never
+# turn back).
 import-guard:
 	@if $(GO) list -deps ./internal/telemetry ./internal/peertab | grep -qx repro/internal/transport; then \
 		echo "import-guard: internal/telemetry and internal/peertab must not depend on internal/transport"; exit 1; fi
@@ -50,6 +50,8 @@ import-guard:
 		echo "import-guard: internal/rudp must not depend on internal/ddp"; exit 1; fi
 	@if $(GO) list -deps ./internal/ddp ./internal/core | grep -qx repro/internal/simnet; then \
 		echo "import-guard: internal/ddp and internal/core must not depend on internal/simnet"; exit 1; fi
+	@if $(GO) list -deps ./internal/sockif | grep -qx repro/internal/simnet; then \
+		echo "import-guard: internal/sockif must not depend on internal/simnet"; exit 1; fi
 
 # Custom invariants compiled into one vettool: the datapath analyzers
 # (DESIGN.md §4.5: poolcheck, hotpath, wirecheck, errflow) and the

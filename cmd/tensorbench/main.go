@@ -26,7 +26,6 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,6 +37,7 @@ import (
 	"repro/internal/nio"
 	"repro/internal/rudp"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 	"repro/internal/transport"
 )
 
@@ -244,12 +244,12 @@ func stamp(p []byte, worker, seq int) {
 // collector accumulates deliveries across all workers and signals when the
 // run's expected count lands.
 type collector struct {
-	mu        sync.Mutex
-	latencies []time.Duration
-	bytes     int64
-	n         int
-	expected  int
-	done      chan struct{}
+	mu       sync.Mutex
+	lat      stats.Sample // µs
+	bytes    int64
+	n        int
+	expected int
+	done     chan struct{}
 }
 
 func newCollector(expected int) *collector {
@@ -263,7 +263,7 @@ func (c *collector) deliver(data []byte) {
 	}
 	sent := int64(binary.BigEndian.Uint64(data[0:8]))
 	c.mu.Lock()
-	c.latencies = append(c.latencies, time.Duration(now-sent))
+	c.lat.AddDuration(time.Duration(now - sent))
 	c.bytes += int64(len(data))
 	c.n++
 	if c.n == c.expected {
@@ -275,14 +275,8 @@ func (c *collector) deliver(data []byte) {
 func (c *collector) snapshot() (int, int64, time.Duration, time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	lats := append([]time.Duration(nil), c.latencies...)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var p50, p99 time.Duration
-	if len(lats) > 0 {
-		p50 = lats[len(lats)*50/100]
-		p99 = lats[min(len(lats)-1, len(lats)*99/100)]
-	}
-	return c.n, c.bytes, p50, p99
+	us := func(p float64) time.Duration { return time.Duration(c.lat.Percentile(p) * float64(time.Microsecond)) }
+	return c.n, c.bytes, us(50), us(99)
 }
 
 // node is one worker's datapath: an address to be sent to, a send

@@ -17,6 +17,7 @@ import (
 	"repro/internal/media"
 	"repro/internal/simnet"
 	"repro/internal/sockif"
+	"repro/internal/transport"
 )
 
 const (
@@ -37,8 +38,8 @@ func main() {
 	// --- UD send/recv ----------------------------------------------------
 	{
 		net := simnet.New(simnet.Config{})
-		srvIf := sockif.NewSim(net, "server", sockCfg)
-		cliIf := sockif.NewSim(net, "client", sockCfg)
+		srvIf := simSockets(net, "server", sockCfg)
+		cliIf := simSockets(net, "client", sockCfg)
 		ss, err := srvIf.BindDatagram(1234)
 		check(err)
 		cs, err := cliIf.Socket(sockif.DatagramSocket)
@@ -56,8 +57,8 @@ func main() {
 	// --- UD RDMA Write-Record ---------------------------------------------
 	{
 		net := simnet.New(simnet.Config{})
-		srvIf := sockif.NewSim(net, "server", sockCfg)
-		cliIf := sockif.NewSim(net, "client", sockCfg)
+		srvIf := simSockets(net, "server", sockCfg)
+		cliIf := simSockets(net, "client", sockCfg)
 		ss, err := srvIf.BindDatagram(1234)
 		check(err)
 		cs, err := cliIf.Socket(sockif.DatagramSocket)
@@ -75,8 +76,8 @@ func main() {
 	// --- RC HTTP ----------------------------------------------------------
 	{
 		net := simnet.New(simnet.Config{})
-		srvIf := sockif.NewSim(net, "server", sockCfg)
-		cliIf := sockif.NewSim(net, "client", sockCfg)
+		srvIf := simSockets(net, "server", sockCfg)
+		cliIf := simSockets(net, "client", sockCfg)
 		l, err := srvIf.Listen(8080)
 		check(err)
 		done := make(chan error, 1)
@@ -102,4 +103,13 @@ func check(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// simSockets builds a socket interface whose endpoints live on node of a
+// simulated network.
+func simSockets(net *simnet.Network, node string, cfg sockif.Config) *sockif.Interface {
+	cfg.OpenDatagram = func(port uint16) (transport.Datagram, error) { return net.OpenDatagram(node, port) }
+	cfg.Listen = func(port uint16) (transport.Listener, error) { return net.Listen(node, port) }
+	cfg.Dial = func(to transport.Addr) (transport.Stream, error) { return net.Dial(node, to) }
+	return sockif.New(cfg)
 }

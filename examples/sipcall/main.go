@@ -16,6 +16,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/sip"
 	"repro/internal/sockif"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -23,8 +24,8 @@ func main() {
 
 	// --- Calls over UD (datagram sockets, like SIP-over-UDP) -------------
 	net := simnet.New(simnet.Config{StreamBufSize: 16 << 10})
-	srvIf := sockif.NewSim(net, "server", sockif.Config{})
-	cliIf := sockif.NewSim(net, "client", sockif.Config{})
+	srvIf := simSockets(net, "server", sockif.Config{})
+	cliIf := simSockets(net, "client", sockif.Config{})
 
 	ss, err := srvIf.BindDatagram(5060)
 	check(err)
@@ -78,4 +79,13 @@ func check(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// simSockets builds a socket interface whose endpoints live on node of a
+// simulated network.
+func simSockets(net *simnet.Network, node string, cfg sockif.Config) *sockif.Interface {
+	cfg.OpenDatagram = func(port uint16) (transport.Datagram, error) { return net.OpenDatagram(node, port) }
+	cfg.Listen = func(port uint16) (transport.Listener, error) { return net.Listen(node, port) }
+	cfg.Dial = func(to transport.Addr) (transport.Stream, error) { return net.Dial(node, to) }
+	return sockif.New(cfg)
 }

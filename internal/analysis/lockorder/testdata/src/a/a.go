@@ -52,9 +52,8 @@ func cdBackward(x *cd) {
 	x.d.Unlock()
 }
 
-// --- self-edge: two instances of one lock class, modeled on the sharded
-// placement workers (work stealing locks a victim shard while holding the
-// thief's) ---
+// --- self-edge: two instances of one lock class, modeled on sharded
+// workers (work stealing locks a victim shard while holding the thief's) ---
 
 type placeShard struct {
 	mu      sync.Mutex

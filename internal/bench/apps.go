@@ -10,6 +10,7 @@ import (
 	"repro/internal/sip"
 	"repro/internal/sockif"
 	"repro/internal/stats"
+	"repro/internal/transport"
 )
 
 // --- Figure 9: media streaming initial-buffering time ---
@@ -62,8 +63,8 @@ func RunStreaming(cfg StreamingConfig) ([]StreamingResult, error) {
 		best := time.Duration(0)
 		for trial := 0; trial < cfg.Trials; trial++ {
 			net := simnet.New(simnet.Config{})
-			ifSrv := sockif.NewSim(net, "server", streamSockCfg(cfg.PreBuffer))
-			ifCli := sockif.NewSim(net, "client", streamSockCfg(cfg.PreBuffer))
+			ifSrv := simSockets(net, "server", streamSockCfg(cfg.PreBuffer))
+			ifCli := simSockets(net, "client", streamSockCfg(cfg.PreBuffer))
 			ss, err := ifSrv.BindDatagram(1234)
 			if err != nil {
 				return err
@@ -103,8 +104,8 @@ func RunStreaming(cfg StreamingConfig) ([]StreamingResult, error) {
 			net := simnet.New(simnet.Config{})
 			sockCfg := streamSockCfg(cfg.PreBuffer)
 			sockCfg.StreamWriteRecord = writeRecord
-			ifSrv := sockif.NewSim(net, "server", sockCfg)
-			ifCli := sockif.NewSim(net, "client", sockCfg)
+			ifSrv := simSockets(net, "server", sockCfg)
+			ifCli := simSockets(net, "client", sockCfg)
 			l, err := ifSrv.Listen(8080)
 			if err != nil {
 				return err
@@ -158,8 +159,8 @@ func RunSockifOverhead(cfg StreamingConfig) (time.Duration, time.Duration, float
 	bestIWARP := time.Duration(0)
 	for trial := 0; trial < cfg.Trials; trial++ {
 		net := simnet.New(simnet.Config{})
-		ifSrv := sockif.NewSim(net, "server", streamSockCfg(cfg.PreBuffer))
-		ifCli := sockif.NewSim(net, "client", streamSockCfg(cfg.PreBuffer))
+		ifSrv := simSockets(net, "server", streamSockCfg(cfg.PreBuffer))
+		ifCli := simSockets(net, "client", streamSockCfg(cfg.PreBuffer))
 		ss, _ := ifSrv.BindDatagram(1234)
 		cs, _ := ifCli.Socket(sockif.DatagramSocket)
 		srvErr := make(chan error, 1)
@@ -225,8 +226,8 @@ func RunSIPLatency(calls int) (ud, rc SIPLatencyResult, err error) {
 	// UD.
 	{
 		net := simnet.New(simnet.Config{})
-		ifSrv := sockif.NewSim(net, "server", sockCfg)
-		ifCli := sockif.NewSim(net, "client", sockCfg)
+		ifSrv := simSockets(net, "server", sockCfg)
+		ifCli := simSockets(net, "client", sockCfg)
 		ss, e := ifSrv.BindDatagram(5060)
 		if e != nil {
 			return ud, rc, e
@@ -253,8 +254,8 @@ func RunSIPLatency(calls int) (ud, rc SIPLatencyResult, err error) {
 	// RC: the same call flow over a stream socket connection.
 	{
 		net := simnet.New(simnet.Config{})
-		ifSrv := sockif.NewSim(net, "server", sockCfg)
-		ifCli := sockif.NewSim(net, "client", sockCfg)
+		ifSrv := simSockets(net, "server", sockCfg)
+		ifCli := simSockets(net, "client", sockCfg)
 		l, e := ifSrv.Listen(5060)
 		if e != nil {
 			return ud, rc, e
@@ -340,7 +341,7 @@ func heapInUse() int64 {
 // each and accounts their memory.
 func sipMemoryUD(n int) (accounted, heap int64, err error) {
 	net := simnet.New(simnet.Config{})
-	ifSrv := sockif.NewSim(net, "server", sipMemSockCfg())
+	ifSrv := simSockets(net, "server", sipMemSockCfg())
 	before := heapInUse()
 	socks := make([]*sockif.Socket, 0, n)
 	defer func() {
@@ -366,8 +367,8 @@ func sipMemoryUD(n int) (accounted, heap int64, err error) {
 // live dialog each.
 func sipMemoryRC(n int) (accounted, heap int64, err error) {
 	net := simnet.New(simnet.Config{StreamBufSize: 4 << 10})
-	ifSrv := sockif.NewSim(net, "server", sipMemSockCfg())
-	ifCli := sockif.NewSim(net, "client", sipMemSockCfg())
+	ifSrv := simSockets(net, "server", sipMemSockCfg())
+	ifCli := simSockets(net, "client", sipMemSockCfg())
 	l, err := ifSrv.Listen(5060)
 	if err != nil {
 		return 0, 0, err
@@ -445,4 +446,13 @@ func (d *dialogTable) footprint() int64 {
 		n += 160 + int64(len(c.CallID)+len(c.From)+len(c.To)+len(c.State))
 	}
 	return n
+}
+
+// simSockets builds a socket interface whose endpoints live on node of a
+// simulated network.
+func simSockets(net *simnet.Network, node string, cfg sockif.Config) *sockif.Interface {
+	cfg.OpenDatagram = func(port uint16) (transport.Datagram, error) { return net.OpenDatagram(node, port) }
+	cfg.Listen = func(port uint16) (transport.Listener, error) { return net.Listen(node, port) }
+	cfg.Dial = func(to transport.Addr) (transport.Stream, error) { return net.Dial(node, to) }
+	return sockif.New(cfg)
 }

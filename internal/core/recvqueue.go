@@ -6,7 +6,7 @@ import "sync"
 // "handles all of the buffer management and determines where incoming data
 // will be placed" (§II): each completed untagged message consumes the WR at
 // the head. The avail channel is pulsed on every post so an RNR-blocked
-// placement worker parks on a notification instead of spin-polling.
+// placement engine parks on a notification instead of spin-polling.
 //
 // The WRs live in a fixed ring of depth slots allocated once, like an RNIC's
 // receive queue: a steady post/pop cycle moves the head and count and never
@@ -57,9 +57,9 @@ func (q *recvQueue) post(wr RecvWR) error {
 }
 
 // pop removes and returns the head WR. When WRs remain after the pop, the
-// avail pulse is re-armed: several workers can be parked in waitRecv while
-// the capacity-1 channel holds only one token, and the cascade hands the
-// wakeup on so no posted receive strands a waiter (lost-wakeup avoidance).
+// avail pulse is re-armed: the capacity-1 channel holds one token for any
+// number of posts, so the cascade hands the wakeup on to the next wait and
+// no posted receive strands a waiter (lost-wakeup avoidance).
 func (q *recvQueue) pop() (RecvWR, bool) {
 	q.mu.Lock()
 	if q.n == 0 {

@@ -3,7 +3,6 @@ package iwarp
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +21,7 @@ type UDConfig struct {
 	// RecvDepth bounds the posted-receive queue (default 256).
 	RecvDepth int
 	// ReassemblyTimeout bounds how long partial multi-segment messages are
-	// retained before being abandoned (default ddp.DefaultReassemblyTimeout).
+	// retained before being abandoned (default 2 s).
 	ReassemblyTimeout time.Duration
 	// PerChunkCompletions switches Write-Record target notification from
 	// one aggregated validity-map completion per message to one completion
@@ -39,30 +38,20 @@ type UDConfig struct {
 	// stall. Never enable over a raw unreliable endpoint — it would let
 	// one slow receiver stall the placement engine for all peers.
 	BlockOnRNR bool
-	// RecvWorkers sets how many placement workers the receive pipeline
-	// runs (default min(4, GOMAXPROCS)). Arriving segments are sharded to
-	// workers by source peer, so per-peer completion order is preserved
-	// while independent peers parse, reassemble, and place concurrently;
-	// 1 degrades to the serial engine.
-	RecvWorkers int
 	// PlacementNotify, when non-nil, receives every successful Write-Record
 	// target completion (WTWriteRecordRecv) instead of the receive CQ — the
 	// placement-completion hook a message layer's rendezvous sink needs:
-	// direct dispatch from the placement worker, no CQ round trip and no
+	// direct dispatch from the placement engine, no CQ round trip and no
 	// risk of a full CQ dropping the notification a zero-copy transfer
-	// completes on. The callback runs on a placement-worker goroutine and
+	// completes on. The callback runs on the QP's receive goroutine and
 	// must not block; advisory error completions (WTError) still go to the
 	// receive CQ.
 	PlacementNotify func(CQE)
 }
 
-// recvWorkers resolves the configured worker count.
-func (cfg UDConfig) recvWorkers() int {
-	if cfg.RecvWorkers > 0 {
-		return cfg.RecvWorkers
-	}
-	return min(4, runtime.GOMAXPROCS(0))
-}
+// defaultReassemblyTimeout bounds how long partial multi-segment messages
+// and Write-Record trackers are retained when UDConfig leaves it unset.
+const defaultReassemblyTimeout = 2 * time.Second
 
 // UDQP is a datagram (unreliable datagram, or — when bound to an
 // rudp.Endpoint — reliable datagram) queue pair. One UDQP serves any number
@@ -83,16 +72,20 @@ type UDQP struct {
 	cfg    UDConfig
 
 	rq         *recvQueue
-	workers    []*udWorker    // placement workers, sharded by source peer
-	workerWG   sync.WaitGroup // placeLoop goroutines
-	reasmBytes atomic.Int64   // snapshot of reassembler memory, for Footprint
+	reasmBytes atomic.Int64 // snapshot of claim tracking memory, for Footprint
 	msn        atomic.Uint32
 
+	// Claims of multi-segment untagged messages in flight. Only recvLoop
+	// creates and completes claims; claimMu exists because the sweeper
+	// also walks and expires them.
+	claimMu sync.Mutex
+	claims  map[claimKey]*udClaim
+
 	// Write-Record trackers and outstanding UD reads, sharded by peer+MSN
-	// (peertab): each key is only ever touched by its peer's placement
-	// worker, but the sweeper walks both tables, so tracker state is
-	// guarded by the entry lock and removal uses EvictEntry's exactly-once
-	// win to arbitrate completion against timeout.
+	// (peertab): recvLoop places, but the sweeper walks both tables, so
+	// tracker state is guarded by the entry lock and removal uses
+	// EvictEntry's exactly-once win to arbitrate completion against
+	// timeout.
 	records      *peertab.Table[wrKey, wrTracker]
 	pendingReads *peertab.Table[wrKey, pendingUDRead]
 
@@ -108,39 +101,12 @@ type UDQP struct {
 	}
 }
 
-// recvBurst bounds one demux pull from the DDP channel; it matches the DDP
-// and transport burst sizes so a full send burst crosses each stage whole.
+// recvBurst bounds one pull from the DDP channel; it matches the DDP and
+// transport burst sizes so a full send burst crosses each stage whole.
 const recvBurst = 32
 
-// workerQueueDepth buffers each placement worker's inbox. A full inbox
-// stalls the demux stage — the pipeline's flow control, standing in for
-// the RNR backpressure a hardware receive pipeline would apply.
-const workerQueueDepth = 256
-
-// recvItem is one parsed, verified segment in flight from the demux stage
-// to a placement worker. The segment's Payload aliases Raw, which the
-// worker recycles after placement.
-type recvItem struct {
-	seg  ddp.Segment
-	from transport.Addr
-}
-
-// udWorker is one placement worker: an inbox fed by the demux stage and
-// the claims of multi-segment untagged messages in flight from its peers.
-// Sharding by source peer means a peer's segments always meet the same
-// worker, so claim state needs no cross-worker coordination; Write-Record
-// trackers and pending reads stay on the QP's shared maps (their keys
-// include the peer, so each key is only ever touched by one worker anyway,
-// but the sweeper also walks them). With one worker the demux dispatches
-// inline and no placeLoop goroutine runs (in stays nil).
-type udWorker struct {
-	in      chan recvItem
-	claimMu sync.Mutex // guards claims (shared by placeLoop and sweeper)
-	claims  map[claimKey]*udClaim
-}
-
-// claimKey identifies one in-flight multi-segment untagged message,
-// mirroring the DDP reassembly key (source, queue, MSN).
+// claimKey identifies one in-flight multi-segment untagged message by
+// source, queue and MSN.
 type claimKey struct {
 	from transport.Addr
 	qn   uint32
@@ -161,19 +127,6 @@ type udClaim struct {
 	msgLen  uint32
 	arrived memreg.ValidityMap
 	born    time.Time
-}
-
-// shardOf maps a source peer to a placement worker by the stack's one peer
-// hash. All traffic from one peer lands on one worker — the ordering
-// invariant the completion semantics need — while independent peers spread
-// across the pool.
-//
-//diwarp:hotpath
-func shardOf(from transport.Addr, n int) int {
-	if n == 1 {
-		return 0
-	}
-	return int(peertab.HashAddr(from) % uint32(n))
 }
 
 // wrKey identifies one in-flight Write-Record message at the target.
@@ -213,12 +166,9 @@ func OpenUD(ep transport.Datagram, pd *memreg.PD, tbl *memreg.Table, sendCQ, rec
 		recvCQ:       recvCQ,
 		cfg:          cfg,
 		rq:           newRecvQueue(cfg.RecvDepth),
+		claims:       make(map[claimKey]*udClaim),
 		records:      peertab.New[wrKey, wrTracker](hashWrKey, peertab.Options{}),
 		pendingReads: peertab.New[wrKey, pendingUDRead](hashWrKey, peertab.Options{}),
-	}
-	qp.workers = make([]*udWorker, cfg.recvWorkers())
-	for i := range qp.workers {
-		qp.workers[i] = &udWorker{claims: make(map[claimKey]*udClaim)}
 	}
 	qp.stats.msgsSent = telemetry.Default.Counter("diwarp_ud_msgs_sent_total")
 	qp.stats.msgsRecv = telemetry.Default.Counter("diwarp_ud_msgs_recv_total")
@@ -231,15 +181,6 @@ func OpenUD(ep transport.Datagram, pd *memreg.PD, tbl *memreg.Table, sendCQ, rec
 	qp.stats.swept = telemetry.Default.Counter("diwarp_ud_swept_total")
 	qp.done = make(chan struct{})
 	qp.wg.Add(2)
-	// One worker means the demux goroutine places inline: no inbox, no
-	// channel hop, no placeLoop — the serial engine with batching kept.
-	if len(qp.workers) > 1 {
-		qp.workerWG.Add(len(qp.workers))
-		for _, w := range qp.workers {
-			w.in = make(chan recvItem, workerQueueDepth)
-			go qp.placeLoop(w)
-		}
-	}
 	go qp.recvLoop()
 	go qp.sweepLoop()
 	return qp, nil
@@ -329,69 +270,40 @@ func (qp *UDQP) PostWriteRecord(id uint64, dest transport.Addr, stag memreg.STag
 	return nil
 }
 
-// recvLoop is the receive pipeline's demux stage: it pulls bursts of
-// verified segments from the DDP channel and shards each to a placement
-// worker by source peer, so one queue wakeup and one batch of queue locks
-// serve up to recvBurst datagrams. It exits when the endpoint closes,
-// draining the workers before flushing posted receives. It blocks without
-// a timeout — reassembly garbage collection runs in sweepLoop — so an idle
+// recvLoop is the QP's placement engine, the one goroutine that places
+// arriving data: it pulls bursts of verified segments from the DDP channel
+// and dispatches each in arrival order, so one queue wakeup and one batch
+// of queue locks serve up to recvBurst datagrams, and every peer's
+// completions post in the order its messages completed. A slow placement
+// stalls the next pull, which backpressures the LLP's queue. It exits when
+// the endpoint closes, flushing posted receives. It blocks without a
+// timeout — reassembly garbage collection runs in sweepLoop — so an idle
 // QP parks cheaply, with no timer churn on the per-datagram path.
 func (qp *UDQP) recvLoop() {
 	defer qp.wg.Done()
 	var segs [recvBurst]ddp.Segment
 	var froms [recvBurst]transport.Addr
-	nw := len(qp.workers)
 	for {
 		n, err := qp.ch.RecvBatch(segs[:], froms[:], 0)
 		if err != nil {
 			if errors.Is(err, transport.ErrTimeout) {
 				continue
 			}
-			if nw > 1 {
-				for _, w := range qp.workers {
-					close(w.in)
-				}
-				qp.workerWG.Wait()
-			}
 			qp.flushRecvs()
 			return
 		}
-		if nw == 1 {
-			// Single worker: place inline on the demux goroutine — no channel
-			// hop, no second wakeup per burst.
-			w := qp.workers[0]
-			for i := 0; i < n; i++ {
-				qp.dispatch(w, froms[i], &segs[i])
-				qp.ch.Recycle(segs[i].Raw)
-				segs[i] = ddp.Segment{}
-			}
-			continue
-		}
 		for i := 0; i < n; i++ {
-			// A full worker inbox blocks here: demux stalls until the worker
-			// catches up, which in turn backpressures the LLP's queue — the
-			// pipeline's flow control.
-			qp.workers[shardOf(froms[i], nw)].in <- recvItem{seg: segs[i], from: froms[i]}
-			segs[i] = ddp.Segment{} // drop the Raw reference: the worker owns it
+			qp.dispatch(froms[i], &segs[i])
+			// Every handler copies (or places) the payload before returning,
+			// so the transport buffer can go back to its pool.
+			qp.ch.Recycle(segs[i].Raw)
+			segs[i] = ddp.Segment{}
 		}
-	}
-}
-
-// placeLoop is one placement worker: it parses the RDMAP opcode, dispatches
-// to the appropriate handler, and recycles the transport buffer once the
-// payload has been copied or placed.
-func (qp *UDQP) placeLoop(w *udWorker) {
-	defer qp.workerWG.Done()
-	for it := range w.in {
-		qp.dispatch(w, it.from, &it.seg)
-		// Every handler copies (or places) the payload before returning, so
-		// the transport buffer can go back to its pool.
-		qp.ch.Recycle(it.seg.Raw)
 	}
 }
 
 // dispatch routes one segment to its opcode's handler.
-func (qp *UDQP) dispatch(w *udWorker, from transport.Addr, seg *ddp.Segment) {
+func (qp *UDQP) dispatch(from transport.Addr, seg *ddp.Segment) {
 	op, perr := rdmap.ParseCtrl(seg.RDMAP)
 	if perr != nil {
 		qp.advisory(from, perr)
@@ -399,7 +311,7 @@ func (qp *UDQP) dispatch(w *udWorker, from transport.Addr, seg *ddp.Segment) {
 	}
 	switch op {
 	case rdmap.OpSend, rdmap.OpSendSE:
-		qp.handleSend(w, from, seg)
+		qp.handleSend(from, seg)
 	case rdmap.OpWriteRecord:
 		qp.handleWriteRecord(from, seg)
 	case rdmap.OpReadReq:
@@ -420,7 +332,7 @@ func (qp *UDQP) reasmTimeout() time.Duration {
 	if qp.cfg.ReassemblyTimeout > 0 {
 		return qp.cfg.ReassemblyTimeout
 	}
-	return ddp.DefaultReassemblyTimeout
+	return defaultReassemblyTimeout
 }
 
 // advisory posts a WTError completion: the UD error model (errors are
@@ -437,9 +349,9 @@ func (qp *UDQP) advisory(from transport.Addr, err error) {
 // reassembly copy.
 //
 //diwarp:hotpath
-func (qp *UDQP) handleSend(w *udWorker, from transport.Addr, seg *ddp.Segment) {
+func (qp *UDQP) handleSend(from transport.Addr, seg *ddp.Segment) {
 	if !seg.Last || seg.MO != 0 {
-		qp.placeUntagged(w, from, seg)
+		qp.placeUntagged(from, seg)
 		return
 	}
 	if int(seg.MsgLen) != len(seg.Payload) {
@@ -472,21 +384,21 @@ func (qp *UDQP) handleSend(w *udWorker, from transport.Addr, seg *ddp.Segment) {
 // it at its message offset. A validity map tracks arrival; the completion
 // fires when the byte count closes. Outlined from handleSend: it takes the
 // claim lock the sweeper shares.
-func (qp *UDQP) placeUntagged(w *udWorker, from transport.Addr, seg *ddp.Segment) {
+func (qp *UDQP) placeUntagged(from transport.Addr, seg *ddp.Segment) {
 	end := uint64(seg.MO) + uint64(len(seg.Payload))
 	if end > uint64(seg.MsgLen) {
 		return // segment overflows its declared message; drop
 	}
 	key := claimKey{from: from, qn: seg.QN, msn: seg.MSN}
-	w.claimMu.Lock()
-	cl, ok := w.claims[key]
+	qp.claimMu.Lock()
+	cl, ok := qp.claims[key]
 	if !ok {
 		// First segment of the message: claim a posted receive. The pop (and
 		// the RNR wait, which can block for the reassembly timeout) runs
-		// outside the claim lock so the sweeper and other peers' claims are
-		// not stalled behind it. Only this worker creates claims for this
-		// peer, so the key cannot appear concurrently.
-		w.claimMu.Unlock()
+		// outside the claim lock so the sweeper is not stalled behind it.
+		// Only recvLoop creates claims, so the key cannot appear
+		// concurrently.
+		qp.claimMu.Unlock()
 		wr, got := qp.rq.pop()
 		if !got && qp.cfg.BlockOnRNR {
 			wr, got = qp.waitRecv()
@@ -498,11 +410,11 @@ func (qp *UDQP) placeUntagged(w *udWorker, from transport.Addr, seg *ddp.Segment
 			qp.dropNoRecv(from, int(seg.MsgLen))
 		}
 		cl = &udClaim{wr: wr, hasWR: got, msgLen: seg.MsgLen, born: time.Now()}
-		w.claimMu.Lock()
-		w.claims[key] = cl
+		qp.claimMu.Lock()
+		qp.claims[key] = cl
 	}
 	if seg.MsgLen != cl.msgLen {
-		w.claimMu.Unlock()
+		qp.claimMu.Unlock()
 		return // conflicting header for this MSN; drop the segment
 	}
 	if cl.hasWR {
@@ -510,11 +422,11 @@ func (qp *UDQP) placeUntagged(w *udWorker, from transport.Addr, seg *ddp.Segment
 	}
 	cl.arrived.Add(uint64(seg.MO), uint64(len(seg.Payload)))
 	if !cl.arrived.Complete(uint64(cl.msgLen)) {
-		w.claimMu.Unlock()
+		qp.claimMu.Unlock()
 		return
 	}
-	delete(w.claims, key)
-	w.claimMu.Unlock()
+	delete(qp.claims, key)
+	qp.claimMu.Unlock()
 	if !cl.hasWR {
 		return // tombstone completed: the drop was counted at claim time
 	}
@@ -676,28 +588,26 @@ func (qp *UDQP) sweepLoop() {
 func (qp *UDQP) sweepClaims(now time.Time) {
 	cutoff := now.Add(-qp.reasmTimeout())
 	var live int64
-	for _, w := range qp.workers {
-		w.claimMu.Lock()
-		for k, cl := range w.claims {
-			if !cl.born.Before(cutoff) {
-				live++
-				continue
-			}
-			delete(w.claims, k)
-			qp.stats.swept.Inc()
-			if !cl.hasWR {
-				continue
-			}
-			if err := qp.rq.post(cl.wr); err != nil {
-				qp.recvCQ.post(CQE{
-					WRID: cl.wr.ID, Type: WTRecv, Status: StatusTimedOut,
-					Err: fmt.Errorf("iwarp: partial message abandoned after %v", qp.reasmTimeout()),
-					Src: k.from,
-				})
-			}
+	qp.claimMu.Lock()
+	for k, cl := range qp.claims {
+		if !cl.born.Before(cutoff) {
+			live++
+			continue
 		}
-		w.claimMu.Unlock()
+		delete(qp.claims, k)
+		qp.stats.swept.Inc()
+		if !cl.hasWR {
+			continue
+		}
+		if err := qp.rq.post(cl.wr); err != nil {
+			qp.recvCQ.post(CQE{
+				WRID: cl.wr.ID, Type: WTRecv, Status: StatusTimedOut,
+				Err: fmt.Errorf("iwarp: partial message abandoned after %v", qp.reasmTimeout()),
+				Src: k.from,
+			})
+		}
 	}
+	qp.claimMu.Unlock()
 	qp.reasmBytes.Store(live * udClaimOverhead)
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -102,12 +104,12 @@ func TestUDBlockOnRNRTimesOut(t *testing.T) {
 	}
 }
 
-// TestUDShardedPerPeerOrdering pins the pipeline's ordering invariant: with
-// several placement workers and an in-order network, completions for any
-// one peer arrive in that peer's send order, however the peers interleave.
-func TestUDShardedPerPeerOrdering(t *testing.T) {
+// TestUDPerPeerOrdering pins the receive path's ordering invariant: over an
+// in-order network, completions for any one peer arrive in that peer's
+// send order, however concurrent peers interleave.
+func TestUDPerPeerOrdering(t *testing.T) {
 	net := simnet.New(simnet.Config{})
-	recv := newUDNode(t, net, "recv", UDConfig{RecvWorkers: 4, RecvDepth: 2048})
+	recv := newUDNode(t, net, "recv", UDConfig{RecvDepth: 2048})
 
 	const peers = 8
 	const msgs = 50
@@ -161,8 +163,8 @@ func TestUDShardedPerPeerOrdering(t *testing.T) {
 	}
 }
 
-// TestUDPipelineStress hammers the sharded pipeline with loss, duplication
-// and (in one variant) reordering, with both worker counts, checking every
+// TestUDPipelineStress hammers the receive path with concurrent peers,
+// loss, duplication and (in one variant) reordering, checking every
 // delivered message for integrity and — when the network is FIFO per peer —
 // per-peer completion order. Run with -race to make it a concurrency test.
 func TestUDPipelineStress(t *testing.T) {
@@ -178,21 +180,15 @@ func TestUDPipelineStress(t *testing.T) {
 		fault   faultnet.Config
 		ordered bool // network delivers FIFO per peer (dups are adjacent)
 	}{
-		{"loss+dup/workers=1", simnet.Config{LossRate: 0.05, Seed: 7}, faultnet.Config{Seed: 7, DupRate: 0.05}, true},
-		{"loss+dup/workers=4", simnet.Config{LossRate: 0.05, Seed: 7}, faultnet.Config{Seed: 7, DupRate: 0.05}, true},
-		{"loss+reorder+dup/workers=4", simnet.Config{LossRate: 0.03, Seed: 11}, faultnet.Config{Seed: 11, ReorderRate: 0.2, ReorderSpan: 2, DupRate: 0.05}, false},
+		{"loss+dup", simnet.Config{LossRate: 0.05, Seed: 7}, faultnet.Config{Seed: 7, DupRate: 0.05}, true},
+		{"loss+reorder+dup", simnet.Config{LossRate: 0.03, Seed: 11}, faultnet.Config{Seed: 11, ReorderRate: 0.2, ReorderSpan: 2, DupRate: 0.05}, false},
 	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			workers := 1
-			if v.name[len(v.name)-1] == '4' {
-				workers = 4
-			}
 			net := simnet.New(v.cfg)
 			recv := newUDNode(t, net, "recv", UDConfig{
-				RecvWorkers: workers, RecvDepth: 4096,
-				ReassemblyTimeout: 300 * time.Millisecond,
+				RecvDepth: 4096, ReassemblyTimeout: 300 * time.Millisecond,
 			})
 			// Duplication can deliver a message twice; every delivery
 			// consumes a receive, so post generously.
@@ -386,12 +382,39 @@ func TestUDRecvBatchStatsVisible(t *testing.T) {
 	}
 }
 
-// TestUDRecvWorkersDefault pins the worker-count resolution rule.
-func TestUDRecvWorkersDefault(t *testing.T) {
-	if n := (UDConfig{RecvWorkers: 3}).recvWorkers(); n != 3 {
-		t.Fatalf("explicit: %d", n)
+// openUDGoroutines returns the stacks of every live goroutine started by
+// OpenUD.
+func openUDGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var gs []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "created by repro/internal/core.OpenUD") {
+			gs = append(gs, g)
+		}
 	}
-	if n := (UDConfig{}).recvWorkers(); n < 1 || n > 4 {
-		t.Fatalf("default: %d", n)
+	return gs
+}
+
+// TestUDQPStartsTwoGoroutines: whatever GOMAXPROCS is, a UD QP runs its
+// placement engine (recvLoop) and its sweeper, and nothing else.
+func TestUDQPStartsTwoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	before := len(openUDGoroutines())
+	newUDNode(t, simnet.New(simnet.Config{}), "g", UDConfig{})
+	// A new goroutine may not have entered its function yet; wait until
+	// both have.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		gs := openUDGoroutines()
+		all := strings.Join(gs, "\n")
+		started := strings.Contains(all, "(*UDQP).recvLoop") && strings.Contains(all, "(*UDQP).sweepLoop")
+		if started || time.Now().After(deadline) {
+			if n := len(gs) - before; n != 2 || !started {
+				t.Fatalf("OpenUD started %d goroutines, want recvLoop and sweepLoop only:\n%s", n, all)
+			}
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"net/netip"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -175,6 +175,9 @@ func TestDatagramUntaggedSingleSegment(t *testing.T) {
 	}
 }
 
+// TestDatagramMultiSegmentReassembly checks what the receiver reassembles
+// from: a message past the datagram limit leaves as self-describing
+// segments whose MO/MsgLen/Last headers tile it exactly.
 func TestDatagramMultiSegmentReassembly(t *testing.T) {
 	a, b := dgramPair(t, simnet.Config{})
 	// 150 KB message: 3 datagram segments at the 64 KB limit.
@@ -183,27 +186,33 @@ func TestDatagramMultiSegmentReassembly(t *testing.T) {
 	if err := a.SendUntagged(b.LocalAddr(), QNSend, 1, 0, nio.VecOf(msg)); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReassembler(0)
-	var got []byte
-	segs := 0
-	for got == nil {
-		seg, from, err := recvOne(b, time.Second)
+	var segs []Segment
+	for len(segs) < 3 {
+		seg, _, err := recvOne(b, time.Second)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("after %d segments: %v", len(segs), err)
 		}
-		segs++
-		if m, done := r.Add(from, &seg); done {
-			got = m
-		}
+		segs = append(segs, seg)
 	}
-	if segs != 3 {
-		t.Fatalf("segments = %d, want 3", segs)
+	if seg, _, err := recvOne(b, 50*time.Millisecond); err == nil {
+		t.Fatalf("unexpected 4th segment: MO %d, %d bytes", seg.MO, len(seg.Payload))
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].MO < segs[j].MO })
+	var got []byte
+	for i, seg := range segs {
+		if seg.Tagged || seg.QN != QNSend || seg.MSN != 1 || int(seg.MsgLen) != len(msg) {
+			t.Fatalf("segment %d header: %+v", i, seg)
+		}
+		if int(seg.MO) != len(got) {
+			t.Fatalf("segment %d: MO %d, want %d (segments must tile the message)", i, seg.MO, len(got))
+		}
+		if seg.Last != (i == len(segs)-1) {
+			t.Fatalf("segment %d: Last = %v", i, seg.Last)
+		}
+		got = append(got, seg.Payload...)
 	}
 	if !bytes.Equal(got, msg) {
-		t.Fatal("reassembled message corrupt")
-	}
-	if r.Pending() != 0 {
-		t.Fatalf("pending = %d", r.Pending())
+		t.Fatal("concatenated segments differ from the message")
 	}
 }
 
@@ -385,121 +394,5 @@ func TestStreamZeroLengthMessage(t *testing.T) {
 	}
 	if !seg.Last || len(seg.Payload) != 0 || seg.MsgLen != 0 {
 		t.Fatalf("segment: %+v", seg)
-	}
-}
-
-// --- Reassembler ---
-
-func mkSeg(msn, mo, msgLen uint32, last bool, payload []byte) *Segment {
-	return &Segment{QN: QNSend, MSN: msn, MO: mo, MsgLen: msgLen, Last: last, Payload: payload}
-}
-
-var src = netip.MustParseAddrPort("10.0.0.2:1")
-
-func TestReassemblerOutOfOrder(t *testing.T) {
-	r := NewReassembler(0)
-	if _, done := r.Add(src, mkSeg(1, 4, 8, true, []byte("５６７８")[:4])); done {
-		t.Fatal("half message completed")
-	}
-	msg, done := r.Add(src, mkSeg(1, 0, 8, false, []byte("1234")))
-	if !done {
-		t.Fatal("message did not complete")
-	}
-	if string(msg[:4]) != "1234" {
-		t.Fatalf("msg = %q", msg)
-	}
-}
-
-func TestReassemblerDuplicateAbsorbed(t *testing.T) {
-	r := NewReassembler(0)
-	seg := mkSeg(1, 0, 8, false, []byte("1234"))
-	r.Add(src, seg)
-	r.Add(src, seg) // duplicate
-	if r.Pending() != 1 {
-		t.Fatalf("pending = %d", r.Pending())
-	}
-	if _, done := r.Add(src, mkSeg(1, 4, 8, true, []byte("5678"))); !done {
-		t.Fatal("completion lost after duplicate")
-	}
-}
-
-func TestReassemblerIndependentPeers(t *testing.T) {
-	r := NewReassembler(0)
-	src2 := netip.MustParseAddrPort("10.0.0.3:2")
-	r.Add(src, mkSeg(1, 0, 8, false, []byte("aaaa")))
-	r.Add(src2, mkSeg(1, 0, 8, false, []byte("bbbb")))
-	if r.Pending() != 2 {
-		t.Fatalf("pending = %d", r.Pending())
-	}
-	msg, done := r.Add(src2, mkSeg(1, 4, 8, true, []byte("BBBB")))
-	if !done || string(msg) != "bbbbBBBB" {
-		t.Fatalf("msg = %q done = %v", msg, done)
-	}
-}
-
-func TestReassemblerOverflowSegmentDropped(t *testing.T) {
-	r := NewReassembler(0)
-	if _, done := r.Add(src, mkSeg(1, 6, 8, false, []byte("xxxx"))); done {
-		t.Fatal("overflowing segment completed")
-	}
-	if r.Pending() != 0 {
-		t.Fatal("overflowing segment retained")
-	}
-}
-
-func TestReassemblerSweep(t *testing.T) {
-	r := NewReassembler(50 * time.Millisecond)
-	now := time.Unix(1000, 0)
-	r.now = func() time.Time { return now }
-	r.Add(src, mkSeg(1, 0, 8, false, []byte("aaaa")))
-	if n := r.Sweep(); n != 0 {
-		t.Fatalf("premature sweep dropped %d", n)
-	}
-	now = now.Add(time.Second)
-	if n := r.Sweep(); n != 1 {
-		t.Fatalf("sweep dropped %d, want 1", n)
-	}
-	if r.Pending() != 0 {
-		t.Fatal("partial retained after sweep")
-	}
-}
-
-func TestReassemblerMsnReuse(t *testing.T) {
-	r := NewReassembler(0)
-	// Stale partial with MsgLen 8 for MSN 1, then MSN 1 reused for an
-	// entirely different 6-byte message.
-	r.Add(src, mkSeg(1, 0, 8, false, []byte("old!")))
-	r.Add(src, mkSeg(1, 0, 6, false, []byte("new")))
-	msg, done := r.Add(src, mkSeg(1, 3, 6, true, []byte("msg")))
-	if !done || string(msg) != "newmsg" {
-		t.Fatalf("msg = %q done = %v", msg, done)
-	}
-}
-
-// Property: for any message and any segment arrival order, reassembly
-// returns the original bytes.
-func TestReassemblerAnyOrderQuick(t *testing.T) {
-	f := func(seed int64, szRaw uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		size := int(szRaw)%5000 + 1
-		msg := make([]byte, size)
-		rng.Read(msg)
-		segSize := 1 + rng.Intn(size)
-		var segs []*Segment
-		for off := 0; off < size; off += segSize {
-			n := min(segSize, size-off)
-			segs = append(segs, mkSeg(5, uint32(off), uint32(size), off+n == size, msg[off:off+n]))
-		}
-		r := NewReassembler(0)
-		var got []byte
-		for _, i := range rng.Perm(len(segs)) {
-			if m, done := r.Add(src, segs[i]); done {
-				got = m
-			}
-		}
-		return got != nil && bytes.Equal(got, msg)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

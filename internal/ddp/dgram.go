@@ -177,7 +177,7 @@ func (ch *DatagramChannel) Recycle(raw []byte) {
 
 // SendUntagged segments one untagged message to the destination. Segments
 // may be lost or reordered in flight; the headers carry enough state (MSN,
-// MO, MsgLen, Last) for the receiver's Reassembler to cope.
+// MO, MsgLen, Last) for the receiver to place each one on arrival.
 func (ch *DatagramChannel) SendUntagged(to transport.Addr, qn, msn uint32, rdmapCtrl byte, payload nio.Vec) error {
 	return ch.send(to, &Segment{QN: qn, MSN: msn, RDMAP: rdmapCtrl}, payload)
 }

@@ -50,8 +50,7 @@ func (s MsgSchedule) sizeFor(i int) int {
 }
 
 // msgChaosConfig is the endpoint configuration every msg chaos run uses:
-// reliable LLP semantics (BlockOnRNR), a single receive worker so eager
-// delivery order is well-defined, and a short rendezvous timeout plus fast
+// reliable LLP semantics (BlockOnRNR) and a short rendezvous timeout plus fast
 // sweep so orphaned sinks from abandoned handshakes drain within the
 // quiesce window rather than the production default of several seconds.
 func msgChaosConfig(handler func(msg.Message)) msg.Config {
@@ -59,7 +58,6 @@ func msgChaosConfig(handler func(msg.Message)) msg.Config {
 		EagerThreshold:    msgChaosThreshold,
 		EagerCredits:      32,
 		RecvDepth:         128,
-		RecvWorkers:       1,
 		Reliable:          true,
 		RendezvousTimeout: 2 * time.Second,
 		SweepInterval:     200 * time.Millisecond,

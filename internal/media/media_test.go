@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/simnet"
 	"repro/internal/sockif"
+	"repro/internal/transport"
 )
 
 func TestClipFrames(t *testing.T) {
@@ -46,7 +47,7 @@ func TestClipDeterministicAndVerifiable(t *testing.T) {
 func mediaSetup(t *testing.T, cfg sockif.Config) (*sockif.Interface, *sockif.Interface) {
 	t.Helper()
 	net := simnet.New(simnet.Config{})
-	return sockif.NewSim(net, "server", cfg), sockif.NewSim(net, "client", cfg)
+	return simSockets(net, "server", cfg), simSockets(net, "client", cfg)
 }
 
 func TestUDPStreamingPreBuffer(t *testing.T) {
@@ -179,4 +180,13 @@ func TestNativeUDPBaseline(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// simSockets builds a socket interface whose endpoints live on node of a
+// simulated network.
+func simSockets(net *simnet.Network, node string, cfg sockif.Config) *sockif.Interface {
+	cfg.OpenDatagram = func(port uint16) (transport.Datagram, error) { return net.OpenDatagram(node, port) }
+	cfg.Listen = func(port uint16) (transport.Listener, error) { return net.Listen(node, port) }
+	cfg.Dial = func(to transport.Addr) (transport.Stream, error) { return net.Dial(node, to) }
+	return sockif.New(cfg)
 }

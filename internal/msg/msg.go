@@ -75,9 +75,6 @@ type Config struct {
 	EagerCredits int
 	// RecvDepth is the number of pre-posted receives (default 256).
 	RecvDepth int
-	// MaxRendezvous bounds concurrent outbound rendezvous per peer
-	// (default 16).
-	MaxRendezvous int
 	// RendezvousTimeout bounds CTS waits and idle-sink retention
 	// (default 5s).
 	RendezvousTimeout time.Duration
@@ -90,8 +87,6 @@ type Config struct {
 	// the QP blocks on receiver-not-ready instead of dropping, and the
 	// layer guarantees exactly-once delivery.
 	Reliable bool
-	// RecvWorkers sets the QP's placement-worker count (0 = QP default).
-	RecvWorkers int
 	// Handler receives every delivered message. It may be invoked
 	// concurrently from internal goroutines, must not block indefinitely
 	// (it stalls the receive path), and owns m until m.Release().
@@ -107,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RecvDepth == 0 {
 		c.RecvDepth = DefaultRecvDepth
-	}
-	if c.MaxRendezvous == 0 {
-		c.MaxRendezvous = DefaultMaxRendezvous
 	}
 	if c.RendezvousTimeout == 0 {
 		c.RendezvousTimeout = DefaultRendezvousTimeout
@@ -176,7 +168,7 @@ type peer struct {
 	lastGrant atomic.Uint32
 	creditCh  chan struct{} // pulsed (cap 1) when limit moves
 	nextID    atomic.Uint32
-	rdvSem    chan struct{} // cap MaxRendezvous
+	rdvSem    chan struct{} // cap DefaultMaxRendezvous
 	pendMu    sync.Mutex
 	pending   map[uint32]chan Header // MsgID -> CTS delivery
 
@@ -414,7 +406,6 @@ func Open(ep transport.Datagram, cfg Config) (*Endpoint, error) {
 	qp, err := iwarp.OpenUD(ep, e.pd, e.tbl, e.sendCQ, e.recvCQ, iwarp.UDConfig{
 		RecvDepth:       cfg.RecvDepth + 1,
 		BlockOnRNR:      cfg.Reliable,
-		RecvWorkers:     cfg.RecvWorkers,
 		PlacementNotify: e.onPlacement,
 	})
 	if err != nil {
@@ -505,7 +496,7 @@ func (e *Endpoint) peerSlow(addr transport.Addr) *peer {
 	ent, _, _ := e.peers.GetOrCreate(addr, func(ent *peertab.Entry[transport.Addr, peer]) {
 		p := &ent.V
 		p.creditCh = make(chan struct{}, 1)
-		p.rdvSem = make(chan struct{}, e.cfg.MaxRendezvous)
+		p.rdvSem = make(chan struct{}, DefaultMaxRendezvous)
 		p.pending = make(map[uint32]chan Header)
 		p.limit.Store(e.window)
 	})
@@ -925,8 +916,8 @@ func (e *Endpoint) handleFIN(from transport.Addr, h *Header) {
 }
 
 // onPlacement is the QP's placement-completion hook: one successful
-// Write-Record landed in some registered region. Runs on a placement
-// worker; must not block.
+// Write-Record landed in some registered region. Runs on the QP's receive
+// goroutine; must not block.
 func (e *Endpoint) onPlacement(cqe iwarp.CQE) {
 	if cqe.Status != iwarp.StatusSuccess {
 		return

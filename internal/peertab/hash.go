@@ -5,8 +5,8 @@ import (
 	"net/netip"
 )
 
-// HashAddr is the stack's one peer hash: rudp's and msg's peer tables,
-// core's placement workers and Write-Record trackers all stripe by it, so
+// HashAddr is the stack's one peer hash: rudp's and msg's peer tables and
+// core's Write-Record trackers all stripe by it, so
 // one peer lands on the same shard index at every layer. It reads the
 // address as two 64-bit words of its 16-byte form, folds the port into the
 // low word's top bits (always zero for an IPv4 address, so distinct IPv4

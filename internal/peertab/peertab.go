@@ -7,9 +7,8 @@
 // core each guarded a flat `map[addr]*state` with one endpoint-wide mutex —
 // every send, every ACK, and every retransmit tick serialized all peers.
 //
-// The table is striped N ways by a caller-supplied hash (the same FNV-1a
-// discipline as the placement workers, so one address computes one shard
-// everywhere). Each shard separates its two concerns:
+// The table is striped N ways by a caller-supplied hash (HashAddr for a
+// peer, so one address computes one shard everywhere). Each shard separates its two concerns:
 //
 //   - Structural changes (insert, evict) take the shard mutex and publish a
 //     new immutable snapshot map (copy-on-write). They are rare: once per
@@ -133,8 +132,8 @@ type Table[K comparable, V any] struct {
 }
 
 // New builds a table striped by hash. The hash must be deterministic for a
-// key's lifetime; FNV-1a over the address bytes (see hash.go) matches the
-// placement-worker sharding so one peer hashes identically at every layer.
+// key's lifetime; peer-keyed tables use HashAddr (see hash.go), so one peer
+// hashes identically at every layer.
 func New[K comparable, V any](hash func(K) uint32, opts Options) *Table[K, V] {
 	n := opts.Shards
 	if n <= 0 {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/simnet"
 	"repro/internal/sockif"
+	"repro/internal/transport"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -132,8 +133,8 @@ func TestCodecRoundTripQuick(t *testing.T) {
 func sipPair(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	net := simnet.New(simnet.Config{})
-	ifSrv := sockif.NewSim(net, "server", sockif.Config{})
-	ifCli := sockif.NewSim(net, "client", sockif.Config{})
+	ifSrv := simSockets(net, "server", sockif.Config{})
+	ifCli := simSockets(net, "client", sockif.Config{})
 	ss, err := ifSrv.BindDatagram(5060)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +195,7 @@ func TestOptionsPing(t *testing.T) {
 
 func TestConcurrentDialogState(t *testing.T) {
 	net := simnet.New(simnet.Config{})
-	ifSrv := sockif.NewSim(net, "server", sockif.Config{})
+	ifSrv := simSockets(net, "server", sockif.Config{})
 	ss, err := ifSrv.BindDatagram(5060)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +228,7 @@ func callSuffix(i int) string { return string([]byte{byte('a' + i/10%26), byte('
 
 func TestServerIgnoresMalformed(t *testing.T) {
 	net := simnet.New(simnet.Config{})
-	ifSrv := sockif.NewSim(net, "server", sockif.Config{})
+	ifSrv := simSockets(net, "server", sockif.Config{})
 	ss, _ := ifSrv.BindDatagram(5060)
 	defer ss.Close()
 	srv := NewServer(ss)
@@ -235,4 +236,13 @@ func TestServerIgnoresMalformed(t *testing.T) {
 	if srv.Stats().Malformed != 1 {
 		t.Fatalf("stats %+v", srv.Stats())
 	}
+}
+
+// simSockets builds a socket interface whose endpoints live on node of a
+// simulated network.
+func simSockets(net *simnet.Network, node string, cfg sockif.Config) *sockif.Interface {
+	cfg.OpenDatagram = func(port uint16) (transport.Datagram, error) { return net.OpenDatagram(node, port) }
+	cfg.Listen = func(port uint16) (transport.Listener, error) { return net.Listen(node, port) }
+	cfg.Dial = func(to transport.Addr) (transport.Stream, error) { return net.Dial(node, to) }
+	return sockif.New(cfg)
 }

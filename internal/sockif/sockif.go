@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/memreg"
 	"repro/internal/rudp"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -49,7 +48,6 @@ const (
 var (
 	ErrNotConnected = errors.New("sockif: socket not connected")
 	ErrBadSocket    = errors.New("sockif: operation invalid for socket type/state")
-	ErrMsgTruncated = errors.New("sockif: message exceeds receive slab buffer")
 )
 
 // Config parameterises one process's socket interface instance.
@@ -62,8 +60,10 @@ type Config struct {
 	Dial func(to transport.Addr) (transport.Stream, error)
 
 	// RecvBufCount and RecvBufSize shape the pre-posted receive slab
-	// (defaults 16 × 8 KiB). A message larger than RecvBufSize is dropped
-	// with a truncation error, like a datagram overflowing SO_RCVBUF.
+	// (defaults 16 × 8 KiB). A message larger than RecvBufSize is dropped,
+	// like a datagram overflowing SO_RCVBUF: the receiver sees nothing,
+	// the drop is counted in Stats().Truncated, and the slab buffer is
+	// reposted.
 	RecvBufCount int
 	RecvBufSize  int
 	// RingSize is the Write-Record ring region size advertised by datagram
@@ -73,11 +73,6 @@ type Config struct {
 	// Reliable wraps datagram endpoints in the reliable-datagram LLP,
 	// giving TCP-like guarantees with datagram scalability (RD service).
 	Reliable bool
-	// RudpConfig parameterises the reliable-datagram layer when Reliable
-	// is set: peer-table sharding, bounded capacity (admission errors past
-	// MaxPeers), and idle-conversation eviction. The zero value keeps
-	// rudp's defaults (unbounded, no idle eviction).
-	RudpConfig rudp.Config
 	// StreamWriteRecord switches stream (RC) sockets to the RDMA Write
 	// data path: rings are advertised in the MPA private data at connect
 	// time, large sends become RDMA Write + notify (the paper's Figure 3
@@ -123,21 +118,6 @@ func New(cfg Config) *Interface {
 	}
 }
 
-// NewSim builds an Interface whose endpoints live on a simulated network
-// node — the common test/benchmark configuration.
-func NewSim(net *simnet.Network, node string, cfg Config) *Interface {
-	cfg.OpenDatagram = func(port uint16) (transport.Datagram, error) {
-		return net.OpenDatagram(node, port)
-	}
-	cfg.Listen = func(port uint16) (transport.Listener, error) {
-		return net.Listen(node, port)
-	}
-	cfg.Dial = func(to transport.Addr) (transport.Stream, error) {
-		return net.Dial(node, to)
-	}
-	return New(cfg)
-}
-
 // Socket creates a socket of the given type, returning it with its file
 // descriptor number. A datagram socket is immediately bound to an
 // ephemeral port (bind explicitly with BindDatagram for a fixed port).
@@ -162,7 +142,7 @@ func (ifc *Interface) socket(t Type, port uint16) (*Socket, error) {
 			return nil, err
 		}
 		if ifc.cfg.Reliable {
-			ep = rudp.NewConfig(ep, ifc.cfg.RudpConfig)
+			ep = rudp.New(ep)
 		}
 		if err := s.initUD(ep); err != nil {
 			ep.Close() //diwarp:ignore errflow: error-path cleanup of an endpoint never exposed; initUD's error is the one to report

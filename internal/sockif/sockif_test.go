@@ -10,10 +10,19 @@ import (
 	"repro/internal/transport"
 )
 
+// newSim builds a socket interface whose endpoints live on node of a
+// simulated network.
+func newSim(net *simnet.Network, node string, cfg Config) *Interface {
+	cfg.OpenDatagram = func(port uint16) (transport.Datagram, error) { return net.OpenDatagram(node, port) }
+	cfg.Listen = func(port uint16) (transport.Listener, error) { return net.Listen(node, port) }
+	cfg.Dial = func(to transport.Addr) (transport.Stream, error) { return net.Dial(node, to) }
+	return New(cfg)
+}
+
 func simPair(t *testing.T, netCfg simnet.Config, cfg Config) (*Interface, *Interface, *simnet.Network) {
 	t.Helper()
 	net := simnet.New(netCfg)
-	return NewSim(net, "a", cfg), NewSim(net, "b", cfg), net
+	return newSim(net, "a", cfg), newSim(net, "b", cfg), net
 }
 
 func TestDatagramSendToRecvFrom(t *testing.T) {
@@ -362,8 +371,8 @@ func TestDatagramOverLossySocket(t *testing.T) {
 
 func TestReliableDatagramSocket(t *testing.T) {
 	net := simnet.New(simnet.Config{LossRate: 0.2, Seed: 31})
-	ifa := NewSim(net, "a", Config{Reliable: true})
-	ifb := NewSim(net, "b", Config{Reliable: true})
+	ifa := newSim(net, "a", Config{Reliable: true})
+	ifb := newSim(net, "b", Config{Reliable: true})
 	sa, _ := ifa.Socket(DatagramSocket)
 	defer sa.Close()
 	sb, _ := ifb.Socket(DatagramSocket)
