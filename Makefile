@@ -126,10 +126,12 @@ chaos-smoke:
 	$(GO) test -count=1 ./internal/faultnet/ ./internal/faultnet/chaos/
 
 # The chaos schedules under the race detector, plus the sockif
-# connection-establishment race regressions: the dynamic complement to the
-# static lint-concurrency gate.
+# connection-establishment race regressions and the UDP send engine's
+# close-under-load stress: the dynamic complement to the static
+# lint-concurrency gate.
 chaos-smoke-race:
 	$(GO) test -race -count=1 ./internal/faultnet/ ./internal/faultnet/chaos/ ./internal/sockif/
+	$(GO) test -race -count=1 -run 'TestUDPSendEngineRace|TestUDPCloseSemantics' ./internal/transport/
 
 # A truncated many-peer soak (DESIGN.md §4.12): 1k live reliable-datagram
 # conversations on one simnet hub, exiting non-zero unless occupancy,

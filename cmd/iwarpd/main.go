@@ -80,7 +80,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("metrics on http://%s/metrics (json: /metrics.json, trace: /trace.json)", bound)
+		log.Printf("metrics on http://%s/metrics (json: /metrics.json, trace: /trace.json, profiles: /debug/pprof/)", bound)
 	}
 	if *pcapOut != "" {
 		f, err := os.Create(*pcapOut)

@@ -83,7 +83,7 @@ func runSim(loss float64, duration time.Duration, msgSize int, metricsAddr, pcap
 		}
 		stop = s
 		metricsAddr = bound
-		log.Printf("metrics on http://%s/metrics (json: /metrics.json, trace: /trace.json)", bound)
+		log.Printf("metrics on http://%s/metrics (json: /metrics.json, trace: /trace.json, profiles: /debug/pprof/)", bound)
 	}
 
 	// Echo server.

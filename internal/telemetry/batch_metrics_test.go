@@ -11,8 +11,8 @@ import (
 	"repro/internal/transport"
 )
 
-// TestBatchMetricNames pins the metric names the kernel batch datapath
-// exports (DESIGN.md §4.9). Dashboards key on these strings; renaming one
+// TestBatchMetricNames pins the metric names the kernel batch datapath and
+// the send engine export (DESIGN.md §4.9). Dashboards key on these strings; renaming one
 // must fail a test, not a production scrape. The test drives real loopback
 // bursts so the histograms move on whatever tier this kernel probes to —
 // portable, mmsg, or the full offloads.
@@ -78,6 +78,11 @@ func TestBatchMetricNames(t *testing.T) {
 		if !strings.Contains(text, name+"_bucket{le=") {
 			t.Errorf("histogram %s has no buckets in scrape", name)
 		}
+	}
+	// The send engine's refusal counter is registered with the transport,
+	// so it is in every scrape, refusals or not.
+	if _, ok := scrapeValue(text, "diwarp_transport_tx_dropped_total"); !ok {
+		t.Error("counter diwarp_transport_tx_dropped_total missing from scrape")
 	}
 	// Capability gauges: present with a 0/1 verdict, matching the probe.
 	feats := dst.BatchFeatures()

@@ -6,7 +6,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime/pprof"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -87,8 +89,11 @@ type traceDump struct {
 //	GET /metrics.json   JSON snapshot of the registry
 //	GET /trace.json     drain the trace ring (consuming!) as JSON
 //	GET /healthz        liveness probe
+//	GET /debug/pprof/   the runtime profiles, always on (servePprof):
+//	                    go tool pprof http://ADDR/debug/pprof/profile
 func Handler(reg *Registry, ring *Ring) http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", servePprof)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -124,6 +129,59 @@ func Handler(reg *Registry, ring *Ring) http.Handler {
 		})
 	}
 	return mux
+}
+
+// servePprof serves the runtime profiles at the paths net/http/pprof uses
+// and go tool pprof asks for: /debug/pprof/profile?seconds=N records a CPU
+// profile (default 30 s), /debug/pprof/NAME[?debug=N] writes any
+// runtime/pprof profile (heap, allocs, goroutine, block, mutex,
+// threadcreate), and the bare prefix lists them. It is built on
+// runtime/pprof alone: net/http/pprof would link its profile parser,
+// regexp and runtime/trace into every binary that links telemetry — a
+// sixth more binary, and measurably slower stack set-up in the repo
+// benchmark — for the cmdline, symbol and trace routes left out here.
+func servePprof(w http.ResponseWriter, r *http.Request) {
+	name := strings.TrimPrefix(r.URL.Path, "/debug/pprof/")
+	switch name {
+	case "":
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "profile  CPU profile, ?seconds=N")
+		for _, p := range pprof.Profiles() {
+			fmt.Fprintf(w, "%-8s %d\n", p.Name(), p.Count())
+		}
+	case "profile":
+		secs, err := strconv.Atoi(r.FormValue("seconds"))
+		if err != nil || secs <= 0 {
+			secs = 30
+		}
+		// Headers first: from StartCPUProfile on, the profiler's own
+		// goroutine writes to w until StopCPUProfile returns.
+		w.Header().Set("Content-Type", "application/octet-stream")
+		if err := pprof.StartCPUProfile(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		select {
+		case <-time.After(time.Duration(secs) * time.Second):
+		case <-r.Context().Done():
+		}
+		pprof.StopCPUProfile()
+	default:
+		p := pprof.Lookup(name)
+		if p == nil {
+			http.NotFound(w, r)
+			return
+		}
+		debug, _ := strconv.Atoi(r.FormValue("debug")) // absent or malformed: the binary format
+		if debug > 0 {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		} else {
+			w.Header().Set("Content-Type", "application/octet-stream")
+		}
+		if err := p.WriteTo(w, debug); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	}
 }
 
 // Serve binds addr (host:port, port 0 for ephemeral) and serves [Handler]

@@ -107,6 +107,45 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
+// TestHandlerServesPprof: the runtime profiles ride the same listener as
+// the metrics, with or without a registry and ring, so profiling a running
+// daemon needs no patch: go tool pprof http://ADDR/debug/pprof/profile.
+func TestHandlerServesPprof(t *testing.T) {
+	srv := httptest.NewServer(Handler(nil, nil))
+	defer srv.Close()
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	for _, c := range []struct{ path, want string }{
+		{"/debug/pprof/", "goroutine"},
+		{"/debug/pprof/goroutine?debug=1", "goroutine profile:"},
+		{"/debug/pprof/heap?debug=1", "heap profile:"},
+	} {
+		if code, body := get(c.path); code != 200 || !strings.Contains(string(body), c.want) {
+			t.Errorf("%s = %d, want 200 containing %q; got %.200q", c.path, code, c.want, body)
+		}
+	}
+	// The binary forms are gzipped protobufs, what go tool pprof reads.
+	for _, path := range []string{"/debug/pprof/allocs", "/debug/pprof/profile?seconds=1"} {
+		if code, body := get(path); code != 200 || len(body) < 2 || body[0] != 0x1f || body[1] != 0x8b {
+			t.Errorf("%s = %d, %d bytes; want 200 and a gzipped profile", path, code, len(body))
+		}
+	}
+	if code, _ := get("/debug/pprof/no-such-profile"); code != http.StatusNotFound {
+		t.Errorf("unknown profile = %d, want 404", code)
+	}
+}
+
 func TestServeLifecycle(t *testing.T) {
 	reg := NewRegistry()
 	addr, stop, err := Serve("127.0.0.1:0", reg, nil)

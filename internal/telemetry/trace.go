@@ -35,6 +35,7 @@ const (
 	DropQueue                        // destination queue gone at send time
 	DropIncomplete                   // Write-Record message discarded with holes (socket layer)
 	DropMalformed                    // runt rudp frame or DDP segment, or an unknown DDP version
+	DropTxRefused                    // kernel refused a datagram the UDP send engine had queued
 )
 
 func (t EventType) String() string {

@@ -11,6 +11,13 @@
 // compiler checks it. SendTo and Recv are the burst-of-one forms of the
 // same per-datagram step.
 //
+// A send returns once the LLP has taken the datagrams, which need not be
+// once they are on the wire: the kernel UDP endpoint queues them for its
+// send engine, one goroutine per socket that drains everything queued into
+// one GSO or sendmmsg call per destination run. A datagram the kernel
+// refuses after that is a counted drop (diwarp_transport_tx_dropped_total),
+// like any loss below the LLP.
+//
 // Three interchangeable LLP families implement it, and two decorators
 // (faultnet's fault injector — reordering, duplication, corruption and the
 // rest — and pcap's wire tap) wrap any of them:
@@ -120,10 +127,14 @@ type Datagram interface {
 // BatchSender is the send half of Datagram: SendBatch transmits a burst of
 // datagrams to one destination, amortizing per-send costs (sockaddr
 // encoding, queue locking, sendmmsg) across the batch. It returns the
-// number of datagrams handed to the network before any error. Loss models
-// and kernel drops do NOT count as errors — handing a datagram to a lossy
-// network succeeds. Implementations must not retain any packet buffer after
-// returning, so callers can recycle the whole batch immediately.
+// number of datagrams handed to the network before any error; an LLP may
+// return as soon as they are queued for sending (the kernel UDP endpoint
+// does), and errors are then only what is known at the call — size,
+// address family, a closed endpoint. Loss models and kernel drops do NOT
+// count as errors — handing a datagram to a lossy network succeeds, and a
+// datagram the kernel refuses after it was queued is a counted drop.
+// Implementations must not retain any packet buffer after returning, so
+// callers can recycle the whole batch immediately.
 type BatchSender interface {
 	SendBatch(pkts [][]byte, to Addr) (int, error)
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"strconv"
@@ -20,10 +21,18 @@ import (
 // and destinations are netip.AddrPort values end to end (ReadFromUDPAddrPort,
 // WriteToUDPAddrPort), so the per-packet path performs zero allocations in
 // steady state with no address cache to keep.
+//
+// The send path is a queue: SendTo and SendBatch copy into the send
+// engine's arena and return, and the engine's goroutine (udp_send.go) is
+// the only code that sends on the socket.
 type UDPEndpoint struct {
 	conn *net.UDPConn
 	mtu  int
 	pool *nio.Pool
+	// split holds the buffers GRO split-back copies segments of up to
+	// splitBufSize into; nil on a socket without GRO.
+	split *nio.Pool
+	v4    bool // an IPv4 socket: IPv6 destinations are unroutable
 
 	// kern is the kernel batch datapath (sendmmsg/recvmmsg + GSO/GRO,
 	// DESIGN.md §4.9) when the platform and the capability probe allow it;
@@ -31,9 +40,18 @@ type UDPEndpoint struct {
 	// probe's verdict for BatchFeatures.
 	kern  *kernelBatch
 	feats BatchFeatures
+
+	tx sendQueue
 }
 
 var _ Datagram = (*UDPEndpoint)(nil)
+
+// splitBufSize bounds the segments GRO split-back copies into a buffer of
+// their own size class: a kernel-coalesced burst of MTU-sized datagrams —
+// what one GSO send from a peer's send engine becomes on loopback — then
+// pins 2 KiB per datagram the application holds, not a 64 KiB receive
+// buffer each.
+const splitBufSize = 2 << 10
 
 // aLongTimeAgo is an expired deadline: setting it makes the next read
 // non-blocking, which is how RecvBatch drains a burst after its first
@@ -69,16 +87,22 @@ func listenUDPMode(host string, port uint16, mode batchMode) (*UDPEndpoint, erro
 	// stack relies on the kernel's UDP buffering below it.
 	_ = conn.SetReadBuffer(8 << 20)  //diwarp:ignore errflow: socket-option tuning: kernels cap, not fail, oversized requests
 	_ = conn.SetWriteBuffer(8 << 20) //diwarp:ignore errflow: socket-option tuning: kernels cap, not fail, oversized requests
+	la, _ := conn.LocalAddr().(*net.UDPAddr)
 	e := &UDPEndpoint{
 		conn: conn,
 		mtu:  DefaultMTU,
 		pool: nio.NewPool(MaxDatagramSize),
+		v4:   la != nil && la.IP.To4() != nil,
 	}
-	e.kern = newKernelBatch(conn, mode)
+	e.kern = newKernelBatch(conn, e.v4, mode)
 	if e.kern != nil {
 		e.feats = e.kern.features()
 	}
+	if e.feats.GRO {
+		e.split = nio.NewPool(splitBufSize)
+	}
 	publishFeatures(e.feats)
+	e.tx.start(e)
 	return e, nil
 }
 
@@ -90,50 +114,49 @@ func (e *UDPEndpoint) BatchFeatures() BatchFeatures {
 	return e.feats
 }
 
-// SendTo implements Datagram.
+// SendTo implements Datagram: SendBatch of one.
 func (e *UDPEndpoint) SendTo(p []byte, to Addr) error {
-	if len(p) > MaxDatagramSize {
-		return ErrTooLarge
-	}
-	return e.writeOne(p, to)
-}
-
-// writeOne is the portable per-datagram send step: one syscall, under
-// SendTo and the portable SendBatch loop alike.
-//
-//diwarp:hotpath
-func (e *UDPEndpoint) writeOne(p []byte, to Addr) error {
-	_, err := e.conn.WriteToUDPAddrPort(p, to)
-	if err != nil && errors.Is(err, net.ErrClosed) {
-		return ErrClosed
-	}
+	one := [1][]byte{p}
+	_, err := e.SendBatch(one[:], to)
 	return err
 }
 
-// SendBatch implements Datagram. With the kernel batch datapath probed
-// in, the burst rides one sendmmsg(2) per mmsgMax chunk — or a single
-// UDP_SEGMENT (GSO) send when every datagram is the same size — instead of
-// one sendto per datagram; otherwise the portable writeBatch loop runs.
+// SendBatch implements Datagram. It copies the burst into the send
+// engine's queue and returns; the engine sends it in call order, riding
+// one GSO send or sendmmsg per same-destination run where the kernel
+// allows. What can be known at the call is an error here: a datagram over
+// MaxDatagramSize (nothing is queued), a destination the socket's address
+// family cannot reach, a closed endpoint. A datagram the kernel refuses
+// once queued is a drop, counted in diwarp_transport_tx_dropped_total.
 func (e *UDPEndpoint) SendBatch(pkts [][]byte, to Addr) (int, error) {
 	for _, p := range pkts {
 		if len(p) > MaxDatagramSize {
 			return 0, ErrTooLarge
 		}
 	}
-	if e.kern != nil && e.feats.Sendmmsg {
-		return e.kern.sendBatch(pkts, to)
+	if !e.routable(to) {
+		return 0, fmt.Errorf("%w: %s (address family mismatch)", ErrNoRoute, to)
 	}
-	return e.writeBatch(pkts, to)
+	return e.tx.queue(pkts, to)
 }
 
-// writeBatch transmits a burst one syscall per datagram: the portable
-// fallback behind the sendmmsg path, and the only path on platforms
-// without it.
+// routable reports whether the socket's address family reaches to: an
+// IPv4 socket takes IPv4 (or 4-in-6) destinations, an IPv6 one any valid
+// address.
+func (e *UDPEndpoint) routable(to Addr) bool {
+	if e.v4 {
+		return to.Addr().Unmap().Is4()
+	}
+	return to.Addr().IsValid()
+}
+
+// writeBatch transmits a run one syscall per datagram: the send engine's
+// portable tier, and its only one on platforms without sendmmsg.
 //
 //diwarp:hotpath
 func (e *UDPEndpoint) writeBatch(pkts [][]byte, to Addr) (int, error) {
 	for i, p := range pkts {
-		if err := e.writeOne(p, to); err != nil {
+		if _, err := e.conn.WriteToUDPAddrPort(p, to); err != nil {
 			observeBatch(int64(i), int64(i))
 			return i, err
 		}
@@ -236,12 +259,26 @@ func (e *UDPEndpoint) RecvBatch(pkts [][]byte, froms []Addr, timeout time.Durati
 }
 
 // Recycle implements Datagram: fully-consumed receive buffers return to the
-// endpoint's pool. Foreign buffers are dropped by the pool's capacity check.
-func (e *UDPEndpoint) Recycle(p []byte) { e.pool.Put(p) }
+// endpoint's pool of their size. Foreign buffers are dropped by the pool's
+// capacity check.
+func (e *UDPEndpoint) Recycle(p []byte) {
+	if e.split != nil && cap(p) == splitBufSize {
+		e.split.Put(p)
+		return
+	}
+	e.pool.Put(p)
+}
 
-// RecvPoolStats implements Datagram: the receive pool's cumulative
+// RecvPoolStats implements Datagram: the receive pools' cumulative
 // hit/miss counters.
-func (e *UDPEndpoint) RecvPoolStats() (hits, misses int64) { return e.pool.Stats() }
+func (e *UDPEndpoint) RecvPoolStats() (hits, misses int64) {
+	hits, misses = e.pool.Stats()
+	if e.split != nil {
+		h, m := e.split.Stats()
+		hits, misses = hits+h, misses+m
+	}
+	return hits, misses
+}
 
 // LocalAddr implements Datagram.
 func (e *UDPEndpoint) LocalAddr() Addr {
@@ -254,8 +291,13 @@ func (e *UDPEndpoint) MaxDatagram() int { return MaxDatagramSize }
 // PathMTU implements Datagram.
 func (e *UDPEndpoint) PathMTU() int { return e.mtu }
 
-// Close implements Datagram.
+// Close implements Datagram. Everything queued before it is sent first;
+// the send engine has exited when it returns, and SendTo/SendBatch report
+// ErrClosed from then on. Closing again does nothing.
 func (e *UDPEndpoint) Close() error {
+	if !e.tx.shut() {
+		return nil
+	}
 	err := e.conn.Close()
 	if e.kern != nil {
 		e.kern.close(e.pool)

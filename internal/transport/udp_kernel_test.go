@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -113,9 +114,8 @@ func equivalenceBursts() [][][]byte {
 // per-burst send counts: the kernel batch paths (mmsg, GSO, GRO split-back)
 // must be indistinguishable from the portable loop at the Datagram contract.
 func TestUDPBatchEquivalence(t *testing.T) {
-	modes := []UDPBatchMode{BatchPortable, BatchMmsg, BatchAuto}
-	for _, sm := range modes {
-		for _, rm := range modes {
+	for _, sm := range tiers {
+		for _, rm := range tiers {
 			t.Run(modeName(sm)+"_to_"+modeName(rm), func(t *testing.T) {
 				src, dst := udpPairMode(t, sm, rm)
 				t.Logf("send features %v, recv features %v",
@@ -170,7 +170,8 @@ func TestUDPBatchEquivalence(t *testing.T) {
 // TestUDPGSOBoundaries pins the offload round trip: one GSO send is re-cut
 // by the kernel into wire datagrams at segment boundaries, and the GRO
 // receiver splits any re-coalesced super-segment back without moving a
-// boundary. Runs only where the probe enabled GSO.
+// boundary, into buffers of the segments' size class. Runs only where the
+// probe enabled GSO.
 func TestUDPGSOBoundaries(t *testing.T) {
 	src, dst := udpPairMode(t, BatchAuto, BatchAuto)
 	if !src.BatchFeatures().GSO {
@@ -190,6 +191,7 @@ func TestUDPGSOBoundaries(t *testing.T) {
 		t.Fatalf("sent %d of %d", n, segs)
 	}
 	seen := make(map[byte]int)
+	split := 0
 	pkts := make([][]byte, 4) // smaller than the burst: exercises pending spill
 	froms := make([]Addr, 4)
 	for got := 0; got < segs; {
@@ -216,6 +218,9 @@ func TestUDPGSOBoundaries(t *testing.T) {
 				}
 			}
 			seen[tag]++
+			if cap(p) == splitBufSize {
+				split++
+			}
 			dst.Recycle(p)
 		}
 		got += k
@@ -223,6 +228,17 @@ func TestUDPGSOBoundaries(t *testing.T) {
 	for i := 1; i <= segs; i++ {
 		if seen[byte(i)] != 1 {
 			t.Fatalf("segment %d delivered %d times", i, seen[byte(i)])
+		}
+	}
+	// A GRO receiver takes the send as super-segments; every segment but
+	// the first of each is copied into a 2 KiB split buffer, not a 64 KiB
+	// receive buffer, and Recycle returns it to the split pool.
+	if dst.BatchFeatures().GRO {
+		if split == 0 {
+			t.Fatal("no segment of a coalesced burst landed in a split buffer")
+		}
+		if out := dst.split.Outstanding(); out != 0 {
+			t.Fatalf("%d split buffers not back in their pool after Recycle", out)
 		}
 	}
 }
@@ -361,7 +377,7 @@ func TestUDPRecvBatchRestoresDeadline(t *testing.T) {
 // queue never saturates; run with -benchmem — steady state is 0 allocs/op
 // on the kernel tiers.
 func BenchmarkUDPSendBatch(b *testing.B) {
-	for _, mode := range []UDPBatchMode{BatchPortable, BatchMmsg, BatchAuto} {
+	for _, mode := range tiers {
 		for _, burst := range []int{8, 32} {
 			b.Run(fmt.Sprintf("%s/burst=%d", modeName(mode), burst), func(b *testing.B) {
 				src, dst := udpPairMode(b, mode, BatchAuto)
@@ -417,8 +433,11 @@ func BenchmarkUDPSendBatch(b *testing.B) {
 // layer polling with a wide RecvBatch. A lone datagram costs at most two
 // pool gets, from the first call on; a steady 16-datagram burst is taken in
 // at most two syscalls once the width has followed it; and nothing staged
-// stays out of the pool past Close.
+// stays out of the pool past Close. It runs at GOMAXPROCS=1 so the sender's
+// engine has put a whole burst on the socket before the receiver runs: with
+// a second processor the receive would race the engine's sends.
 func TestUDPRecvBatchStagesWhatTheSocketDelivers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, mode := range []UDPBatchMode{BatchMmsg, BatchAuto} {
 		t.Run(modeName(mode), func(t *testing.T) {
 			src, dst := udpPairMode(t, BatchPortable, mode)

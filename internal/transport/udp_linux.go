@@ -3,7 +3,6 @@
 package transport
 
 import (
-	"fmt"
 	"net"
 	"net/netip"
 	"sync"
@@ -15,8 +14,8 @@ import (
 	"repro/internal/nio"
 )
 
-// kernelBatch is the kernel batch datapath behind UDPEndpoint's
-// SendBatch/RecvBatch seams (DESIGN.md §4.9): bursts move through one
+// kernelBatch is the kernel batch datapath behind UDPEndpoint's send
+// engine and RecvBatch (DESIGN.md §4.9): bursts move through one
 // sendmmsg(2)/recvmmsg(2) syscall instead of one syscall per datagram, and —
 // when the capability probe says the kernel cooperates — same-destination
 // bursts of equal-size segments collapse into a single UDP_SEGMENT (GSO)
@@ -26,10 +25,11 @@ import (
 // All mmsghdr/iovec/sockaddr/control arrays are preallocated at mmsgMax
 // width and reused, and the syscalls run inside closures prebuilt at
 // endpoint creation, so the steady-state burst path performs zero heap
-// allocations. Send state is guarded by sendMu, receive state by recvMu:
-// one vectored syscall under a mutex replaces N lock-free syscalls, which
-// is a win from the first burst (the critical section is array fill plus
-// one syscall).
+// allocations. Send state belongs to the send engine's goroutine, the
+// only caller of sendBatch, and needs no lock; receive state is guarded by
+// recvMu: one vectored syscall under a mutex replaces N lock-free
+// syscalls, which is a win from the first burst (the critical section is
+// array fill plus one syscall).
 //
 // Blocking integrates with the runtime netpoller, not the thread: both
 // closures issue the syscall with MSG_DONTWAIT and report EAGAIN back to
@@ -43,9 +43,9 @@ type kernelBatch struct {
 	gsoOff atomic.Bool   // runtime GSO degrade (send path rejected the option)
 	family int           // socket address family: AF_INET or AF_INET6
 
-	// Send state, guarded by sendMu. dest is the burst's one destination,
-	// encoded afresh per burst: a handful of stores, never a lookup.
-	sendMu sync.Mutex
+	// Send state, the send engine's alone. dest is the burst's one
+	// destination, encoded afresh per burst: a handful of stores, never a
+	// lookup.
 	dest   rawDest
 	shdrs  [mmsgMax]mmsghdr
 	siovs  [mmsgMax]syscall.Iovec
@@ -92,7 +92,7 @@ type pendingPkt struct {
 // portable loop should run. The probe is a setsockopt/zero-length-syscall
 // trial at endpoint creation — no capability matrix by kernel version, just
 // "did the kernel take it".
-func newKernelBatch(conn *net.UDPConn, mode batchMode) *kernelBatch {
+func newKernelBatch(conn *net.UDPConn, v4 bool, mode batchMode) *kernelBatch {
 	if mode == batchPortable {
 		return nil
 	}
@@ -100,15 +100,9 @@ func newKernelBatch(conn *net.UDPConn, mode batchMode) *kernelBatch {
 	if err != nil {
 		return nil
 	}
-	k := &kernelBatch{rc: rc, rwant: 1}
-	la, ok := conn.LocalAddr().(*net.UDPAddr)
-	if !ok {
-		return nil
-	}
-	if la.IP.To4() != nil {
+	k := &kernelBatch{rc: rc, rwant: 1, family: syscall.AF_INET6}
+	if v4 {
 		k.family = syscall.AF_INET
-	} else {
-		k.family = syscall.AF_INET6
 	}
 	if err := rc.Control(func(fd uintptr) {
 		// Zero-length trials: an ENOSYS kernel rejects the syscall itself,
@@ -175,16 +169,14 @@ func (k *kernelBatch) features() BatchFeatures {
 	return f
 }
 
-// sendBatch transmits the burst through the kernel batch path: one GSO
-// send when the burst is eligible, else sendmmsg in mmsgMax chunks. It
-// matches BatchSender semantics — datagrams handed to the network before
-// any error are counted.
+// sendBatch transmits one run of the send engine through the kernel batch
+// path: one GSO send when the run is eligible, else sendmmsg in mmsgMax
+// chunks. It returns the datagrams handed to the network before any error;
+// the engine drops the datagram at that index and sends the rest.
 func (k *kernelBatch) sendBatch(pkts [][]byte, to Addr) (int, error) {
-	k.sendMu.Lock()
-	defer k.sendMu.Unlock()
 	rd := &k.dest
 	if !rd.encode(k.family, to) {
-		return 0, fmt.Errorf("%w: %s (address family mismatch)", ErrNoRoute, to)
+		return 0, ErrNoRoute // SendBatch checked the family: unreachable
 	}
 	if k.feats.GSO && !k.gsoOff.Load() {
 		if segsz, ok := gsoEligible(pkts); ok {
@@ -277,8 +269,7 @@ func gsoEligible(pkts [][]byte) (segsz int, ok bool) {
 
 // sendGSO transmits the whole burst as one gathered send carrying a
 // UDP_SEGMENT cmsg: the kernel re-cuts the payload into len(pkts) wire
-// datagrams at segsz boundaries. Caller holds sendMu and has checked
-// gsoEligible.
+// datagrams at segsz boundaries. The caller has checked gsoEligible.
 func (k *kernelBatch) sendGSO(pkts [][]byte, rd *rawDest, segsz int) error {
 	k.armGSO(pkts, rd, segsz)
 	if err := k.rc.Write(k.sendFn); err != nil {
@@ -499,7 +490,8 @@ func (k *kernelBatch) releaseRecv(pool *nio.Pool) {
 // finishRecv harvests one recvmmsg result: truncated datagrams are dropped,
 // GRO super-segments are split back into per-datagram buffers (the first
 // segment keeps the pooled receive buffer, trailing segments copy into
-// fresh pooled buffers, overflow queues on pending), and sources arrive
+// fresh pooled buffers — split's 2 KiB ones when they fit — and overflow
+// queues on pending), and sources arrive
 // as the kernel decoded them. Returns how many datagrams landed in the
 // caller's arrays.
 //
@@ -529,9 +521,13 @@ func (k *kernelBatch) finishRecv(e *UDPEndpoint, pkts [][]byte, froms []Addr, ma
 		total := len(buf)
 		out = k.emit(pkts, froms, max, out, buf[:segsz], from)
 		delivered++
+		sp := e.pool
+		if segsz <= splitBufSize {
+			sp = e.split
+		}
 		for off := segsz; off < total; off += segsz {
 			end := min(off+segsz, total)
-			nb, _ := e.pool.TryGet()
+			nb, _ := sp.TryGet()
 			nb = nb[:end-off]
 			copy(nb, buf[off:end])
 			out = k.emit(pkts, froms, max, out, nb, from)

@@ -10,13 +10,13 @@ import (
 )
 
 // kernelBatch is absent on platforms without the mmsg/GSO/GRO datapath:
-// newKernelBatch always reports "no kernel path" and UDPEndpoint runs the
-// portable one-syscall-per-datagram loop. The method set mirrors
+// newKernelBatch always reports "no kernel path" and the send engine runs
+// the portable one-syscall-per-datagram loop. The method set mirrors
 // udp_linux.go so the call sites compile unchanged; every method sits
 // behind an `e.kern != nil` gate and is unreachable here.
 type kernelBatch struct{}
 
-func newKernelBatch(*net.UDPConn, batchMode) *kernelBatch { return nil }
+func newKernelBatch(*net.UDPConn, bool, batchMode) *kernelBatch { return nil }
 
 func (*kernelBatch) features() BatchFeatures { return BatchFeatures{} }
 
