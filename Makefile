@@ -52,6 +52,8 @@ import-guard:
 		echo "import-guard: internal/ddp and internal/core must not depend on internal/simnet"; exit 1; fi
 	@if $(GO) list -deps ./internal/sockif | grep -qx repro/internal/simnet; then \
 		echo "import-guard: internal/sockif must not depend on internal/simnet"; exit 1; fi
+	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/core | grep -qx repro/internal/peertab; then \
+		echo "import-guard: internal/core must not import internal/peertab (per-message state lives in plain maps, DESIGN.md §4.12)"; exit 1; fi
 
 # Custom invariants compiled into one vettool: the datapath analyzers
 # (DESIGN.md §4.5: poolcheck, hotpath, wirecheck, errflow) and the
@@ -91,6 +93,8 @@ bench-datapath:
 # the 0 allocs/op receive bar (TestRecvPathAllocFree runs alongside).
 # TestUDSendRecvAllocFree holds the same bar for the whole UD verbs path:
 # PostSend, both completions and the receive re-post, over simnet.
+# TestUDWriteRecordAllocBound holds a lossless 1 MiB Write-Record round
+# trip to at most 3 allocations.
 # The transport pass covers the kernel batch tiers: its alloc tests skip
 # cleanly when the kernel lacks sendmmsg or the UDP_SEGMENT/UDP_GRO
 # offloads (the capability probe decides at runtime). Then every benchmark
@@ -100,7 +104,7 @@ bench-datapath:
 bench-smoke:
 	$(GO) test -bench='BenchmarkUDSendPath|BenchmarkUDRecvPath' -benchtime=0.2s -benchmem \
 		-run='TestRecvPathAllocFree|TestSendPathAllocFree' ./internal/ddp/
-	$(GO) test -count=1 -run='TestUDSendRecvAllocFree' ./internal/core/
+	$(GO) test -count=1 -run='TestUDSendRecvAllocFree|TestUDWriteRecordAllocBound' ./internal/core/
 	$(GO) test -bench='BenchmarkUDPSendBatch|BenchmarkUDPRecvBatch' -benchtime=0.2s -benchmem \
 		-run='TestUDPSendBatchAllocFree|TestUDPRecvBatchAllocFreeKernel' ./internal/transport/
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
@@ -126,12 +130,13 @@ chaos-smoke:
 	$(GO) test -count=1 ./internal/faultnet/ ./internal/faultnet/chaos/
 
 # The chaos schedules under the race detector, plus the sockif
-# connection-establishment race regressions and the UDP send engine's
-# close-under-load stress: the dynamic complement to the static
-# lint-concurrency gate.
+# connection-establishment race regressions, the UDP send engine's
+# close-under-load stress and the UD Read exactly-once race: the dynamic
+# complement to the static lint-concurrency gate.
 chaos-smoke-race:
 	$(GO) test -race -count=1 ./internal/faultnet/ ./internal/faultnet/chaos/ ./internal/sockif/
 	$(GO) test -race -count=1 -run 'TestUDPSendEngineRace|TestUDPCloseSemantics' ./internal/transport/
+	$(GO) test -race -count=1 -run 'TestUDReadExactlyOnce' ./internal/core/
 
 # A truncated many-peer soak (DESIGN.md §4.12): 1k live reliable-datagram
 # conversations on one simnet hub, exiting non-zero unless occupancy,

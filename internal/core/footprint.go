@@ -18,14 +18,24 @@ const (
 	rcQPOverhead = 1024
 )
 
+// Per-message tracking state for Footprint: a claim (key, claim struct,
+// validity ranges), and a Write-Record or UD Read tracker (struct and
+// validity ranges). Claims hold no payload staging.
+const (
+	udClaimOverhead   = 160
+	udTrackerOverhead = 96
+)
+
 // Footprint reports the bytes of state the UD QP currently pins: fixed
-// context, posted-receive bookkeeping, reassembly partials, and
-// Write-Record trackers. Note what is absent: no per-peer state at all.
+// context, posted-receive bookkeeping, reassembly claims, and Write-Record
+// and Read trackers. Note what is absent: no per-peer state at all.
 func (qp *UDQP) Footprint() int64 {
 	n := int64(udQPOverhead)
 	n += int64(qp.rq.len()) * 24 // posted WR slots
-	n += qp.reasmBytes.Load()
-	n += int64(qp.records.Len()) * 96 // tracker struct + validity intervals
+	qp.mu.Lock()
+	n += int64(len(qp.claims)) * udClaimOverhead
+	n += int64(len(qp.records)+len(qp.reads)) * udTrackerOverhead
+	qp.mu.Unlock()
 	return n
 }
 

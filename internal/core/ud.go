@@ -10,7 +10,6 @@ import (
 	"repro/internal/ddp"
 	"repro/internal/memreg"
 	"repro/internal/nio"
-	"repro/internal/peertab"
 	"repro/internal/rdmap"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -71,23 +70,18 @@ type UDQP struct {
 	recvCQ *CQ
 	cfg    UDConfig
 
-	rq         *recvQueue
-	reasmBytes atomic.Int64 // snapshot of claim tracking memory, for Footprint
-	msn        atomic.Uint32
+	rq  *recvQueue
+	msn atomic.Uint32
 
-	// Claims of multi-segment untagged messages in flight. Only recvLoop
-	// creates and completes claims; claimMu exists because the sweeper
-	// also walks and expires them.
-	claimMu sync.Mutex
+	// mu guards the per-message state: claims of multi-segment untagged
+	// messages, trackers of inbound multi-segment Write-Records, and our
+	// outstanding UD Reads, keyed by our own MSN. recvLoop creates and
+	// completes entries; the sweeper expires them. Whoever deletes an entry
+	// under mu owns its completion, so each completes exactly once.
+	mu      sync.Mutex
 	claims  map[claimKey]*udClaim
-
-	// Write-Record trackers and outstanding UD reads, sharded by peer+MSN
-	// (peertab): recvLoop places, but the sweeper walks both tables, so
-	// tracker state is guarded by the entry lock and removal uses
-	// EvictEntry's exactly-once win to arbitrate completion against
-	// timeout.
-	records      *peertab.Table[wrKey, wrTracker]
-	pendingReads *peertab.Table[wrKey, pendingUDRead]
+	records map[wrKey]*wrTracker
+	reads   map[uint32]*udRead
 
 	closed atomic.Bool
 	done   chan struct{}
@@ -129,22 +123,18 @@ type udClaim struct {
 	born    time.Time
 }
 
-// wrKey identifies one in-flight Write-Record message at the target.
+// wrKey identifies one in-flight Write-Record message at the target by
+// source and the source's MSN.
 type wrKey struct {
 	from transport.Addr
 	msn  uint32
 }
-
-// hashWrKey shards the tracker tables by peer (the stack's one peer hash)
-// and MSN.
-func hashWrKey(k wrKey) uint32 { return peertab.HashUint32(peertab.HashAddr(k.from), k.msn) }
 
 // wrTracker accumulates placement state for a multi-segment Write-Record
 // message until its Last segment arrives (or it is swept).
 type wrTracker struct {
 	stag     memreg.STag
 	validity memreg.ValidityMap
-	placed   int
 	born     time.Time
 }
 
@@ -159,16 +149,16 @@ func OpenUD(ep transport.Datagram, pd *memreg.PD, tbl *memreg.Table, sendCQ, rec
 		return nil, fmt.Errorf("%w: nil argument", ErrBadWR)
 	}
 	qp := &UDQP{
-		pd:           pd,
-		tbl:          tbl,
-		ch:           ddp.NewDatagramChannel(ep),
-		sendCQ:       sendCQ,
-		recvCQ:       recvCQ,
-		cfg:          cfg,
-		rq:           newRecvQueue(cfg.RecvDepth),
-		claims:       make(map[claimKey]*udClaim),
-		records:      peertab.New[wrKey, wrTracker](hashWrKey, peertab.Options{}),
-		pendingReads: peertab.New[wrKey, pendingUDRead](hashWrKey, peertab.Options{}),
+		pd:      pd,
+		tbl:     tbl,
+		ch:      ddp.NewDatagramChannel(ep),
+		sendCQ:  sendCQ,
+		recvCQ:  recvCQ,
+		cfg:     cfg,
+		rq:      newRecvQueue(cfg.RecvDepth),
+		claims:  make(map[claimKey]*udClaim),
+		records: make(map[wrKey]*wrTracker),
+		reads:   make(map[uint32]*udRead),
 	}
 	qp.stats.msgsSent = telemetry.Default.Counter("diwarp_ud_msgs_sent_total")
 	qp.stats.msgsRecv = telemetry.Default.Counter("diwarp_ud_msgs_recv_total")
@@ -383,22 +373,22 @@ func (qp *UDQP) handleSend(from transport.Addr, seg *ddp.Segment) {
 // posted receive at the queue head, and every segment copies straight into
 // it at its message offset. A validity map tracks arrival; the completion
 // fires when the byte count closes. Outlined from handleSend: it takes the
-// claim lock the sweeper shares.
+// lock the sweeper shares.
 func (qp *UDQP) placeUntagged(from transport.Addr, seg *ddp.Segment) {
 	end := uint64(seg.MO) + uint64(len(seg.Payload))
 	if end > uint64(seg.MsgLen) {
 		return // segment overflows its declared message; drop
 	}
 	key := claimKey{from: from, qn: seg.QN, msn: seg.MSN}
-	qp.claimMu.Lock()
+	qp.mu.Lock()
 	cl, ok := qp.claims[key]
 	if !ok {
 		// First segment of the message: claim a posted receive. The pop (and
 		// the RNR wait, which can block for the reassembly timeout) runs
-		// outside the claim lock so the sweeper is not stalled behind it.
+		// outside the lock so the sweeper is not stalled behind it.
 		// Only recvLoop creates claims, so the key cannot appear
 		// concurrently.
-		qp.claimMu.Unlock()
+		qp.mu.Unlock()
 		wr, got := qp.rq.pop()
 		if !got && qp.cfg.BlockOnRNR {
 			wr, got = qp.waitRecv()
@@ -410,11 +400,11 @@ func (qp *UDQP) placeUntagged(from transport.Addr, seg *ddp.Segment) {
 			qp.dropNoRecv(from, int(seg.MsgLen))
 		}
 		cl = &udClaim{wr: wr, hasWR: got, msgLen: seg.MsgLen, born: time.Now()}
-		qp.claimMu.Lock()
+		qp.mu.Lock()
 		qp.claims[key] = cl
 	}
 	if seg.MsgLen != cl.msgLen {
-		qp.claimMu.Unlock()
+		qp.mu.Unlock()
 		return // conflicting header for this MSN; drop the segment
 	}
 	if cl.hasWR {
@@ -422,11 +412,11 @@ func (qp *UDQP) placeUntagged(from transport.Addr, seg *ddp.Segment) {
 	}
 	cl.arrived.Add(uint64(seg.MO), uint64(len(seg.Payload)))
 	if !cl.arrived.Complete(uint64(cl.msgLen)) {
-		qp.claimMu.Unlock()
+		qp.mu.Unlock()
 		return
 	}
 	delete(qp.claims, key)
-	qp.claimMu.Unlock()
+	qp.mu.Unlock()
 	if !cl.hasWR {
 		return // tombstone completed: the drop was counted at claim time
 	}
@@ -520,28 +510,28 @@ func (qp *UDQP) handleWriteRecord(from transport.Addr, seg *ddp.Segment) {
 	}
 
 	key := wrKey{from: from, msn: seg.MSN}
-	ent, _, _ := qp.records.LockOrCreate(key, func(ne *peertab.Entry[wrKey, wrTracker]) {
-		ne.V.stag = seg.STag
-		ne.V.born = time.Now()
-	})
-	tr := &ent.V
+	qp.mu.Lock()
+	tr := qp.records[key]
+	if tr == nil {
+		tr = &wrTracker{stag: seg.STag, born: time.Now()}
+		qp.records[key] = tr
+	}
 	tr.validity.Add(seg.TO, uint64(len(seg.Payload)))
-	tr.placed += len(seg.Payload)
 	if !seg.Last {
-		ent.Unlock()
+		qp.mu.Unlock()
 		return
 	}
+	// Deleting the tracker makes this call its owner: the sweeper can no
+	// longer reach it, so the completion takes its validity map as is.
+	delete(qp.records, key)
+	qp.mu.Unlock()
 	// The Last segment carries enough to locate the message base: its TO
-	// plus its length minus the total message length. Capture the tracker
-	// under its lock: the sweeper may evict the entry the moment we let go.
-	placed, stag, validity := tr.placed, tr.stag, tr.validity.Clone()
-	ent.Unlock()
-	qp.records.EvictEntry(ent)
+	// plus its length minus the total message length.
 	base := seg.TO + uint64(len(seg.Payload)) - uint64(seg.MsgLen)
 	qp.stats.msgsRecv.Inc()
 	qp.completeWR(CQE{
-		Type: WTWriteRecordRecv, ByteLen: placed, Src: from,
-		STag: stag, TO: base, MsgLen: int(seg.MsgLen), Validity: validity,
+		Type: WTWriteRecordRecv, ByteLen: int(tr.validity.Covered()), Src: from,
+		STag: tr.stag, TO: base, MsgLen: int(seg.MsgLen), Validity: tr.validity,
 	})
 }
 
@@ -555,8 +545,8 @@ func (qp *UDQP) completeWR(e CQE) {
 	qp.recvCQ.post(e)
 }
 
-// sweepLoop periodically abandons stale reassembly partials and
-// Write-Record trackers, off the datapath.
+// sweepLoop periodically abandons stale per-message state, off the
+// datapath.
 func (qp *UDQP) sweepLoop() {
 	defer qp.wg.Done()
 	ticker := time.NewTicker(qp.reasmTimeout() / 2)
@@ -566,32 +556,34 @@ func (qp *UDQP) sweepLoop() {
 		case <-qp.done:
 			return
 		case now := <-ticker.C:
-			qp.sweepClaims(now)
-			// Reads before records: a timed-out read reports the validity
-			// of whatever partially arrived, and its tracker lives in the
-			// records map. The tracker is never older than its read, so
-			// when both expire on the same tick, sweeping records first
-			// would destroy the partial validity the read must report.
-			qp.sweepReads(now)
-			qp.sweepRecords(now)
+			qp.sweep(now)
 		}
 	}
 }
 
-// sweepClaims abandons claims of partial messages whose remaining segments
-// never arrived. The claimed receive goes back to the head of the queue's
-// behaviour space by reposting it — the message is lost, the buffer is not;
-// if the queue refilled meanwhile, the receive completes StatusTimedOut
-// instead, so no posted buffer is ever silently leaked. Tombstones (claims
-// that never got a receive) just expire. Also refreshes the Footprint
-// snapshot: claims hold no payload staging, only fixed tracking state.
-func (qp *UDQP) sweepClaims(now time.Time) {
+// sweep abandons every claim, Write-Record tracker and UD Read older than
+// the reassembly timeout, under one hold of mu.
+//
+// A claim of a partial message whose remaining segments never arrived
+// gives its receive back by reposting it — the message is lost, the buffer
+// is not; if the queue refilled meanwhile, the receive completes
+// StatusTimedOut instead, so no posted buffer is ever silently leaked.
+// Tombstones (claims that never got a receive) just expire.
+//
+// A Write-Record tracker whose Last segment never arrived is dropped
+// without a completion — the paper's observation that "loss of this final
+// packet results in the loss of the entire message". The placed bytes
+// remain in the region (and in its validity map); only the notification
+// is lost, exactly as in the paper's design.
+//
+// A UD Read whose response never completed completes StatusTimedOut,
+// reporting whatever part of the response did arrive.
+func (qp *UDQP) sweep(now time.Time) {
 	cutoff := now.Add(-qp.reasmTimeout())
-	var live int64
-	qp.claimMu.Lock()
+	qp.mu.Lock()
+	defer qp.mu.Unlock()
 	for k, cl := range qp.claims {
 		if !cl.born.Before(cutoff) {
-			live++
 			continue
 		}
 		delete(qp.claims, k)
@@ -607,30 +599,24 @@ func (qp *UDQP) sweepClaims(now time.Time) {
 			})
 		}
 	}
-	qp.claimMu.Unlock()
-	qp.reasmBytes.Store(live * udClaimOverhead)
-}
-
-// udClaimOverhead approximates the tracking state of one claim (key, claim
-// struct, validity ranges) for Footprint accounting.
-const udClaimOverhead = 160
-
-// sweepRecords abandons Write-Record trackers whose Last segment never
-// arrived — the paper's observation that "loss of this final packet results
-// in the loss of the entire message". The placed bytes remain in the region
-// (and in its validity map); only the notification is lost, exactly as in
-// the paper's design.
-func (qp *UDQP) sweepRecords(now time.Time) {
-	cutoff := now.Add(-qp.reasmTimeout())
-	qp.records.Range(func(ent *peertab.Entry[wrKey, wrTracker]) bool {
-		ent.Lock()
-		stale := !ent.Gone() && ent.V.born.Before(cutoff)
-		ent.Unlock()
-		if stale && qp.records.EvictEntry(ent) {
+	for k, tr := range qp.records {
+		if tr.born.Before(cutoff) {
+			delete(qp.records, k)
 			qp.stats.swept.Inc()
 		}
-		return true
-	})
+	}
+	for msn, rd := range qp.reads {
+		if !rd.born.Before(cutoff) {
+			continue
+		}
+		delete(qp.reads, msn)
+		qp.stats.swept.Inc()
+		qp.sendCQ.post(CQE{
+			WRID: rd.id, Type: WTRead, Status: StatusTimedOut,
+			Err:     fmt.Errorf("iwarp: UD read timed out after %v", qp.reasmTimeout()),
+			ByteLen: int(rd.validity.Covered()), Src: rd.peer, STag: rd.sink, Validity: rd.validity,
+		})
+	}
 }
 
 // flushRecvs completes every posted receive with StatusFlushed at close.

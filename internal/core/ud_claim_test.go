@@ -43,8 +43,8 @@ func sendSeg(msn, mo, msgLen uint32, last bool, payload []byte) *ddp.Segment {
 func (nd *udNode) deliver(from transport.Addr, seg *ddp.Segment) { nd.qp.dispatch(from, seg) }
 
 func (nd *udNode) claimCount() int {
-	nd.qp.claimMu.Lock()
-	defer nd.qp.claimMu.Unlock()
+	nd.qp.mu.Lock()
+	defer nd.qp.mu.Unlock()
 	return len(nd.qp.claims)
 }
 
@@ -215,11 +215,11 @@ func TestUDClaimSweepByAge(t *testing.T) {
 	if n := nd.qp.rq.len(); n != 0 {
 		t.Fatalf("posted receives = %d, want 0 (the claim holds it)", n)
 	}
-	nd.qp.sweepClaims(time.Now())
+	nd.qp.sweep(time.Now())
 	if n := nd.claimCount(); n != 1 {
 		t.Fatalf("premature sweep: claims = %d", n)
 	}
-	nd.qp.sweepClaims(time.Now().Add(2 * time.Hour))
+	nd.qp.sweep(time.Now().Add(2 * time.Hour))
 	if n := nd.claimCount(); n != 0 {
 		t.Fatalf("claims = %d after sweep, want 0", n)
 	}

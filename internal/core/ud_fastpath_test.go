@@ -161,3 +161,44 @@ func TestUDSendRecvAllocFree(t *testing.T) {
 		t.Fatalf("UD send+receive allocates %.2f times per message, want 0", allocs)
 	}
 }
+
+// TestUDWriteRecordAllocBound bounds what a lossless 1 MiB Write-Record
+// round trip allocates per message: the post, its source completion, the
+// target's validity-map completion and the region's ResetValidity. What
+// remains is the tracker, its validity map (handed to the completion, not
+// cloned) and the region's own map rebuilt after the reset.
+func TestUDWriteRecordAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random")
+	}
+	const size = 1 << 20
+	net := simnet.New(simnet.Config{})
+	a := newUDNode(t, net, "a", UDConfig{})
+	b := newUDNode(t, net, "b", UDConfig{})
+	region, err := b.tbl.Register(b.pd, make([]byte, size), memreg.RemoteWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := nio.VecOf(make([]byte, size))
+	to := b.qp.LocalAddr()
+	cycle := func() {
+		if err := a.qp.PostWriteRecord(0, to, region.STag(), 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.scq.Poll(0); err != nil {
+			t.Fatal("source completion missing after PostWriteRecord returned")
+		}
+		// Poll(-1) blocks without arming a timer, which would be an
+		// allocation of the harness, not the path.
+		if e, _ := b.rcq.Poll(-1); !e.Ok() || e.ByteLen != size || !e.Validity.Complete(size) {
+			t.Fatalf("target completion %+v", e)
+		}
+		region.ResetValidity()
+	}
+	for i := 0; i < 2*telemetry.SampleEvery; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 3 {
+		t.Fatalf("1 MiB Write-Record round trip allocates %.2f times per message, want at most 3", allocs)
+	}
+}

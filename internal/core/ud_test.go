@@ -388,7 +388,11 @@ func injectOrphanSegment(t *testing.T, net *simnet.Network, to transport.Addr, s
 	_ = ch
 }
 
-func pendingRecords(qp *UDQP) int { return qp.records.Len() }
+func pendingRecords(qp *UDQP) int {
+	qp.mu.Lock()
+	defer qp.mu.Unlock()
+	return len(qp.records)
+}
 
 func TestUDWriteRecordInvalidSTagAdvisory(t *testing.T) {
 	net := simnet.New(simnet.Config{})

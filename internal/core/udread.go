@@ -7,7 +7,6 @@ import (
 	"repro/internal/ddp"
 	"repro/internal/memreg"
 	"repro/internal/nio"
-	"repro/internal/peertab"
 	"repro/internal/rdmap"
 	"repro/internal/transport"
 )
@@ -30,12 +29,18 @@ import (
 //     completion arrives: the outstanding read is reclaimed by the sweeper
 //     with StatusTimedOut, preserving the paper's rule that a datagram QP
 //     never wedges on loss.
-type pendingUDRead struct {
-	id     uint64
-	sink   memreg.STag
-	sinkTO uint64
-	length int
-	born   time.Time
+//
+// An outstanding read is filed in UDQP.reads under the MSN its request
+// carried. That MSN is ours, so it shares no key space with the peer's
+// Write-Records, and a response counts only if it comes from the peer the
+// request went to. The read tracks its own placement, guarded by UDQP.mu.
+type udRead struct {
+	id   uint64
+	peer transport.Addr
+	sink memreg.STag
+	born time.Time
+
+	validity memreg.ValidityMap
 }
 
 // PostRead issues a UD RDMA Read: length bytes from the remote region
@@ -67,15 +72,15 @@ func (qp *UDQP) PostRead(id uint64, dest transport.Addr, sinkSTag memreg.STag, s
 		SrcSTag:  uint32(srcSTag),
 		SrcTO:    srcTO,
 	}
-	key := wrKey{from: dest, msn: msn}
-	// The MSN is unique per QP lifetime, so this always creates.
-	pent, _, _ := qp.pendingReads.GetOrCreate(key, func(ne *peertab.Entry[wrKey, pendingUDRead]) {
-		ne.V = pendingUDRead{id: id, sink: sinkSTag, sinkTO: sinkTO, length: length, born: time.Now()}
-	})
-
+	rd := &udRead{id: id, peer: dest, sink: sinkSTag, born: time.Now()}
+	qp.mu.Lock()
+	qp.reads[msn] = rd
+	qp.mu.Unlock()
 	err = qp.ch.SendUntagged(dest, ddp.QNReadReq, msn, rdmap.Ctrl(rdmap.OpReadReq), nio.VecOf(req.Append(nil)))
 	if err != nil {
-		qp.pendingReads.EvictEntry(pent)
+		qp.mu.Lock()
+		delete(qp.reads, msn)
+		qp.mu.Unlock()
 		return err
 	}
 	return nil
@@ -116,100 +121,62 @@ func (qp *UDQP) handleReadReq(from transport.Addr, seg *ddp.Segment) {
 // The placement path mirrors Write-Record; completion fires on the Last
 // segment against the matching outstanding read.
 func (qp *UDQP) handleReadResp(from transport.Addr, seg *ddp.Segment) {
-	key := wrKey{from: from, msn: seg.MSN}
-	pent := qp.pendingReads.Get(key)
-	if pent == nil {
-		// Stale or duplicate response (e.g. its read already timed out).
+	qp.mu.Lock()
+	rd := qp.reads[seg.MSN]
+	qp.mu.Unlock()
+	if rd == nil || rd.peer != from {
+		// Stale or duplicate response (e.g. its read already timed out), or
+		// one from a peer this read was never sent to.
 		return
 	}
-	pr := &pent.V // immutable after PostRead publishes the entry
 	region, err := qp.tbl.Lookup(seg.STag)
-	if err != nil || seg.STag != pr.sink {
+	if err != nil || seg.STag != rd.sink {
 		qp.stats.placeErr.Add(1)
-		qp.failRead(key, pent, StatusRemoteInvalid, fmt.Errorf("iwarp: read response names unknown sink %#x", uint32(seg.STag)))
+		qp.failRead(seg.MSN, rd, StatusRemoteInvalid, fmt.Errorf("iwarp: read response names unknown sink %#x", uint32(seg.STag)))
 		return
 	}
 	// Read responses target OUR OWN sink on our own behalf: LocalWrite
 	// suffices, matching the RC semantics.
 	if err := region.Place(qp.pd, memreg.LocalWrite, seg.TO, seg.Payload); err != nil {
 		qp.stats.placeErr.Add(1)
-		qp.failRead(key, pent, StatusLocalAccess, err)
+		qp.failRead(seg.MSN, rd, StatusLocalAccess, err)
 		return
 	}
 	qp.stats.placed.Add(1)
 	qp.stats.bytesRecv.Add(int64(len(seg.Payload)))
 
-	ent, _, _ := qp.records.LockOrCreate(key, func(ne *peertab.Entry[wrKey, wrTracker]) {
-		ne.V.stag = seg.STag
-		ne.V.born = time.Now()
-	})
-	tr := &ent.V
-	tr.validity.Add(seg.TO, uint64(len(seg.Payload)))
-	tr.placed += len(seg.Payload)
+	qp.mu.Lock()
+	if qp.reads[seg.MSN] != rd {
+		qp.mu.Unlock()
+		return // swept while this segment was being placed
+	}
+	rd.validity.Add(seg.TO, uint64(len(seg.Payload)))
 	if !seg.Last {
-		ent.Unlock()
+		qp.mu.Unlock()
 		return
 	}
-	placed, stag, validity := tr.placed, tr.stag, tr.validity.Clone()
-	ent.Unlock()
-	qp.records.EvictEntry(ent)
-
-	// Exactly one of completion, failRead, and the sweeper wins the pending
-	// entry; losers leave the CQE to the winner.
-	if !qp.pendingReads.EvictEntry(pent) {
-		return
-	}
+	delete(qp.reads, seg.MSN)
+	qp.mu.Unlock()
 	qp.stats.msgsRecv.Add(1)
 	base := seg.TO + uint64(len(seg.Payload)) - uint64(seg.MsgLen)
 	qp.sendCQ.post(CQE{
-		WRID: pr.id, Type: WTRead, ByteLen: placed, Src: from,
-		STag: stag, TO: base, MsgLen: int(seg.MsgLen), Validity: validity,
+		WRID: rd.id, Type: WTRead, ByteLen: int(rd.validity.Covered()), Src: from,
+		STag: rd.sink, TO: base, MsgLen: int(seg.MsgLen), Validity: rd.validity,
 	})
 }
 
-// failRead completes an outstanding read unsuccessfully and drops its
-// state. The eviction's exactly-once win keeps a racing sweep or duplicate
-// response from double-completing the WR.
-func (qp *UDQP) failRead(key wrKey, pent *peertab.Entry[wrKey, pendingUDRead], status Status, err error) {
-	if !qp.pendingReads.EvictEntry(pent) {
-		return
+// failRead completes an outstanding read unsuccessfully, unless a racing
+// sweep or response already took it.
+func (qp *UDQP) failRead(msn uint32, rd *udRead, status Status, err error) {
+	qp.mu.Lock()
+	owned := qp.reads[msn] == rd
+	if owned {
+		delete(qp.reads, msn)
 	}
-	if ent := qp.records.Get(key); ent != nil {
-		qp.records.EvictEntry(ent)
+	qp.mu.Unlock()
+	if owned {
+		qp.sendCQ.post(CQE{WRID: rd.id, Type: WTRead, Status: status, Err: err, Src: rd.peer, STag: rd.sink})
 	}
-	qp.sendCQ.post(CQE{WRID: pent.V.id, Type: WTRead, Status: status, Err: err, STag: pent.V.sink})
-}
-
-// sweepReads times out reads whose responses never completed.
-func (qp *UDQP) sweepReads(now time.Time) {
-	cutoff := now.Add(-qp.reasmTimeout())
-	qp.pendingReads.Range(func(pent *peertab.Entry[wrKey, pendingUDRead]) bool {
-		if !pent.V.born.Before(cutoff) {
-			return true
-		}
-		if !qp.pendingReads.EvictEntry(pent) {
-			return true // a response or failure beat the sweep to it
-		}
-		cqe := CQE{
-			WRID: pent.V.id, Type: WTRead, Status: StatusTimedOut,
-			Err:  fmt.Errorf("iwarp: UD read timed out after %v", qp.reasmTimeout()),
-			STag: pent.V.sink,
-		}
-		if ent := qp.records.Get(pent.Key); ent != nil {
-			// Partial data did arrive; report what is valid even though the
-			// Last segment never came.
-			ent.Lock()
-			if !ent.Gone() {
-				cqe.ByteLen = ent.V.placed
-				cqe.Validity = ent.V.validity.Clone()
-			}
-			ent.Unlock()
-			qp.records.EvictEntry(ent)
-		}
-		qp.stats.swept.Add(1)
-		qp.sendCQ.post(cqe)
-		return true
-	})
 }
 
 // sendTerminate reports an error back to a peer without touching QP state.

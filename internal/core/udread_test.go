@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/ddp"
 	"repro/internal/faultnet"
 	"repro/internal/memreg"
+	"repro/internal/rdmap"
 	"repro/internal/simnet"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -270,5 +274,236 @@ func TestUDReadPartialTimeoutReportsValidity(t *testing.T) {
 	}
 	if !bytes.Equal(sink.Bytes()[:firstSeg.Len], data[:firstSeg.Len]) {
 		t.Fatal("partially placed data corrupt")
+	}
+}
+
+// tagSeg builds one tagged segment (Write-Record or Read Response) as
+// ddp.RecvBatch would hand it to the QP.
+func tagSeg(op rdmap.Opcode, stag memreg.STag, to uint64, msn, msgLen uint32, last bool, payload []byte) *ddp.Segment {
+	return &ddp.Segment{
+		Tagged: true, RDMAP: rdmap.Ctrl(op), STag: stag, TO: to,
+		MSN: msn, MsgLen: msgLen, Last: last, Payload: payload,
+	}
+}
+
+// bareRequester is a claim node A whose reads go to a bare simnet endpoint
+// B: nothing ever answers, so every response and every Write-Record A
+// sees is a segment the test hands to dispatch itself.
+func bareRequester(t *testing.T) (a *udNode, b transport.Addr) {
+	t.Helper()
+	net := simnet.New(simnet.Config{})
+	a = newUDNode(t, net, "a", UDConfig{ReassemblyTimeout: time.Hour})
+	bep, err := net.OpenDatagram("b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bep.Close() })
+	return a, bep.LocalAddr()
+}
+
+// A Read Response carries the requester's MSN; a Write-Record carries the
+// writer's. The two counters are independent, so A's first read and B's
+// first Write-Record to A both have MSN 1. Neither may see the other's
+// bytes: the read completes with its own 100 bytes in its own sink, and
+// the Write-Record reports all 200 bytes it placed.
+func TestUDReadResponseAndWriteRecordSameMSN(t *testing.T) {
+	a, b := bareRequester(t)
+	sink, err := a.tbl.Register(a.pd, make([]byte, 100), memreg.LocalWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := a.tbl.Register(a.pd, make([]byte, 200), memreg.RemoteWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.qp.PostRead(7, b, sink.STag(), 0, memreg.STag(0x100), 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	const msn = 1 // A's first post, and B's first Write-Record
+	a.qp.dispatch(b, tagSeg(rdmap.OpWriteRecord, target.STag(), 0, msn, 200, false, bytes.Repeat([]byte{'w'}, 100)))
+	a.qp.dispatch(b, tagSeg(rdmap.OpReadResp, sink.STag(), 0, msn, 100, true, bytes.Repeat([]byte{'r'}, 100)))
+	a.qp.dispatch(b, tagSeg(rdmap.OpWriteRecord, target.STag(), 100, msn, 200, true, bytes.Repeat([]byte{'w'}, 100)))
+
+	rd, err := a.scq.Poll(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.Type != WTRead || !rd.Ok() || rd.WRID != 7 || rd.ByteLen != 100 || rd.STag != sink.STag() {
+		t.Fatalf("read completion %+v, want WR 7 with 100 bytes into STag %#x", rd, uint32(sink.STag()))
+	}
+	if !rd.Validity.Complete(100) || rd.Validity.Covered() != 100 {
+		t.Fatalf("read validity %s, want [0,100)", rd.Validity.String())
+	}
+	if !bytes.Equal(sink.Bytes(), bytes.Repeat([]byte{'r'}, 100)) {
+		t.Fatal("read sink does not hold the response")
+	}
+	wr, err := a.rcq.Poll(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wr.Type != WTWriteRecordRecv || !wr.Ok() || wr.ByteLen != 200 || wr.STag != target.STag() || !wr.Validity.Complete(200) {
+		t.Fatalf("Write-Record completion %+v validity %s, want all 200 bytes valid", wr, wr.Validity.String())
+	}
+	a.expectNoCQE(t, "after both completions")
+}
+
+// A response from any peer but the one the read went to is dropped, even
+// when it names the read's MSN and sink.
+func TestUDReadResponseFromOtherPeerDropped(t *testing.T) {
+	a, b := bareRequester(t)
+	sink, err := a.tbl.Register(a.pd, make([]byte, 100), memreg.LocalWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.qp.PostRead(7, b, sink.STag(), 0, memreg.STag(0x100), 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	a.qp.dispatch(claimSrc, tagSeg(rdmap.OpReadResp, sink.STag(), 0, 1, 100, true, make([]byte, 100)))
+	if _, err := a.scq.Poll(0); !errors.Is(err, ErrCQEmpty) {
+		t.Fatal("a response from a stranger completed the read")
+	}
+	a.qp.dispatch(b, tagSeg(rdmap.OpReadResp, sink.STag(), 0, 1, 100, true, make([]byte, 100)))
+	if e, err := a.scq.Poll(0); err != nil || !e.Ok() || e.WRID != 7 {
+		t.Fatalf("read completion %+v err %v", e, err)
+	}
+}
+
+// peertabMetrics reads the process-wide peer-table occupancy and eviction
+// count, summed over every table.
+func peertabMetrics() (occupancy, evictions int64) {
+	s := telemetry.Default.Snapshot()
+	return s.Gauges["diwarp_peertab_occupancy"], s.Counters["diwarp_peertab_evictions_total"]
+}
+
+// The peer-table metrics count peers. Write-Records and UD Reads in flight
+// are per-message state, so neither moves diwarp_peertab_occupancy while
+// it is open nor diwarp_peertab_evictions_total when it completes.
+func TestUDPerMessageStateLeavesPeerMetrics(t *testing.T) {
+	a, b := bareRequester(t)
+	occ0, ev0 := peertabMetrics()
+
+	const records, reads = 8, 8
+	target, err := a.tbl.Register(a.pd, make([]byte, 200), memreg.RemoteWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := a.tbl.Register(a.pd, make([]byte, 100), memreg.LocalWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := make([]byte, 100)
+	for i := uint32(1); i <= records; i++ {
+		a.qp.dispatch(b, tagSeg(rdmap.OpWriteRecord, target.STag(), 0, 1000+i, 200, false, half))
+	}
+	for i := uint64(1); i <= reads; i++ {
+		if err := a.qp.PostRead(i, b, sink.STag(), 0, memreg.STag(0x100), 0, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if occ, _ := peertabMetrics(); occ != occ0 {
+		t.Fatalf("occupancy moved by %d with %d Write-Records and %d reads open, want 0", occ-occ0, records, reads)
+	}
+	for i := uint32(1); i <= records; i++ {
+		a.qp.dispatch(b, tagSeg(rdmap.OpWriteRecord, target.STag(), 100, 1000+i, 200, true, half))
+	}
+	for msn := uint32(1); msn <= reads; msn++ {
+		a.qp.dispatch(b, tagSeg(rdmap.OpReadResp, sink.STag(), 0, msn, 100, true, half))
+	}
+	for i := 0; i < records; i++ {
+		if e, err := a.rcq.Poll(time.Second); err != nil || !e.Ok() || e.ByteLen != 200 {
+			t.Fatalf("Write-Record completion %+v err %v", e, err)
+		}
+	}
+	for i := 0; i < reads; i++ {
+		if e, err := a.scq.Poll(time.Second); err != nil || !e.Ok() || e.ByteLen != 100 {
+			t.Fatalf("read completion %+v err %v", e, err)
+		}
+	}
+	occ, ev := peertabMetrics()
+	if occ != occ0 || ev != ev0 {
+		t.Fatalf("after %d completed messages: occupancy moved by %d, %d evictions; want 0 and 0", records+reads, occ-occ0, ev-ev0)
+	}
+}
+
+// Every UD Read completes exactly once — in full, partially, or timed out
+// — while four posters race the placement engine and the sweeper over a
+// lossy, duplicating responder, and nothing completes after Close.
+func TestUDReadExactlyOnce(t *testing.T) {
+	const (
+		posters = 4
+		perPost = 200
+		maxLen  = 200 << 10
+	)
+	net := simnet.New(simnet.Config{})
+	a := newUDNode(t, net, "a", UDConfig{ReassemblyTimeout: 50 * time.Millisecond})
+	bep, err := net.OpenDatagram("b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := faultnet.Wrap(bep, faultnet.Config{Seed: 26, GE: &faultnet.GEParams{LossGood: 0.05}, DupRate: 0.05})
+	b := newUDNodeOver(t, fb, UDConfig{})
+	src, err := b.tbl.Register(b.pd, make([]byte, maxLen), memreg.RemoteRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < posters; g++ {
+		sink, err := a.tbl.Register(a.pd, make([]byte, maxLen), memreg.LocalWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < perPost; i++ {
+				id := uint64(g*perPost + i)
+				n := 1<<10 + rng.Intn(maxLen-1<<10+1)
+				if err := a.qp.PostRead(id, b.qp.LocalAddr(), sink.STag(), 0, src.STag(), 0, n); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	seen := make(map[uint64]bool, posters*perPost)
+	var whole, partial, timedOut int
+	deadline := time.Now().Add(20 * time.Second)
+	for len(seen) < posters*perPost && time.Now().Before(deadline) {
+		e, err := a.scq.Poll(100 * time.Millisecond)
+		if err != nil {
+			continue
+		}
+		if e.Type != WTRead {
+			t.Fatalf("unexpected completion %+v", e)
+		}
+		if seen[e.WRID] {
+			t.Fatalf("WR %d completed twice (second: %+v)", e.WRID, e)
+		}
+		seen[e.WRID] = true
+		switch {
+		case e.Status == StatusTimedOut:
+			timedOut++
+		case !e.Ok():
+			t.Fatalf("WR %d completed %+v", e.WRID, e)
+		case e.Validity.Covered() != uint64(e.ByteLen):
+			t.Fatalf("WR %d: ByteLen %d but validity covers %d", e.WRID, e.ByteLen, e.Validity.Covered())
+		case e.ByteLen == e.MsgLen:
+			whole++
+		default:
+			partial++
+		}
+	}
+	if len(seen) != posters*perPost {
+		t.Fatalf("%d of %d reads completed", len(seen), posters*perPost)
+	}
+	t.Logf("%d whole, %d partial, %d timed out", whole, partial, timedOut)
+	a.qp.Close()
+	time.Sleep(100 * time.Millisecond) // two sweep periods
+	if e, err := a.scq.Poll(0); err == nil {
+		t.Fatalf("completion after Close: %+v", e)
 	}
 }

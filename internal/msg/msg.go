@@ -246,12 +246,10 @@ type inKey struct {
 }
 
 // inboundRdv is the receiver-side state of one rendezvous: the registered
-// sink awaiting Write-Record placement. It is filed in two peertab tables
-// (by inKey for control messages, by steering tag for placement
-// completions); key, region, stag, buf, and n are immutable once the
-// transfer is published, and the mutable completion state is guarded by the
-// transfer's own mu — NOT by either table's entry lock, because the same
-// transfer is reachable through both tables and needs one authority.
+// sink awaiting Write-Record placement. It is filed in two maps, by inKey
+// for control messages and by steering tag for placement completions, and
+// is in both or in neither. key, region, stag, buf, and n are immutable
+// once the transfer is filed; the rest is guarded by Endpoint.rdvMu.
 type inboundRdv struct {
 	key    inKey
 	region *memreg.Region
@@ -260,9 +258,7 @@ type inboundRdv struct {
 	n      uint64
 	born   time.Time
 
-	mu      sync.Mutex
 	finSeen bool
-	done    bool // flipped exactly once: completion, sweep, or Close
 	// Sweeper progress tracking: an entry is reaped only after showing no
 	// new placed bytes for two consecutive sweeps past RendezvousTimeout.
 	lastCovered uint64
@@ -337,13 +333,15 @@ type Endpoint struct {
 	rxBufs map[uint64][]byte // posted receive WRID -> buffer
 	nextWR atomic.Uint64
 
-	// Sharded peer and rendezvous tables (peertab): the per-packet demux
-	// is a lock-free snapshot lookup, and structural changes contend only
-	// within one shard. Before this, one endpoint-wide mutex covered every
-	// peer's ledger and every open transfer.
-	peers   *peertab.Table[transport.Addr, peer]
-	inbound *peertab.Table[inKey, *inboundRdv]
-	byStag  *peertab.Table[memreg.STag, *inboundRdv]
+	// The sharded peer table (peertab): the per-packet demux is a
+	// lock-free snapshot lookup, and an entry lives as long as the peer.
+	peers *peertab.Table[transport.Addr, peer]
+
+	// Inbound rendezvous, one entry per transfer, under rdvMu. Whoever
+	// deletes a transfer from both maps owns its delivery or teardown.
+	rdvMu   sync.Mutex
+	inbound map[inKey]*inboundRdv
+	byStag  map[memreg.STag]*inboundRdv
 
 	m      *metrics
 	closed atomic.Bool
@@ -397,8 +395,8 @@ func Open(ep transport.Datagram, cfg Config) (*Endpoint, error) {
 		sinks:     newSinkPool(),
 		rxBufs:    make(map[uint64][]byte, cfg.RecvDepth),
 		peers:     peertab.New[transport.Addr, peer](peertab.HashAddr, peertab.Options{}),
-		inbound:   peertab.New[inKey, *inboundRdv](hashInKey, peertab.Options{}),
-		byStag:    peertab.New[memreg.STag, *inboundRdv](hashSTag, peertab.Options{}),
+		inbound:   make(map[inKey]*inboundRdv),
+		byStag:    make(map[memreg.STag]*inboundRdv),
 		m:         getMetrics(),
 		done:      make(chan struct{}),
 	}
@@ -451,7 +449,9 @@ func (e *Endpoint) Stats() Stats {
 // and awaiting completion, and outbound RTSes awaiting CTS. Both must be
 // zero at quiesce — the chaos suite's table-balance invariant.
 func (e *Endpoint) OutstandingRendezvous() (inbound, outbound int) {
-	inbound = e.inbound.Len()
+	e.rdvMu.Lock()
+	inbound = len(e.inbound)
+	e.rdvMu.Unlock()
 	e.peers.Range(func(ent *peertab.Entry[transport.Addr, peer]) bool {
 		p := &ent.V
 		p.pendMu.Lock()
@@ -471,10 +471,6 @@ func (e *Endpoint) PeerTableStats() peertab.Stats { return e.peers.Stats() }
 func (e *Endpoint) BufOutstanding() int64 {
 	return e.rxPool.Outstanding() + e.hdrPool.Outstanding() + e.sinks.outstanding()
 }
-
-func hashInKey(k inKey) uint32 { return peertab.HashUint32(peertab.HashAddr(k.from), k.id) }
-
-func hashSTag(s memreg.STag) uint32 { return peertab.HashUint32(peertab.Seed(), uint32(s)) }
 
 // peer returns (creating on first use) the protocol state for addr. The
 // fast path is the table's lock-free snapshot lookup; the create path (and
@@ -845,11 +841,12 @@ func (e *Endpoint) handleRTS(p *peer, from transport.Addr, h *Header) {
 		return
 	}
 	k := inKey{from: from, id: h.MsgID}
-	ent := e.inbound.Get(k)
-	if ent == nil {
-		// Build the whole transfer before touching the table: registration
-		// takes the memreg table's locks and must never run under a shard
-		// lock. Two RTS duplicates may race here; the table arbitrates.
+	e.rdvMu.Lock()
+	in := e.inbound[k]
+	e.rdvMu.Unlock()
+	if in == nil {
+		// Build the whole transfer before filing it: registration takes the
+		// memreg table's locks and stays outside rdvMu.
 		buf := e.sinks.get(int(h.Length))
 		region, err := e.tbl.Register(e.pd, buf, memreg.RemoteWrite)
 		if err != nil {
@@ -865,23 +862,22 @@ func (e *Endpoint) handleRTS(p *peer, from transport.Addr, h *Header) {
 			n:      h.Length,
 			born:   time.Now(),
 		}
-		var created bool
-		ent, created, _ = e.inbound.GetOrCreate(k, func(ne *peertab.Entry[inKey, *inboundRdv]) {
-			ne.V = cand
-		})
-		if created {
-			e.byStag.GetOrCreate(cand.stag, func(ne *peertab.Entry[memreg.STag, *inboundRdv]) {
-				ne.V = cand
-			})
+		e.rdvMu.Lock()
+		if in = e.inbound[k]; in == nil {
+			in = cand
+			e.inbound[k] = in
+			e.byStag[in.stag] = in
+		}
+		e.rdvMu.Unlock()
+		if in == cand {
 			e.m.rdvOpen.Add(1)
 		} else {
-			// Lost the duplicate-RTS race: tear down the losing sink and
-			// answer from the winner's transfer.
+			// A duplicate RTS filed its transfer first: tear down this sink
+			// and answer from that transfer.
 			_ = e.tbl.Deregister(cand.stag)
 			e.sinks.put(buf)
 		}
 	}
-	in := ent.V
 	// A lost CTS makes the sender re-RTS after timeout; the entry above
 	// is reused and this resend is idempotent.
 	_ = e.sendCtrl(p, from, &Header{Type: TypeCTS, MsgID: h.MsgID, STag: uint32(in.stag), Length: h.Length, TO: 0})
@@ -904,15 +900,16 @@ func (e *Endpoint) handleCTS(p *peer, h *Header) {
 // handleFIN marks the sender done; completion still requires every byte
 // placed (FIN can outrun tagged data on a reordering network).
 func (e *Endpoint) handleFIN(from transport.Addr, h *Header) {
-	ent := e.inbound.Get(inKey{from: from, id: h.MsgID})
-	if ent == nil {
-		return
+	e.rdvMu.Lock()
+	in := e.inbound[inKey{from: from, id: h.MsgID}]
+	if in != nil {
+		in.finSeen = true
 	}
-	in := ent.V
-	in.mu.Lock()
-	in.finSeen = true
-	in.mu.Unlock()
-	e.maybeComplete(in)
+	done := in != nil && e.takeIfComplete(in)
+	e.rdvMu.Unlock()
+	if done {
+		e.deliver(in)
+	}
 }
 
 // onPlacement is the QP's placement-completion hook: one successful
@@ -922,38 +919,33 @@ func (e *Endpoint) onPlacement(cqe iwarp.CQE) {
 	if cqe.Status != iwarp.StatusSuccess {
 		return
 	}
-	ent := e.byStag.Get(cqe.STag)
-	if ent == nil {
-		return // late data for a swept or completed transfer
+	e.rdvMu.Lock()
+	in := e.byStag[cqe.STag] // nil: late data for a swept or completed transfer
+	done := in != nil && e.takeIfComplete(in)
+	e.rdvMu.Unlock()
+	if done {
+		e.deliver(in)
 	}
-	e.maybeComplete(ent.V)
 }
 
-// maybeComplete delivers the transfer iff FIN has arrived and the sink's
-// validity map covers the whole payload. Exactly-once: the winner flips
-// done under the transfer's own lock, then alone unfiles it from both
-// tables. The pointer comparison on eviction protects a successor transfer
-// that reused the key after a duplicate-RTS recreated it.
-func (e *Endpoint) maybeComplete(in *inboundRdv) {
-	in.mu.Lock()
-	if in.done || !in.finSeen {
-		in.mu.Unlock()
-		return
+// takeIfComplete unfiles the transfer iff FIN has arrived and the sink's
+// validity map covers the whole payload. The caller holds rdvMu; true
+// makes it the one owner of the transfer, which it must deliver.
+func (e *Endpoint) takeIfComplete(in *inboundRdv) bool {
+	if !in.finSeen {
+		return false
 	}
 	v := in.region.Validity()
 	if v.Covered() < in.n {
-		in.mu.Unlock()
-		return
+		return false
 	}
-	in.done = true
-	in.mu.Unlock()
-	if ent := e.inbound.Get(in.key); ent != nil && ent.V == in {
-		e.inbound.EvictEntry(ent)
-	}
-	if ent := e.byStag.Get(in.stag); ent != nil && ent.V == in {
-		e.byStag.EvictEntry(ent)
-	}
+	delete(e.inbound, in.key)
+	delete(e.byStag, in.stag)
+	return true
+}
 
+// deliver hands a completed transfer's sink to the handler.
+func (e *Endpoint) deliver(in *inboundRdv) {
 	_ = e.tbl.Deregister(in.stag)
 	e.m.rdvOpen.Add(-1)
 	e.m.rdvRecv.Inc()
@@ -988,44 +980,39 @@ func (e *Endpoint) sweepLoop() {
 
 func (e *Endpoint) sweepInbound(now time.Time) {
 	var reap []*inboundRdv
-	e.inbound.Range(func(ent *peertab.Entry[inKey, *inboundRdv]) bool {
-		in := ent.V
+	e.rdvMu.Lock()
+	for k, in := range e.inbound {
 		if now.Sub(in.born) < e.cfg.RendezvousTimeout {
-			return true
-		}
-		in.mu.Lock()
-		if in.done {
-			in.mu.Unlock()
-			return true
+			continue
 		}
 		v := in.region.Validity()
 		if c := v.Covered(); c > in.lastCovered {
 			in.lastCovered = c
 			in.staleSweeps = 0
-			in.mu.Unlock()
-			return true
+			continue
 		}
 		in.staleSweeps++
 		if in.staleSweeps < 2 {
-			in.mu.Unlock()
-			return true
+			continue
 		}
-		in.done = true
-		in.mu.Unlock()
-		e.inbound.EvictEntry(ent)
-		if bs := e.byStag.Get(in.stag); bs != nil && bs.V == in {
-			e.byStag.EvictEntry(bs)
-		}
+		delete(e.inbound, k)
+		delete(e.byStag, in.stag)
 		reap = append(reap, in)
-		return true
-	})
+	}
+	e.rdvMu.Unlock()
 	for _, in := range reap {
-		_ = e.tbl.Deregister(in.stag)
-		e.sinks.put(in.buf)
-		e.m.rdvOpen.Add(-1)
+		e.discard(in)
 		e.m.rdvSwept.Inc()
 		e.nRdvSwept.Add(1)
 	}
+}
+
+// discard tears down an undelivered transfer its caller has unfiled:
+// deregister the sink and return its buffer.
+func (e *Endpoint) discard(in *inboundRdv) {
+	_ = e.tbl.Deregister(in.stag)
+	e.sinks.put(in.buf)
+	e.m.rdvOpen.Add(-1)
 }
 
 // Close shuts the endpoint down: the QP closes (flushing posted receives),
@@ -1052,23 +1039,15 @@ func (e *Endpoint) Close() error {
 		// the application still holds — so nothing refers into the slab.
 		ringSlabs.Put(&e.rxSlab)
 	}
-	// Tear down inbound rendezvous state. A transfer completing
-	// concurrently flipped done first and owns its own teardown.
-	var ins []*inboundRdv
-	e.inbound.Clear(func(ent *peertab.Entry[inKey, *inboundRdv]) {
-		in := ent.V
-		in.mu.Lock()
-		if !in.done {
-			in.done = true
-			ins = append(ins, in)
-		}
-		in.mu.Unlock()
-	})
-	e.byStag.Clear(nil)
+	// Tear down the transfers still filed. The QP and the sweeper have
+	// stopped, so nothing else can take them any more.
+	e.rdvMu.Lock()
+	ins := e.inbound
+	e.inbound = make(map[inKey]*inboundRdv)
+	clear(e.byStag)
+	e.rdvMu.Unlock()
 	for _, in := range ins {
-		_ = e.tbl.Deregister(in.stag)
-		e.sinks.put(in.buf)
-		e.m.rdvOpen.Add(-1)
+		e.discard(in)
 	}
 	return err
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/simnet"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -152,6 +153,41 @@ func TestRendezvousRoundTrip(t *testing.T) {
 	}
 	if s := b.Stats(); s.RdvRecv != 1 {
 		t.Fatalf("receiver stats %+v", s)
+	}
+}
+
+// peertabMetrics reads the process-wide peer-table occupancy and eviction
+// count, summed over every table.
+func peertabMetrics() (occupancy, evictions int64) {
+	s := telemetry.Default.Snapshot()
+	return s.Gauges["diwarp_peertab_occupancy"], s.Counters["diwarp_peertab_evictions_total"]
+}
+
+// The peer-table metrics count peers, not transfers: M rendezvous between
+// two endpoints add exactly the two peer entries to
+// diwarp_peertab_occupancy and evict nothing.
+func TestRendezvousLeavesPeerMetrics(t *testing.T) {
+	occ0, ev0 := peertabMetrics()
+
+	const m = 16
+	cb := newCollector()
+	cfg := Config{EagerThreshold: 1024, Handler: func(Message) {}}
+	cfgB := cfg
+	cfgB.Handler = cb.handle
+	a, b := newPair(t, cfg, cfgB)
+	payload := make([]byte, 64<<10)
+	for i := 0; i < m; i++ {
+		if err := a.Send(b.LocalAddr(), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cb.wait(t, m, 5*time.Second)
+	if s := b.Stats(); s.RdvRecv != m {
+		t.Fatalf("receiver stats %+v, want %d rendezvous", s, m)
+	}
+	occ, ev := peertabMetrics()
+	if occ-occ0 != 2 || ev != ev0 {
+		t.Fatalf("after %d rendezvous: occupancy rose by %d, %d evictions; want the 2 peer entries and 0", m, occ-occ0, ev-ev0)
 	}
 }
 

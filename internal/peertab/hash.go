@@ -5,14 +5,13 @@ import (
 	"net/netip"
 )
 
-// HashAddr is the stack's one peer hash: rudp's and msg's peer tables and
-// core's Write-Record trackers all stripe by it, so
-// one peer lands on the same shard index at every layer. It reads the
-// address as two 64-bit words of its 16-byte form, folds the port into the
-// low word's top bits (always zero for an IPv4 address, so distinct IPv4
-// peers never collide before mixing), and finishes with a bijective 64-bit
-// mix whose low 32 bits are the stripe hash — a few multiplies, never a
-// byte loop. An IPv4 address, the common case, is read through As4: the
+// HashAddr is the stack's one peer hash: rudp's and msg's peer tables both
+// stripe by it, so one peer lands on the same shard index at every layer.
+// It reads the address as two 64-bit words of its 16-byte form, folds the
+// port into the low word's top bits (always zero for an IPv4 address, so
+// distinct IPv4 peers never collide before mixing), and finishes with a
+// bijective 64-bit mix whose low 32 bits are the stripe hash — a few
+// multiplies, never a byte loop. An IPv4 address, the common case, is read through As4: the
 // same words, without the 16-byte round trip through memory that As16
 // costs (several times the rest of the hash).
 //
@@ -41,27 +40,4 @@ func mix64(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// FNV-1a, for composite keys: start from Seed(), fold in each component
-// (an address's HashAddr, then an ID or STag) so keys stay allocation-free.
-const (
-	fnvOffset = 2166136261
-	fnvPrime  = 16777619
-)
-
-// Seed returns the FNV-1a offset basis.
-//
-//diwarp:hotpath
-func Seed() uint32 { return fnvOffset }
-
-// HashUint32 folds v into h byte-by-byte (big-endian).
-//
-//diwarp:hotpath
-func HashUint32(h uint32, v uint32) uint32 {
-	h = (h ^ (v >> 24)) * fnvPrime
-	h = (h ^ (v >> 16 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 8 & 0xff)) * fnvPrime
-	h = (h ^ (v & 0xff)) * fnvPrime
-	return h
 }

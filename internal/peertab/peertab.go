@@ -8,11 +8,16 @@
 // every send, every ACK, and every retransmit tick serialized all peers.
 //
 // The table is striped N ways by a caller-supplied hash (HashAddr for a
-// peer, so one address computes one shard everywhere). Each shard separates its two concerns:
+// peer, so one address computes one shard everywhere). Each shard separates
+// its two concerns:
 //
 //   - Structural changes (insert, evict) take the shard mutex and publish a
 //     new immutable snapshot map (copy-on-write). They are rare: once per
-//     peer lifetime, not once per packet.
+//     peer lifetime, not once per packet. Per-message state — a transfer,
+//     a tracker, an outstanding request — does not belong in a peer table:
+//     it would pay a snapshot copy per message and count as a peer in the
+//     occupancy and eviction metrics. Its owner keeps it in a plain map
+//     under one lock.
 //   - The hot lookup loads the snapshot through an atomic pointer and
 //     indexes a map no writer will ever mutate: no lock, no retry loop,
 //     zero allocations (pinned by TestGetAllocFree and the hotpath
@@ -122,7 +127,6 @@ type Table[K comparable, V any] struct {
 	mask   uint32
 	cap    int
 	len    atomic.Int64
-	empty  *map[K]*Entry[K, V] // the one empty snapshot every stripe starts from
 
 	occupancy *telemetry.Gauge   // diwarp_peertab_occupancy
 	shardMax  *telemetry.Gauge   // diwarp_peertab_shard_max
@@ -156,9 +160,8 @@ func New[K comparable, V any](hash func(K) uint32, opts Options) *Table[K, V] {
 		rejected:  telemetry.Default.Counter("diwarp_peertab_admission_rejects_total"),
 	}
 	empty := make(map[K]*Entry[K, V])
-	t.empty = &empty
 	for i := range t.shards {
-		t.shards[i].snap.Store(t.empty)
+		t.shards[i].snap.Store(&empty)
 	}
 	return t
 }
@@ -306,22 +309,14 @@ func (t *Table[K, V]) remove(e *Entry[K, V]) {
 	if old[e.Key] != e {
 		return
 	}
-	// A stripe emptied by this removal goes back to the shared empty
-	// snapshot (snapshots are immutable, so sharing is safe): per-message
-	// tables — one entry inserted and evicted per message — then allocate
-	// only on insert.
-	next := t.empty
-	if len(old) > 1 {
-		m := make(map[K]*Entry[K, V], len(old)-1)
-		for kk, vv := range old {
-			if vv != e {
-				m[kk] = vv
-			}
+	next := make(map[K]*Entry[K, V], len(old)-1)
+	for kk, vv := range old {
+		if vv != e {
+			next[kk] = vv
 		}
-		next = &m
 	}
-	s.snap.Store(next)
-	s.count.Store(int64(len(*next)))
+	s.snap.Store(&next)
+	s.count.Store(int64(len(next)))
 	t.len.Add(-1)
 	t.occupancy.Add(-1)
 	t.updateImbalance()
