@@ -12,6 +12,7 @@ import (
 // completion queue be polled with a defined timeout period", §IV.B.1).
 type CQ struct {
 	ch       chan CQE
+	fn       func(CQE)
 	overruns atomic.Int64
 	closed   atomic.Bool
 }
@@ -29,13 +30,25 @@ func NewCQ(depth int) *CQ {
 	return &CQ{ch: make(chan CQE, depth)}
 }
 
-// post adds a completion. A full queue drops the entry and counts an
-// overrun — the hardware-CQ overflow behaviour; sizing the CQ to the sum of
-// queue depths avoids it, as on a real RNIC. The channel is never closed,
-// so the closed flag needs no lock: a post racing Close may still land,
-// which is harmless — queued entries stay pollable after Close anyway.
+// NewCQFunc creates a handler CQ for consumers inside the stack: each
+// completion is passed to fn on the goroutine that posts it (DESIGN.md
+// §4.7), nothing is queued, and Poll reports ErrCQEmpty at once. fn must
+// be safe for concurrent calls and must not block for long; it may call
+// back into the QP, whose locks are never held while it runs.
+func NewCQFunc(fn func(CQE)) *CQ { return &CQ{fn: fn} }
+
+// post adds a completion, or hands it to the handler of a handler CQ. A
+// full queue drops the entry and counts an overrun — the hardware-CQ
+// overflow behaviour; sizing the CQ to the sum of queue depths avoids it,
+// as on a real RNIC. The channel is never closed, so the closed flag needs
+// no lock: a post racing Close may still land, which is harmless — queued
+// entries stay pollable after Close anyway.
 func (cq *CQ) post(e CQE) {
 	if cq.closed.Load() {
+		return
+	}
+	if cq.fn != nil {
+		cq.fn(e)
 		return
 	}
 	select {
@@ -47,8 +60,12 @@ func (cq *CQ) post(e CQE) {
 
 // Poll returns the next completion, waiting up to timeout. A zero timeout
 // polls without blocking; a negative timeout blocks indefinitely. It
-// returns ErrCQEmpty when the deadline passes with no completion.
+// returns ErrCQEmpty when the deadline passes with no completion, and at
+// once on a handler CQ, which never holds one.
 func (cq *CQ) Poll(timeout time.Duration) (CQE, error) {
+	if cq.fn != nil {
+		return CQE{}, ErrCQEmpty
+	}
 	// Fast path: a queued completion never pays for timer setup. Under
 	// load this is the common case and keeps the per-message cost of
 	// timeout-based polling near zero.
@@ -87,29 +104,7 @@ func (cq *CQ) await(tch <-chan time.Time) (CQE, error) {
 	}
 }
 
-// PollN collects up to max completions, waiting at most timeout for the
-// first and draining whatever else is immediately available.
-func (cq *CQ) PollN(max int, timeout time.Duration) []CQE {
-	if max <= 0 {
-		return nil
-	}
-	first, err := cq.Poll(timeout)
-	if err != nil {
-		return nil
-	}
-	out := []CQE{first}
-	for len(out) < max {
-		select {
-		case e := <-cq.ch:
-			out = append(out, e)
-		default:
-			return out
-		}
-	}
-	return out
-}
-
-// Len reports the number of queued completions.
+// Len reports the number of queued completions (always 0 on a handler CQ).
 func (cq *CQ) Len() int { return len(cq.ch) }
 
 // Overruns reports how many completions were dropped to a full queue.

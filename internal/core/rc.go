@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ddp"
 	"repro/internal/memreg"
@@ -59,6 +58,7 @@ type RCQP struct {
 	stateMu sync.Mutex
 	errored bool
 	closed  bool
+	stop    chan struct{} // closed when the QP first errors or closes
 	wg      sync.WaitGroup
 
 	// Counters are registry handles (DESIGN.md §4.6): per-QP exact reads
@@ -119,6 +119,7 @@ func newRCQP(conn *mpa.Conn, pd *memreg.PD, tbl *memreg.Table, sendCQ, recvCQ *C
 		recvCQ: recvCQ,
 		cfg:    cfg,
 		rq:     newRecvQueue(cfg.RecvDepth),
+		stop:   make(chan struct{}),
 	}
 	qp.stats.msgsSent = telemetry.Default.Counter("diwarp_rc_msgs_sent_total")
 	qp.stats.msgsRecv = telemetry.Default.Counter("diwarp_rc_msgs_recv_total")
@@ -298,17 +299,12 @@ func (qp *RCQP) recvLoop() {
 func (qp *RCQP) handleSendSeg(seg *ddp.Segment) bool {
 	if qp.cur == nil || qp.cur.msn != seg.MSN {
 		wr, ok := qp.rq.pop()
-		for !ok && qp.cfg.BlockOnRNR {
+		if !ok && qp.cfg.BlockOnRNR {
 			// Software-iWARP behaviour: stop draining the stream until the
 			// application posts a receive; TCP backpressure stalls the peer.
-			qp.stateMu.Lock()
-			stopped := qp.closed || qp.errored
-			qp.stateMu.Unlock()
-			if stopped {
-				return false
+			if wr, ok = qp.rq.wait(qp.stop, nil); !ok {
+				return false // closed or errored while waiting
 			}
-			time.Sleep(200 * time.Microsecond)
-			wr, ok = qp.rq.pop()
 		}
 		if !ok {
 			// Receiver not ready: fatal on RC per the specification.
@@ -430,6 +426,7 @@ func (qp *RCQP) enterError(cause error) {
 		return
 	}
 	qp.errored = true
+	close(qp.stop)
 	qp.stateMu.Unlock()
 
 	for _, wr := range qp.rq.drain() {
@@ -466,6 +463,9 @@ func (qp *RCQP) Close() error {
 	}
 	qp.closed = true
 	alreadyErrored := qp.errored
+	if !alreadyErrored {
+		close(qp.stop)
+	}
 	qp.stateMu.Unlock()
 
 	err := qp.ch.Close()

@@ -208,6 +208,50 @@ func TestRCRNRTerminatesConnection(t *testing.T) {
 	}
 }
 
+// TestRCBlockOnRNRWaitsForPostRecv: with BlockOnRNR a message that
+// arrives before its receive waits for PostRecv instead of terminating the
+// connection, and completes as soon as a buffer is posted; a QP closed
+// while its receive loop waits so closes promptly.
+func TestRCBlockOnRNRWaitsForPostRecv(t *testing.T) {
+	cli, srv := rcPair(t, RCConfig{BlockOnRNR: true})
+	msg := bytes.Repeat([]byte{0xa5}, 3000)
+	if err := cli.qp.PostSend(1, nio.VecOf(msg)); err != nil {
+		t.Fatal(err)
+	}
+	// Let the message arrive and the receive loop park on RNR.
+	time.Sleep(50 * time.Millisecond)
+	if srv.qp.Errored() {
+		t.Fatal("RNR terminated the connection despite BlockOnRNR")
+	}
+	buf := make([]byte, 4096)
+	if err := srv.qp.PostRecv(7, buf); err != nil {
+		t.Fatal(err)
+	}
+	e, err := srv.rcq.Poll(2 * time.Second)
+	if err != nil {
+		t.Fatalf("blocked message never delivered: %v", err)
+	}
+	if !e.Ok() || e.WRID != 7 || !bytes.Equal(buf[:e.ByteLen], msg) {
+		t.Fatalf("CQE %+v", e)
+	}
+
+	// A second message parks the loop again; Close must wake it.
+	if err := cli.qp.PostSend(2, nio.VecOf(msg)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() {
+		srv.qp.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not return while the receive loop waited on RNR")
+	}
+}
+
 func TestRCWriteBoundsViolationTerminates(t *testing.T) {
 	cli, srv := rcPair(t, RCConfig{})
 	region, err := srv.tbl.Register(srv.pd, make([]byte, 16), memreg.RemoteWrite)

@@ -1,6 +1,9 @@
 package iwarp
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // recvQueue is the posted-receive FIFO of a queue pair. The receiver side
 // "handles all of the buffer management and determines where incoming data
@@ -76,6 +79,24 @@ func (q *recvQueue) pop() (RecvWR, bool) {
 		notify(q.avail)
 	}
 	return wr, true
+}
+
+// wait pops the head WR, parking until one is posted, stop closes, or
+// expire fires (a nil expire never does). It is the receiver-not-ready
+// wait of both QP types, woken by post's pulse instead of a spin-sleep.
+func (q *recvQueue) wait(stop <-chan struct{}, expire <-chan time.Time) (RecvWR, bool) {
+	for {
+		if wr, ok := q.pop(); ok {
+			return wr, true
+		}
+		select {
+		case <-q.avail:
+		case <-expire:
+			return RecvWR{}, false
+		case <-stop:
+			return RecvWR{}, false
+		}
+	}
 }
 
 // drain removes and returns every posted WR, oldest first (for flushing at

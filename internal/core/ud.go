@@ -37,15 +37,6 @@ type UDConfig struct {
 	// stall. Never enable over a raw unreliable endpoint — it would let
 	// one slow receiver stall the placement engine for all peers.
 	BlockOnRNR bool
-	// PlacementNotify, when non-nil, receives every successful Write-Record
-	// target completion (WTWriteRecordRecv) instead of the receive CQ — the
-	// placement-completion hook a message layer's rendezvous sink needs:
-	// direct dispatch from the placement engine, no CQ round trip and no
-	// risk of a full CQ dropping the notification a zero-copy transfer
-	// completes on. The callback runs on the QP's receive goroutine and
-	// must not block; advisory error completions (WTError) still go to the
-	// receive CQ.
-	PlacementNotify func(CQE)
 }
 
 // defaultReassemblyTimeout bounds how long partial multi-segment messages
@@ -143,7 +134,7 @@ type wrTracker struct {
 // (RD service); the QP is agnostic, exactly as the paper's design intends
 // ("compatible with both unreliable and reliable lower UDP layers").
 // Completions for sends go to sendCQ and for receives/target events to
-// recvCQ; the two may be the same CQ.
+// recvCQ; the two may be the same CQ, and either may be a handler CQ.
 func OpenUD(ep transport.Datagram, pd *memreg.PD, tbl *memreg.Table, sendCQ, recvCQ *CQ, cfg UDConfig) (*UDQP, error) {
 	if ep == nil || pd == nil || tbl == nil || sendCQ == nil || recvCQ == nil {
 		return nil, fmt.Errorf("%w: nil argument", ErrBadWR)
@@ -431,24 +422,12 @@ func (qp *UDQP) placeUntagged(from transport.Addr, seg *ddp.Segment) {
 
 // waitRecv blocks until a receive is posted, the QP closes, or the
 // reassembly timeout bounds the stall — the RNR NAK-and-retry loop of an
-// RD service, driven by PostRecv's notification instead of a spin-sleep.
-// Outlined from handleSend: it is the cold contended path, and it parks on
-// channels the hot path never touches.
+// RD service. Outlined from handleSend: it is the cold contended path, and
+// it parks on channels the hot path never touches.
 func (qp *UDQP) waitRecv() (RecvWR, bool) {
 	timer := time.NewTimer(qp.reasmTimeout())
 	defer timer.Stop()
-	for {
-		if wr, ok := qp.rq.pop(); ok {
-			return wr, true
-		}
-		select {
-		case <-qp.rq.avail:
-		case <-timer.C:
-			return RecvWR{}, false
-		case <-qp.done:
-			return RecvWR{}, false
-		}
-	}
+	return qp.rq.wait(qp.done, timer.C)
 }
 
 // dropNoRecv records a message dropped for want of a posted receive, like a
@@ -490,7 +469,7 @@ func (qp *UDQP) handleWriteRecord(from transport.Addr, seg *ddp.Segment) {
 	if qp.cfg.PerChunkCompletions {
 		var v memreg.ValidityMap
 		v.Add(seg.TO, uint64(len(seg.Payload)))
-		qp.completeWR(CQE{
+		qp.recvCQ.post(CQE{
 			Type: WTWriteRecordRecv, ByteLen: len(seg.Payload), Src: from,
 			STag: seg.STag, TO: seg.TO, MsgLen: int(seg.MsgLen), Validity: v,
 		})
@@ -502,7 +481,7 @@ func (qp *UDQP) handleWriteRecord(from transport.Addr, seg *ddp.Segment) {
 		var v memreg.ValidityMap
 		v.Add(seg.TO, uint64(len(seg.Payload)))
 		qp.stats.msgsRecv.Inc()
-		qp.completeWR(CQE{
+		qp.recvCQ.post(CQE{
 			Type: WTWriteRecordRecv, ByteLen: len(seg.Payload), Src: from,
 			STag: seg.STag, TO: seg.TO, MsgLen: int(seg.MsgLen), Validity: v,
 		})
@@ -529,20 +508,10 @@ func (qp *UDQP) handleWriteRecord(from transport.Addr, seg *ddp.Segment) {
 	// plus its length minus the total message length.
 	base := seg.TO + uint64(len(seg.Payload)) - uint64(seg.MsgLen)
 	qp.stats.msgsRecv.Inc()
-	qp.completeWR(CQE{
+	qp.recvCQ.post(CQE{
 		Type: WTWriteRecordRecv, ByteLen: int(tr.validity.Covered()), Src: from,
 		STag: tr.stag, TO: base, MsgLen: int(seg.MsgLen), Validity: tr.validity,
 	})
-}
-
-// completeWR delivers a Write-Record target completion: to the configured
-// placement hook when one is installed, otherwise to the receive CQ.
-func (qp *UDQP) completeWR(e CQE) {
-	if qp.cfg.PlacementNotify != nil {
-		qp.cfg.PlacementNotify(e)
-		return
-	}
-	qp.recvCQ.post(e)
 }
 
 // sweepLoop periodically abandons stale per-message state, off the
@@ -562,7 +531,10 @@ func (qp *UDQP) sweepLoop() {
 }
 
 // sweep abandons every claim, Write-Record tracker and UD Read older than
-// the reassembly timeout, under one hold of mu.
+// the reassembly timeout, under one hold of mu, and posts the completions
+// that owes after releasing it: a handler CQ runs its handler inside post,
+// and a handler may call back into the QP (Footprint, PostRead), which
+// takes mu.
 //
 // A claim of a partial message whose remaining segments never arrived
 // gives its receive back by reposting it — the message is lost, the buffer
@@ -580,8 +552,8 @@ func (qp *UDQP) sweepLoop() {
 // reporting whatever part of the response did arrive.
 func (qp *UDQP) sweep(now time.Time) {
 	cutoff := now.Add(-qp.reasmTimeout())
+	var recvs, reads []CQE
 	qp.mu.Lock()
-	defer qp.mu.Unlock()
 	for k, cl := range qp.claims {
 		if !cl.born.Before(cutoff) {
 			continue
@@ -592,7 +564,7 @@ func (qp *UDQP) sweep(now time.Time) {
 			continue
 		}
 		if err := qp.rq.post(cl.wr); err != nil {
-			qp.recvCQ.post(CQE{
+			recvs = append(recvs, CQE{
 				WRID: cl.wr.ID, Type: WTRecv, Status: StatusTimedOut,
 				Err: fmt.Errorf("iwarp: partial message abandoned after %v", qp.reasmTimeout()),
 				Src: k.from,
@@ -611,17 +583,35 @@ func (qp *UDQP) sweep(now time.Time) {
 		}
 		delete(qp.reads, msn)
 		qp.stats.swept.Inc()
-		qp.sendCQ.post(CQE{
+		reads = append(reads, CQE{
 			WRID: rd.id, Type: WTRead, Status: StatusTimedOut,
 			Err:     fmt.Errorf("iwarp: UD read timed out after %v", qp.reasmTimeout()),
 			ByteLen: int(rd.validity.Covered()), Src: rd.peer, STag: rd.sink, Validity: rd.validity,
 		})
 	}
+	qp.mu.Unlock()
+	for _, e := range recvs {
+		qp.recvCQ.post(e)
+	}
+	for _, e := range reads {
+		qp.sendCQ.post(e)
+	}
 }
 
-// flushRecvs completes every posted receive with StatusFlushed at close.
+// flushRecvs completes with StatusFlushed, at close, every receive a
+// partial message had claimed and every receive still posted: no receive
+// WR vanishes without a completion.
 func (qp *UDQP) flushRecvs() {
-	for _, wr := range qp.rq.drain() {
+	var wrs []RecvWR
+	qp.mu.Lock()
+	for k, cl := range qp.claims {
+		delete(qp.claims, k)
+		if cl.hasWR {
+			wrs = append(wrs, cl.wr)
+		}
+	}
+	qp.mu.Unlock()
+	for _, wr := range append(wrs, qp.rq.drain()...) {
 		qp.recvCQ.post(CQE{WRID: wr.ID, Type: WTRecv, Status: StatusFlushed, Err: ErrQPClosed})
 	}
 }
@@ -653,7 +643,10 @@ func (qp *UDQP) Stats() Stats {
 }
 
 // Close shuts the QP down, closing the underlying endpoint and flushing
-// posted receives.
+// posted receives. It returns once every flush completion has been posted
+// (on a handler CQ: has run). The receive goroutine flushes as it exits;
+// the second flush catches a receive reposted by the sweeper after that,
+// which a sweep racing Close can do.
 func (qp *UDQP) Close() error {
 	if qp.closed.Swap(true) {
 		return nil
@@ -661,5 +654,6 @@ func (qp *UDQP) Close() error {
 	close(qp.done)
 	err := qp.ch.Close()
 	qp.wg.Wait()
+	qp.flushRecvs()
 	return err
 }

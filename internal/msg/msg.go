@@ -87,9 +87,11 @@ type Config struct {
 	// the QP blocks on receiver-not-ready instead of dropping, and the
 	// layer guarantees exactly-once delivery.
 	Reliable bool
-	// Handler receives every delivered message. It may be invoked
-	// concurrently from internal goroutines, must not block indefinitely
-	// (it stalls the receive path), and owns m until m.Release().
+	// Handler receives every delivered message, one at a time, on the
+	// QP's receive goroutine. Until it returns nothing else arrives,
+	// credits and CTSes included, so it must not block, and a handler
+	// that replies should Send from another goroutine (DESIGN.md §4.11).
+	// It owns m until m.Release().
 	Handler func(m Message)
 }
 
@@ -212,7 +214,7 @@ func (p *peer) applyGrant(g, w uint32) {
 			}
 			p.sent.Store(g)
 			p.limit.Store(g + w)
-			p.pulse()
+			pulse(p.creditCh)
 			return
 		}
 		if p.lastGrant.CompareAndSwap(last, g) {
@@ -226,15 +228,16 @@ func (p *peer) applyGrant(g, w uint32) {
 			return
 		}
 		if p.limit.CompareAndSwap(l, nl) {
-			p.pulse()
+			pulse(p.creditCh)
 			return
 		}
 	}
 }
 
-func (p *peer) pulse() {
+// pulse wakes ch's waiter, if any, without blocking (ch has capacity 1).
+func pulse(ch chan struct{}) {
 	select {
-	case p.creditCh <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
@@ -317,11 +320,9 @@ type Endpoint struct {
 	threshold int
 	window    uint32
 
-	pd     *memreg.PD
-	tbl    *memreg.Table
-	qp     *iwarp.UDQP
-	sendCQ *iwarp.CQ
-	recvCQ *iwarp.CQ
+	pd  *memreg.PD
+	tbl *memreg.Table
+	qp  *iwarp.UDQP
 
 	rxPool  *nio.Pool // posted-receive buffers: HeaderLen + threshold
 	hdrPool *nio.Pool // header staging for sends
@@ -342,6 +343,11 @@ type Endpoint struct {
 	rdvMu   sync.Mutex
 	inbound map[inKey]*inboundRdv
 	byStag  map[memreg.STag]*inboundRdv
+
+	// CTSes and credit refills the receive path owes, sent by sweepLoop.
+	ctlMu   sync.Mutex
+	ctlQ    []ctlMsg
+	ctlKick chan struct{} // pulsed when ctlQ gains an entry
 
 	m      *metrics
 	closed atomic.Bool
@@ -374,9 +380,9 @@ func getRingSlab(n int) []byte {
 }
 
 // Open builds a message-layer endpoint over ep: it creates the protection
-// domain, registration table, CQs, and datagram QP (wiring the QP's
-// placement-completion hook to the rendezvous engine), pre-posts the
-// receive ring, and starts the dispatch goroutines.
+// domain, registration table and datagram QP, whose send and receive CQ
+// is one handler CQ (handleCQE), pre-posts the receive ring, and starts
+// sweepLoop.
 func Open(ep transport.Datagram, cfg Config) (*Endpoint, error) {
 	if cfg.Handler == nil {
 		return nil, ErrNilHandler
@@ -388,8 +394,6 @@ func Open(ep transport.Datagram, cfg Config) (*Endpoint, error) {
 		window:    uint32(cfg.EagerCredits),
 		pd:        memreg.NewPD(),
 		tbl:       memreg.NewTable(),
-		sendCQ:    iwarp.NewCQ(1024),
-		recvCQ:    iwarp.NewCQ(2*cfg.RecvDepth + 1024),
 		rxPool:    nio.NewPool(HeaderLen + cfg.EagerThreshold),
 		hdrPool:   nio.NewPool(HeaderLen),
 		sinks:     newSinkPool(),
@@ -399,12 +403,13 @@ func Open(ep transport.Datagram, cfg Config) (*Endpoint, error) {
 		byStag:    make(map[memreg.STag]*inboundRdv),
 		m:         getMetrics(),
 		done:      make(chan struct{}),
+		ctlKick:   make(chan struct{}, 1),
 	}
 	e.vecs.New = func() any { return new([2][]byte) }
-	qp, err := iwarp.OpenUD(ep, e.pd, e.tbl, e.sendCQ, e.recvCQ, iwarp.UDConfig{
-		RecvDepth:       cfg.RecvDepth + 1,
-		BlockOnRNR:      cfg.Reliable,
-		PlacementNotify: e.onPlacement,
+	cq := iwarp.NewCQFunc(e.handleCQE)
+	qp, err := iwarp.OpenUD(ep, e.pd, e.tbl, cq, cq, iwarp.UDConfig{
+		RecvDepth:  cfg.RecvDepth + 1,
+		BlockOnRNR: cfg.Reliable,
 	})
 	if err != nil {
 		return nil, err
@@ -418,9 +423,7 @@ func Open(ep transport.Datagram, cfg Config) (*Endpoint, error) {
 			return nil, err
 		}
 	}
-	e.wg.Add(3)
-	go e.pollLoop()
-	go e.sendDrain()
+	e.wg.Add(1)
 	go e.sweepLoop()
 	return e, nil
 }
@@ -678,7 +681,38 @@ func (e *Endpoint) maybeGrant(p *peer, from transport.Addr) {
 	}
 	e.m.creditsSent.Inc()
 	// sendCtrl re-reads consumed (>= c) and re-advances the watermark.
-	_ = e.sendCtrl(p, from, &Header{Type: TypeCredit})
+	e.queueCtrl(p, from, Header{Type: TypeCredit})
+}
+
+// ctlMsg is one control message queued for sweepLoop to send.
+type ctlMsg struct {
+	p  *peer
+	to transport.Addr
+	h  Header
+}
+
+// queueCtrl hands a control message from the receive path to sweepLoop.
+// Sending it here could wait for LLP window space, which over rudp opens
+// only while this goroutine drains rudp's delivery queue (DESIGN.md §4.11).
+func (e *Endpoint) queueCtrl(p *peer, to transport.Addr, h Header) {
+	e.ctlMu.Lock()
+	e.ctlQ = append(e.ctlQ, ctlMsg{p: p, to: to, h: h})
+	e.ctlMu.Unlock()
+	pulse(e.ctlKick)
+}
+
+// sendQueued sends the queued control messages in order. spare becomes the
+// new queue; the drained one is returned, emptied, as the next spare.
+func (e *Endpoint) sendQueued(spare []ctlMsg) []ctlMsg {
+	e.ctlMu.Lock()
+	q := e.ctlQ
+	e.ctlQ = spare[:0]
+	e.ctlMu.Unlock()
+	for i := range q {
+		_ = e.sendCtrl(q[i].p, q[i].to, &q[i].h)
+	}
+	clear(q)
+	return q[:0]
 }
 
 // ----------------------------------------------------------- receive side --
@@ -702,57 +736,16 @@ func (e *Endpoint) postOneRecv() error {
 	return nil
 }
 
-// pollLoop drains the receive CQ: untagged completions carry msg-layer
-// headers; advisory errors are counted. Write-Record placement completions
-// are routed to onPlacement by the QP hook and normally never appear here.
-func (e *Endpoint) pollLoop() {
-	defer e.wg.Done()
-	for {
-		cqe, err := e.recvCQ.Poll(100 * time.Millisecond)
-		if err != nil {
-			select {
-			case <-e.done:
-				for { // QP closed and flushed: drain what remains, then exit
-					cqe, err := e.recvCQ.Poll(0)
-					if err != nil {
-						return
-					}
-					e.handleCQE(cqe)
-				}
-			default:
-			}
-			continue
-		}
-		e.handleCQE(cqe)
-	}
-}
-
-// sendDrain discards send completions so a full send CQ can never stall
-// the QP or steal depth from receives.
-func (e *Endpoint) sendDrain() {
-	defer e.wg.Done()
-	for {
-		_, err := e.sendCQ.Poll(100 * time.Millisecond)
-		if err != nil {
-			select {
-			case <-e.done:
-				return
-			default:
-			}
-		}
-	}
-}
-
+// handleCQE consumes one completion of the QP on the goroutine that posted
+// it: receives and placements arrive on the QP's receive goroutine.
 func (e *Endpoint) handleCQE(cqe iwarp.CQE) {
 	switch cqe.Type {
 	case iwarp.WTRecv:
 		e.handleRecv(cqe)
 	case iwarp.WTWriteRecordRecv:
-		e.onPlacement(cqe) // defensive: hook normally intercepts these
-	default:
-		if cqe.Type == iwarp.WTError {
-			e.m.advisories.Inc()
-		}
+		e.onPlacement(cqe)
+	case iwarp.WTError:
+		e.m.advisories.Inc()
 	}
 }
 
@@ -775,9 +768,8 @@ func (e *Endpoint) handleRecv(cqe iwarp.CQE) {
 		}
 		return
 	}
-	// Repost before dispatch: the ring stays full even if the handler or
-	// a control send blocks, so transport-level windows keep opening and
-	// bidirectional saturation cannot deadlock the credit protocol.
+	// Repost before dispatch so a BlockOnRNR wait never starts behind the
+	// handler. (A blocking handler still stalls this whole goroutine.)
 	if !e.closed.Load() {
 		_ = e.postOneRecv()
 	}
@@ -880,7 +872,7 @@ func (e *Endpoint) handleRTS(p *peer, from transport.Addr, h *Header) {
 	}
 	// A lost CTS makes the sender re-RTS after timeout; the entry above
 	// is reused and this resend is idempotent.
-	_ = e.sendCtrl(p, from, &Header{Type: TypeCTS, MsgID: h.MsgID, STag: uint32(in.stag), Length: h.Length, TO: 0})
+	e.queueCtrl(p, from, Header{Type: TypeCTS, MsgID: h.MsgID, STag: uint32(in.stag), Length: h.Length, TO: 0})
 }
 
 // handleCTS hands the steering tag to the waiting sender.
@@ -912,9 +904,8 @@ func (e *Endpoint) handleFIN(from transport.Addr, h *Header) {
 	}
 }
 
-// onPlacement is the QP's placement-completion hook: one successful
-// Write-Record landed in some registered region. Runs on the QP's receive
-// goroutine; must not block.
+// onPlacement handles a Write-Record placement completion: one Write-Record
+// landed in some registered region. Runs on the QP's receive goroutine.
 func (e *Endpoint) onPlacement(cqe iwarp.CQE) {
 	if cqe.Status != iwarp.StatusSuccess {
 		return
@@ -961,20 +952,25 @@ func (e *Endpoint) deliver(in *inboundRdv) {
 	})
 }
 
-// sweepLoop reaps inbound rendezvous whose sender vanished: a sink past
-// RendezvousTimeout with no placement progress across two consecutive
-// sweeps is deregistered and its buffer reclaimed.
+// sweepLoop is the endpoint's one goroutine. It sends the control messages
+// the receive path queued, and it reaps inbound rendezvous whose sender
+// vanished: a sink past RendezvousTimeout with no placement progress across
+// two consecutive sweeps is deregistered and its buffer reclaimed. What is
+// still queued at Close is dropped; the QP it would leave by is closed.
 func (e *Endpoint) sweepLoop() {
 	defer e.wg.Done()
 	t := time.NewTicker(e.cfg.SweepInterval)
 	defer t.Stop()
+	var spare []ctlMsg
 	for {
 		select {
 		case <-e.done:
 			return
+		case <-e.ctlKick:
+			spare = e.sendQueued(spare)
 		case <-t.C:
+			e.sweepInbound(time.Now())
 		}
-		e.sweepInbound(time.Now())
 	}
 }
 
@@ -1015,10 +1011,10 @@ func (e *Endpoint) discard(in *inboundRdv) {
 	e.m.rdvOpen.Add(-1)
 }
 
-// Close shuts the endpoint down: the QP closes (flushing posted receives),
-// the dispatch goroutines drain and exit, and every internal buffer
-// returns to its pool. Messages already delivered to the handler remain
-// valid until their Release.
+// Close shuts the endpoint down. Closing the QP flushes every receive it
+// held through handleCQE back into the pool before it returns; then the
+// sweeper exits and the transfers still filed are torn down. Messages
+// already delivered to the handler remain valid until their Release.
 func (e *Endpoint) Close() error {
 	if e.closed.Swap(true) {
 		return nil
@@ -1026,14 +1022,6 @@ func (e *Endpoint) Close() error {
 	err := e.qp.Close()
 	close(e.done)
 	e.wg.Wait()
-	// Belt and braces: recycle any receive buffer whose flush completion
-	// was lost to CQ overrun.
-	e.rxMu.Lock()
-	for id, b := range e.rxBufs {
-		delete(e.rxBufs, id)
-		e.rxPool.Put(b)
-	}
-	e.rxMu.Unlock()
 	if e.rxPool.Outstanding() == 0 {
 		// Every receive buffer is home — none posted, none inside a Message
 		// the application still holds — so nothing refers into the slab.
