@@ -95,7 +95,8 @@ bench-datapath:
 # PostSend, both completions and the receive re-post, over simnet.
 # TestUDWriteRecordAllocBound holds a lossless 1 MiB Write-Record round
 # trip to at most 3 allocations. TestEagerRoundTripAllocFree holds a warm
-# 4 KiB message-layer round trip (Send, handler, Release) to 0.
+# 4 KiB message-layer round trip (Send, handler, Release) to 0, and
+# TestSocketRecvAllocFree holds a warm 1 KiB socket SendTo→RecvFrom to 0.
 # The transport pass covers the kernel batch tiers: its alloc tests skip
 # cleanly when the kernel lacks sendmmsg or the UDP_SEGMENT/UDP_GRO
 # offloads (the capability probe decides at runtime). Then every benchmark
@@ -107,6 +108,7 @@ bench-smoke:
 		-run='TestRecvPathAllocFree|TestSendPathAllocFree' ./internal/ddp/
 	$(GO) test -count=1 -run='TestUDSendRecvAllocFree|TestUDWriteRecordAllocBound' ./internal/core/
 	$(GO) test -count=1 -run='TestEagerRoundTripAllocFree' ./internal/msg/
+	$(GO) test -count=1 -run='TestSocketRecvAllocFree' ./internal/sockif/
 	$(GO) test -bench='BenchmarkUDPSendBatch|BenchmarkUDPRecvBatch' -benchtime=0.2s -benchmem \
 		-run='TestUDPSendBatchAllocFree|TestUDPRecvBatchAllocFreeKernel' ./internal/transport/
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
@@ -131,12 +133,13 @@ tensorbench-smoke:
 chaos-smoke:
 	$(GO) test -count=1 ./internal/faultnet/ ./internal/faultnet/chaos/
 
-# The chaos schedules under the race detector, plus the sockif
-# connection-establishment race regressions, the UDP send engine's
-# close-under-load stress, the UD Read exactly-once race and the message
-# layer's two-way RD saturation and its blocked-control-send check (the
-# QP's receive goroutine must never wait for LLP window space): the
-# dynamic complement to the static lint-concurrency gate.
+# The chaos schedules under the race detector, plus the whole sockif
+# package (its connection-establishment race regressions, the receive
+# path's handler/reader hand-off and the spoofed-advisory test), the UDP
+# send engine's close-under-load stress, the UD Read exactly-once race and
+# the message layer's two-way RD saturation and its blocked-control-send
+# check (the QP's receive goroutine must never wait for LLP window space):
+# the dynamic complement to the static lint-concurrency gate.
 chaos-smoke-race:
 	$(GO) test -race -count=1 ./internal/faultnet/ ./internal/faultnet/chaos/ ./internal/sockif/
 	$(GO) test -race -count=1 -run 'TestUDPSendEngineRace|TestUDPCloseSemantics' ./internal/transport/

@@ -870,8 +870,9 @@ func (e *Endpoint) handleRTS(p *peer, from transport.Addr, h *Header) {
 			e.sinks.put(buf)
 		}
 	}
-	// A lost CTS makes the sender re-RTS after timeout; the entry above
-	// is reused and this resend is idempotent.
+	// The sender never re-sends an RTS: it waits RendezvousTimeout once
+	// and fails. A duplicate RTS comes only from the wire; it reuses the
+	// entry above, and this CTS is re-sent idempotently.
 	e.queueCtrl(p, from, Header{Type: TypeCTS, MsgID: h.MsgID, STag: uint32(in.stag), Length: h.Length, TO: 0})
 }
 

@@ -227,8 +227,8 @@ func (sl *StreamListener) Accept() (*Socket, error) {
 		return nil, err
 	}
 	s := newSocket(sl.ifc, StreamSocket)
-	if err := s.initRCAccept(stream); err != nil {
-		stream.Close() //diwarp:ignore errflow: error-path cleanup of a stream never exposed; initRCAccept's error is the one to report
+	if err := s.initRC(stream, false); err != nil {
+		stream.Close() //diwarp:ignore errflow: error-path cleanup of a stream never exposed; initRC's error is the one to report
 		return nil, err
 	}
 	sl.ifc.mu.Lock()

@@ -3,12 +3,9 @@ package sockif
 import (
 	"bytes"
 	"fmt"
-	"time"
 
-	iwarp "repro/internal/core"
 	"repro/internal/memreg"
 	"repro/internal/nio"
-	"repro/internal/transport"
 )
 
 // RDMA Write data path for stream (RC) sockets — the fourth bar of the
@@ -70,10 +67,16 @@ func (s *Socket) sendStreamWR(p []byte) error {
 	}
 	for len(p) > 0 {
 		n := min(maxChunk, len(p))
-		if err := s.waitRingCreditRC(n); err != nil {
-			return err
-		}
 		s.mu.Lock()
+		// Credits ride the reliable channel: no timeout fallback, a stalled
+		// peer stalls us like a zero TCP window would.
+		for s.ringSent-s.ringAcked+uint64(n) > uint64(s.remoteRing.size/2) {
+			if s.closed || s.down {
+				s.mu.Unlock()
+				return ErrBadSocket
+			}
+			s.wake.Wait()
+		}
 		if s.ringCursor+n > s.remoteRing.size {
 			s.ringSent += uint64(s.remoteRing.size - s.ringCursor)
 			s.ringCursor = 0
@@ -94,119 +97,7 @@ func (s *Socket) sendStreamWR(p []byte) error {
 		if err := rcqp.PostSend(0, nio.VecOf(notify)); err != nil {
 			return err
 		}
-		s.drainSendCQ()
 		p = p[n:]
 	}
 	return nil
-}
-
-// waitRingCreditRC blocks until the peer ring has room for n bytes,
-// pumping the receive path so credit messages are processed. Credits ride
-// the reliable channel: no timeout fallback, a stalled peer stalls us like
-// a zero TCP window would.
-func (s *Socket) waitRingCreditRC(n int) error {
-	for {
-		s.mu.Lock()
-		outstanding := s.ringSent - s.ringAcked
-		size := uint64(s.remoteRing.size)
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return ErrBadSocket
-		}
-		if outstanding+uint64(n) <= size/2 {
-			return nil
-		}
-		if err := s.pump(2 * time.Millisecond); err != nil {
-			if err == iwarp.ErrCQEmpty {
-				continue
-			}
-			if err == transport.ErrClosed {
-				return ErrBadSocket
-			}
-			return err
-		}
-	}
-}
-
-// handleStreamWRFrame processes one typed untagged message on a
-// Write-Record-profile stream socket (called from pump with the slab
-// buffer already bounds-checked).
-func (s *Socket) handleStreamWRFrame(idx int, e iwarp.CQE) {
-	buf := s.slab[idx][:e.ByteLen]
-	if len(buf) == 0 {
-		s.repost(idx)
-		return
-	}
-	switch buf[0] {
-	case frameData:
-		data := make([]byte, len(buf)-1)
-		copy(data, buf[1:])
-		s.mu.Lock()
-		s.rxq = append(s.rxq, dgramMsg{data: data, from: e.Src, slabIdx: -1})
-		s.mu.Unlock()
-		s.stats.msgsRecv.Inc()
-		s.stats.bytesRecv.Add(int64(len(data)))
-		s.repost(idx)
-	case frameWRNotify:
-		if len(buf) < notifyLen {
-			s.repost(idx)
-			return
-		}
-		to := nio.U64(buf[1:])
-		n := int(nio.U32(buf[9:]))
-		s.repost(idx)
-		s.consumeRingWrite(to, n, e.Src)
-	case frameRingCredit:
-		if len(buf) >= 9 {
-			acked := nio.U64(buf[1:])
-			s.mu.Lock()
-			if acked > s.ringAcked {
-				s.ringAcked = acked
-			}
-			s.mu.Unlock()
-		}
-		s.repost(idx)
-	default:
-		s.repost(idx)
-	}
-}
-
-// consumeRingWrite copies a notified write out of the local ring into the
-// receive queue and advances the credit counters (mirroring the sender's
-// wrap-skip accounting).
-func (s *Socket) consumeRingWrite(to uint64, n int, from transport.Addr) {
-	s.mu.Lock()
-	ring := s.ring
-	s.mu.Unlock()
-	if ring == nil || to+uint64(n) > uint64(ring.Len()) {
-		return
-	}
-	data := make([]byte, n)
-	copy(data, ring.Bytes()[to:to+uint64(n)])
-	s.stats.msgsRecv.Inc()
-	s.stats.bytesRecv.Add(int64(n))
-	s.mu.Lock()
-	s.rxq = append(s.rxq, dgramMsg{data: data, from: from, slabIdx: -1})
-	if int(to) != s.ringExpect && to == 0 {
-		s.ringRecvd += uint64(ring.Len() - s.ringExpect)
-	}
-	s.ringRecvd += uint64(n)
-	s.ringExpect = int(to) + n
-	var credit uint64
-	sendCredit := s.ringRecvd-s.ringCredit >= uint64(ring.Len()/4)
-	if sendCredit {
-		s.ringCredit = s.ringRecvd
-		credit = s.ringRecvd
-	}
-	rcqp := s.rcqp
-	s.mu.Unlock()
-	if sendCredit && rcqp != nil {
-		frame := make([]byte, 1, 9)
-		frame[0] = frameRingCredit
-		frame = nio.PutU64(frame, credit)
-		//diwarp:ignore errflow: credit frames carry cumulative counters: the next one repairs a lost send
-		_ = rcqp.PostSend(^uint64(0), nio.VecOf(frame))
-		s.drainSendCQ()
-	}
 }

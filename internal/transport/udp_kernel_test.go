@@ -283,22 +283,33 @@ func TestUDPRecvBatchAllocFreeKernel(t *testing.T) {
 	to := dst.LocalAddr()
 	pkts := make([][]byte, 1) // one slot: each run consumes exactly one datagram
 	froms := make([]Addr, 1)
-	// Warm pool and address cache.
-	for i := 0; i < 8; i++ {
-		if err := src.SendTo(msg, to); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dst.RecvBatch(pkts, froms, 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		dst.Recycle(pkts[0])
-	}
 	const runs = 100
-	for i := 0; i < runs+1; i++ { // +1: AllocsPerRun's warm-up call
-		if err := src.SendTo(msg, to); err != nil {
-			t.Fatal(err)
+	burst := func() {
+		for i := 0; i < runs+1; i++ { // +1: AllocsPerRun's warm-up call
+			if err := src.SendTo(msg, to); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	// Warm the pools, the split path and the address cache on bursts of
+	// the measured shape: the send engine flushes a burst in GSO runs, and
+	// on a GRO socket a coalesced run is split into pooled buffers and a
+	// pending queue, which grow to the largest run they have seen.
+	for w := 0; w < 3; w++ {
+		burst()
+		for got := 0; got < runs+1; got++ {
+			if _, err := dst.RecvBatch(pkts, froms, 2*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			dst.Recycle(pkts[0])
+		}
+	}
+	// Queue the measured burst, then close the sender: Close waits until
+	// the engine has sent everything queued, so the engine does not run
+	// during the measurement and every datagram is already in dst's socket
+	// buffer.
+	burst()
+	src.Close()
 	allocs := testing.AllocsPerRun(runs, func() {
 		n, err := dst.RecvBatch(pkts, froms, 2*time.Second)
 		if err != nil || n != 1 {
