@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-portable race vet cross import-guard lint lint-concurrency fuzz-short bench bench-datapath bench-smoke telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke check clean
+.PHONY: all build test test-portable race vet cross import-guard lint lint-concurrency fuzz-short bench bench-datapath bench-smoke bench-record telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke check clean
 
 all: build
 
@@ -96,6 +96,8 @@ bench-datapath:
 # TestUDWriteRecordAllocBound holds a lossless 1 MiB Write-Record round
 # trip to at most 3 allocations. TestEagerRoundTripAllocFree holds a warm
 # 4 KiB message-layer round trip (Send, handler, Release) to 0, and
+# TestEagerRoundTripAllocFreeRD the same round trip over rudp (frames built
+# in rudp's frame pool, the copy-break drawn from its class pools);
 # TestSocketRecvAllocFree holds a warm 1 KiB socket SendTo→RecvFrom to 0.
 # The transport pass covers the kernel batch tiers: its alloc tests skip
 # cleanly when the kernel lacks sendmmsg or the UDP_SEGMENT/UDP_GRO
@@ -107,12 +109,32 @@ bench-smoke:
 	$(GO) test -bench='BenchmarkUDSendPath|BenchmarkUDRecvPath' -benchtime=0.2s -benchmem \
 		-run='TestRecvPathAllocFree|TestSendPathAllocFree' ./internal/ddp/
 	$(GO) test -count=1 -run='TestUDSendRecvAllocFree|TestUDWriteRecordAllocBound' ./internal/core/
-	$(GO) test -count=1 -run='TestEagerRoundTripAllocFree' ./internal/msg/
+	$(GO) test -count=1 -run='^TestEagerRoundTripAllocFree(RD)?$$' ./internal/msg/
 	$(GO) test -count=1 -run='TestSocketRecvAllocFree' ./internal/sockif/
 	$(GO) test -bench='BenchmarkUDPSendBatch|BenchmarkUDPRecvBatch' -benchtime=0.2s -benchmem \
 		-run='TestUDPSendBatchAllocFree|TestUDPRecvBatchAllocFreeKernel' ./internal/transport/
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 	$(GO) test -run='^$$' -bench=BenchmarkAblationRUDP -benchtime=2000x .
+
+# Record the repository benchmark at one commit: BENCH_<PR>.json holds the
+# commit, and per workload the run's env line and its final JSON line, one
+# `go run ./benchmark -workload W` per workload, as BENCHMARK.json runs it.
+# COMMIT defaults to HEAD; pass it explicitly for a tree that is not HEAD
+# (a benchmark built outside git stamps "commit":"unknown"). Run it at two
+# commits in one session to compare them on one host.
+#   make bench-record PR=n [COMMIT=<sha>]
+BENCH_WORKLOADS = ud_send_1k rd_send_1k ud_wr_1m_loss msg_mix_rd sock_rd_1k_udp
+
+bench-record:
+	@test -n "$(PR)" || { echo 'usage: make bench-record PR=n [COMMIT=<sha>]' >&2; exit 2; }
+	@commit='$(or $(COMMIT),$(shell git rev-parse HEAD))'; out=BENCH_$(PR).json; tmp=$$out.tmp; \
+	printf '{"pr":%s,"commit":"%s","runs":[\n' '$(PR)' "$$commit" > $$tmp; sep=' '; \
+	for w in $(BENCH_WORKLOADS); do \
+		$(GO) run ./benchmark -workload $$w > $$tmp.run || { echo "bench-record: $$w failed" >&2; rm -f $$tmp $$tmp.run; exit 1; }; \
+		printf '%s{"workload":"%s","env":%s,"result":%s}\n' "$$sep" $$w "$$(sed -n 's/^env //p' $$tmp.run)" "$$(tail -n 1 $$tmp.run)" >> $$tmp; \
+		sep=','; \
+	done; \
+	rm -f $$tmp.run; printf ']}\n' >> $$tmp; mv $$tmp $$out; echo "bench-record: wrote $$out"
 
 # Boot the daemon over a 1%-lossy simnet, scrape its own /metrics, and
 # fail unless the datapath counters show traffic, loss, and rudp recovery

@@ -21,6 +21,11 @@
 //     mirroring the software iWARP implementation evaluated in the paper.
 //     Chosen everywhere else.
 //
+// CopyUpdate — a copy that checksums the bytes it copies — dispatches the
+// same way: the folding kernel stores every block it loads, so a send path
+// that must copy its payload anyway reads it once; the other two engines
+// copy, then checksum the copy.
+//
 // The choice has no knob: the CPU decides. All three compose mid-stream
 // and match hash/crc32 bit for bit; crosscheck_test.go and FuzzCRC32C pin
 // them against each other and the standard library.
@@ -63,13 +68,13 @@ var tables = func() (t [8][256]uint32) {
 // Castagnoli implementation internally when the CPU provides one.
 var stdTable = crc32.MakeTable(crc32.Castagnoli)
 
-// update is the engine every public entry point dispatches through and
-// engine its name, chosen once at package init.
-var update, engine = pick()
+// update and copyUpdate are the engine every public entry point dispatches
+// through, and engine its name, chosen once at package init.
+var update, copyUpdate, engine = pick()
 
-func pick() (func(uint32, []byte) uint32, string) {
+func pick() (func(uint32, []byte) uint32, func(uint32, []byte, []byte) uint32, string) {
 	if foldMissing() == "" {
-		return updateFold, "vpclmulqdq"
+		return updateFold, copyUpdateFold, "vpclmulqdq"
 	}
 	// hash/crc32 keys its hardware dispatch on CPU features this package
 	// does not re-check; the architectures below are the ones where the
@@ -78,9 +83,9 @@ func pick() (func(uint32, []byte) uint32, string) {
 	// slicing-by-8 fallback is no slower than ours.
 	switch runtime.GOARCH {
 	case "amd64", "arm64", "s390x", "ppc64le":
-		return updateStdlib, "stdlib"
+		return updateStdlib, copyUpdateStdlib, "stdlib"
 	}
-	return updatePortable, "portable"
+	return updatePortable, copyUpdatePortable, "portable"
 }
 
 // Engine names the engine in use: "vpclmulqdq", "stdlib" or "portable".
@@ -126,6 +131,34 @@ func updatePortable(crc uint32, p []byte) uint32 {
 //
 //diwarp:hotpath
 func Update(crc uint32, p []byte) uint32 { return update(crc, p) }
+
+// CopyUpdate copies src into dst, like the copy built-in, and adds the
+// bytes it copied to the running CRC crc in the same pass, returning the
+// result: Update(crc, dst[:n]) after copy(dst, src) = n. The folding engine
+// stores every block it loads for the CRC, so the bytes are read once; the
+// other engines copy, then checksum the copy while it is still in cache.
+// dst and src must not partially overlap.
+//
+//diwarp:hotpath
+func CopyUpdate(dst, src []byte, crc uint32) uint32 {
+	n := min(len(dst), len(src))
+	return copyUpdate(crc, dst[:n], src[:n])
+}
+
+// copyUpdateStdlib and copyUpdatePortable are CopyUpdate's two-pass
+// engines: copy, then the engine of the same name over the copy.
+//
+//diwarp:hotpath
+func copyUpdateStdlib(crc uint32, dst, src []byte) uint32 {
+	copy(dst, src)
+	return updateStdlib(crc, dst)
+}
+
+//diwarp:hotpath
+func copyUpdatePortable(crc uint32, dst, src []byte) uint32 {
+	copy(dst, src)
+	return updatePortable(crc, dst)
+}
 
 // Checksum returns the CRC32C of p.
 //

@@ -27,6 +27,35 @@ var engines = []leg{
 	{"portable", updatePortable},
 }
 
+type copyLeg struct {
+	name string
+	f    func(uint32, []byte, []byte) uint32
+}
+
+// copyEngines are CopyUpdate's engines, by the name Engine reports for the
+// Update engine each is chosen with.
+var copyEngines = []copyLeg{
+	{"vpclmulqdq", copyUpdateFold},
+	{"stdlib", copyUpdateStdlib},
+	{"portable", copyUpdatePortable},
+}
+
+// checkCopy runs one CopyUpdate engine from init over src into a dst of the
+// same length, filled beforehand with bytes src does not hold, and fails
+// unless the CRC is hash/crc32's over src and dst now equals src.
+func checkCopy(t testing.TB, e copyLeg, init uint32, dst, src []byte) {
+	t.Helper()
+	for i := range dst {
+		dst[i] = ^src[i]
+	}
+	if got, want := e.f(init, dst, src), crc32.Update(init, stdTable, src); got != want {
+		t.Fatalf("%s copy of %d bytes from %08x: %08x, stdlib says %08x", e.name, len(src), init, got, want)
+	}
+	if !bytes.Equal(dst, src) {
+		t.Fatalf("%s copy of %d bytes: dst differs from src", e.name, len(src))
+	}
+}
+
 // needs skips a leg that runs the folding engine on a CPU without it,
 // naming what is missing; the other engines' legs always run.
 func needs(t testing.TB, names ...string) {
@@ -71,12 +100,44 @@ func TestImplementationsAgree(t *testing.T) {
 			}
 		})
 	}
+	// CopyUpdate, dispatched and per engine, over the same kind of inputs.
+	dst := make([]byte, len(buf))
+	public := copyLeg{"CopyUpdate", func(crc uint32, dst, src []byte) uint32 { return CopyUpdate(dst, src, crc) }}
+	for _, e := range append([]copyLeg{public}, copyEngines...) {
+		t.Run("copy/"+e.name, func(t *testing.T) {
+			needs(t, e.name)
+			for range 500 {
+				off := rng.Intn(len(buf))
+				n := rng.Intn(len(buf) - off)
+				doff := rng.Intn(len(dst) - n + 1)
+				checkCopy(t, e, 0, dst[doff:doff+n], buf[off:off+n])
+			}
+		})
+	}
+}
+
+// TestCopyUpdateIsCopy: CopyUpdate copies what the copy built-in would —
+// min(len(dst), len(src)) bytes — and checksums exactly those.
+func TestCopyUpdateIsCopy(t *testing.T) {
+	src := make([]byte, 3*foldMin)
+	rand.New(rand.NewSource(11)).Read(src)
+	for _, c := range []struct{ dst, src int }{{0, 10}, {10, 0}, {300, 700}, {700, 300}, {768, 768}} {
+		dst := make([]byte, c.dst+1)
+		n := min(c.dst, c.src)
+		if got, want := CopyUpdate(dst[:c.dst], src[:c.src], 5), crc32.Update(5, stdTable, src[:n]); got != want {
+			t.Fatalf("dst %d src %d: %08x, want the CRC of the %d bytes copied, %08x", c.dst, c.src, got, n, want)
+		}
+		if !bytes.Equal(dst[:n], src[:n]) || slices.ContainsFunc(dst[n:], func(b byte) bool { return b != 0 }) {
+			t.Fatalf("dst %d src %d: wrote other than the first %d bytes", c.dst, c.src, n)
+		}
+	}
 }
 
 // TestEveryLengthAndAlignment runs each engine over every length from the
 // folding floor through five blocks, at every offset within a cache line,
 // from a random initial CRC: a wrong fold constant, a lost tail byte or a
-// misplaced initial-CRC XOR shows as a mismatch at some length.
+// misplaced initial-CRC XOR shows as a mismatch at some length. Then each
+// CopyUpdate engine, likewise.
 func TestEveryLengthAndAlignment(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	buf := make([]byte, 64+5*foldMin)
@@ -90,6 +151,30 @@ func TestEveryLengthAndAlignment(t *testing.T) {
 					if got, want := e.f(init, p), crc32.Update(init, stdTable, p); got != want {
 						t.Fatalf("len %d offset %d init %08x: %08x, stdlib says %08x", n, off, init, got, want)
 					}
+				}
+			}
+		})
+	}
+	// The CopyUpdate engines over every length 0..1024 and 64 KiB ± 1, with
+	// src and dst each misaligned within a cache line independently: the
+	// CRC must match and dst must equal src, so a lost tail store or a store
+	// one block off shows at some length.
+	src := make([]byte, 64+64<<10+1)
+	dst := make([]byte, len(src))
+	rng.Read(src)
+	for _, e := range copyEngines {
+		t.Run("copy/"+e.name, func(t *testing.T) {
+			needs(t, e.name)
+			for n := 0; n <= 1024; n++ {
+				for soff := range 64 {
+					doff := (soff*7 + n) % 64
+					checkCopy(t, e, rng.Uint32(), dst[doff:doff+n], src[soff:soff+n])
+				}
+			}
+			for _, n := range []int{64<<10 - 1, 64 << 10, 64<<10 + 1} {
+				for soff := range 64 {
+					doff := rng.Intn(64)
+					checkCopy(t, e, rng.Uint32(), dst[doff:doff+n], src[soff:soff+n])
 				}
 			}
 		})
@@ -200,7 +285,8 @@ func TestDispatch(t *testing.T) {
 }
 
 // FuzzCRC32C: arbitrary bytes, initial CRC and split point through every
-// available engine, whole and split, against hash/crc32.
+// available engine, whole and split, against hash/crc32 — and through every
+// CopyUpdate engine, into a dst at the split point's offset.
 func FuzzCRC32C(f *testing.F) {
 	f.Add([]byte("123456789"), uint32(0), uint16(4))
 	f.Add(bytes.Repeat([]byte{0xa5}, 3*foldMin+17), uint32(0xdeadbeef), uint16(foldMin+1))
@@ -219,7 +305,60 @@ func FuzzCRC32C(f *testing.F) {
 				t.Fatalf("%s split at %d of %d: %08x, stdlib says %08x", e.name, k, len(p), got, want)
 			}
 		}
+		dst := make([]byte, len(p)+k%64)
+		for _, e := range copyEngines {
+			if e.name == "vpclmulqdq" && foldMissing() != "" {
+				continue
+			}
+			checkCopy(t, e, init, dst[k%64:], p)
+		}
 	})
+}
+
+// BenchmarkCopyUpdate times each CopyUpdate engine against the two passes
+// it replaces — copy, then the same engine's Update — at the sizes the
+// send path gathers: a 1 KiB segment, a 4 KiB eager message and a 64 KiB
+// datagram. "hot" re-copies one source that stays in cache; "cold" walks a
+// 64 MiB source, so every copy reads memory, as a gather from a large
+// application buffer does.
+func BenchmarkCopyUpdate(b *testing.B) {
+	src := make([]byte, 64<<20)
+	rand.New(rand.NewSource(1)).Read(src)
+	dst := make([]byte, 64<<10)
+	for _, e := range copyEngines {
+		up := map[string]func(uint32, []byte) uint32{"vpclmulqdq": updateFold, "stdlib": updateStdlib, "portable": updatePortable}[e.name]
+		for _, n := range []int{256, 512, 1 << 10, 4 << 10, 64 << 10} {
+			for _, temp := range []string{"hot", "cold"} {
+				stride := 0
+				if temp == "cold" {
+					stride = n
+				}
+				b.Run(fmt.Sprintf("%s/%d/%s/fused", e.name, n, temp), func(b *testing.B) {
+					needs(b, e.name)
+					b.SetBytes(int64(n))
+					off := 0
+					for b.Loop() {
+						e.f(0, dst[:n], src[off:off+n])
+						if off += stride; off+n > len(src) {
+							off = 0
+						}
+					}
+				})
+				b.Run(fmt.Sprintf("%s/%d/%s/two-pass", e.name, n, temp), func(b *testing.B) {
+					needs(b, e.name)
+					b.SetBytes(int64(n))
+					off := 0
+					for b.Loop() {
+						copy(dst[:n], src[off:off+n])
+						up(0, dst[:n])
+						if off += stride; off+n > len(src) {
+							off = 0
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 // BenchmarkEngines times each engine per call at the sizes the stack

@@ -9,6 +9,14 @@ var foldK = foldConstants()
 //go:noescape
 func foldUpdate(crc uint32, p []byte, k *[6]uint64) uint32
 
+// foldCopyUpdate is foldUpdate that also stores every block it loads into
+// dst, so src is read once for both the copy and the CRC (fold_amd64.s). It
+// requires len(src) >= foldMin, len(dst) == len(src) and a CPU foldMissing
+// approves.
+//
+//go:noescape
+func foldCopyUpdate(crc uint32, dst, src []byte, k *[6]uint64) uint32
+
 // cpuid and xgetbv execute the instructions of the same name.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -22,6 +30,17 @@ func updateFold(crc uint32, p []byte) uint32 {
 		return updateStdlib(crc, p)
 	}
 	return foldUpdate(crc, p, &foldK)
+}
+
+// copyUpdateFold is CopyUpdate's vector engine: the fused kernel from
+// foldMin bytes up, copy and hash/crc32 below.
+//
+//diwarp:hotpath
+func copyUpdateFold(crc uint32, dst, src []byte) uint32 {
+	if len(src) < foldMin {
+		return copyUpdateStdlib(crc, dst, src)
+	}
+	return foldCopyUpdate(crc, dst, src, &foldK)
 }
 
 // foldMissing names the first thing this CPU (or its OS) lacks for the

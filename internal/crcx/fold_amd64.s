@@ -154,3 +154,150 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL   AX, eax+0(FP)
 	MOVL   DX, edx+4(FP)
 	RET
+
+// foldUpdate with a store beside every load: each block the fold reads from
+// src is written to dst from the same register, so the copy costs stores
+// only. len(dst) == len(src) >= 256 (copyUpdateFold checks both). The fold
+// itself is foldUpdate's, block for block.
+
+// func foldCopyUpdate(crc uint32, dst, src []byte, k *[6]uint64) uint32
+TEXT ·foldCopyUpdate(SB), NOSPLIT, $0-68
+	MOVL crc+0(FP), AX
+	MOVQ dst_base+8(FP), DI
+	MOVQ src_base+32(FP), SI
+	MOVQ src_len+40(FP), CX
+	MOVQ k+56(FP), DX
+
+	NOTL      AX
+	VMOVD     AX, X4
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 64(SI), Z1
+	VMOVDQU64 128(SI), Z2
+	VMOVDQU64 192(SI), Z3
+	VMOVDQU64 Z0, (DI)
+	VMOVDQU64 Z1, 64(DI)
+	VMOVDQU64 Z2, 128(DI)
+	VMOVDQU64 Z3, 192(DI)
+	VPXORD    Z4, Z0, Z0
+	ADDQ      $256, SI
+	ADDQ      $256, DI
+	SUBQ      $256, CX
+
+	VBROADCASTI32X4 (DX), Z10
+
+cloop256:
+	CMPQ       CX, $256
+	JB         creduce
+	VMOVDQU64  (SI), Z11
+	VMOVDQU64  64(SI), Z12
+	VMOVDQU64  128(SI), Z13
+	VMOVDQU64  192(SI), Z14
+	VPCLMULQDQ $0x00, Z10, Z0, Z4
+	VPCLMULQDQ $0x11, Z10, Z0, Z0
+	VPTERNLOGD $0x96, Z11, Z4, Z0
+	VPCLMULQDQ $0x00, Z10, Z1, Z5
+	VPCLMULQDQ $0x11, Z10, Z1, Z1
+	VPTERNLOGD $0x96, Z12, Z5, Z1
+	VPCLMULQDQ $0x00, Z10, Z2, Z6
+	VPCLMULQDQ $0x11, Z10, Z2, Z2
+	VPTERNLOGD $0x96, Z13, Z6, Z2
+	VPCLMULQDQ $0x00, Z10, Z3, Z7
+	VPCLMULQDQ $0x11, Z10, Z3, Z3
+	VPTERNLOGD $0x96, Z14, Z7, Z3
+	VMOVDQU64  Z11, (DI)
+	VMOVDQU64  Z12, 64(DI)
+	VMOVDQU64  Z13, 128(DI)
+	VMOVDQU64  Z14, 192(DI)
+	ADDQ       $256, SI
+	ADDQ       $256, DI
+	SUBQ       $256, CX
+	JMP        cloop256
+
+creduce:
+	VBROADCASTI32X4 16(DX), Z10
+	VPCLMULQDQ      $0x00, Z10, Z0, Z4
+	VPCLMULQDQ      $0x11, Z10, Z0, Z0
+	VPTERNLOGD      $0x96, Z4, Z0, Z1
+	VPCLMULQDQ      $0x00, Z10, Z1, Z4
+	VPCLMULQDQ      $0x11, Z10, Z1, Z1
+	VPTERNLOGD      $0x96, Z4, Z1, Z2
+	VPCLMULQDQ      $0x00, Z10, Z2, Z4
+	VPCLMULQDQ      $0x11, Z10, Z2, Z2
+	VPTERNLOGD      $0x96, Z4, Z2, Z3
+
+cloop64:
+	CMPQ       CX, $64
+	JB         clanes
+	VMOVDQU64  (SI), Z11
+	VMOVDQU64  Z11, (DI)
+	VPCLMULQDQ $0x00, Z10, Z3, Z4
+	VPCLMULQDQ $0x11, Z10, Z3, Z3
+	VPTERNLOGD $0x96, Z11, Z4, Z3
+	ADDQ       $64, SI
+	ADDQ       $64, DI
+	SUBQ       $64, CX
+	JMP        cloop64
+
+clanes:
+	VMOVDQU       32(DX), X10
+	VEXTRACTI32X4 $1, Z3, X0
+	VEXTRACTI32X4 $2, Z3, X1
+	VEXTRACTI32X4 $3, Z3, X2
+	VPCLMULQDQ    $0x00, X10, X3, X4
+	VPCLMULQDQ    $0x11, X10, X3, X3
+	VPXOR         X4, X3, X3
+	VPXOR         X0, X3, X3
+	VPCLMULQDQ    $0x00, X10, X3, X4
+	VPCLMULQDQ    $0x11, X10, X3, X3
+	VPXOR         X4, X3, X3
+	VPXOR         X1, X3, X3
+	VPCLMULQDQ    $0x00, X10, X3, X4
+	VPCLMULQDQ    $0x11, X10, X3, X3
+	VPXOR         X4, X3, X3
+	VPXOR         X2, X3, X3
+
+cloop16:
+	CMPQ       CX, $16
+	JB         cfinish
+	VMOVDQU    (SI), X11
+	VMOVDQU    X11, (DI)
+	VPCLMULQDQ $0x00, X10, X3, X4
+	VPCLMULQDQ $0x11, X10, X3, X3
+	VPXOR      X11, X4, X4
+	VPXOR      X4, X3, X3
+	ADDQ       $16, SI
+	ADDQ       $16, DI
+	SUBQ       $16, CX
+	JMP        cloop16
+
+cfinish:
+	XORL    AX, AX
+	VMOVQ   X3, BX
+	CRC32Q  BX, AX
+	VPEXTRQ $1, X3, BX
+	CRC32Q  BX, AX
+	CMPQ    CX, $8
+	JB      ctail1
+	MOVQ    (SI), BX
+	MOVQ    BX, (DI)
+	CRC32Q  BX, AX
+	ADDQ    $8, SI
+	ADDQ    $8, DI
+	SUBQ    $8, CX
+
+ctail1:
+	TESTQ  CX, CX
+	JZ     cdone
+	MOVBLZX (SI), BX
+	MOVB   BX, (DI)
+	CRC32B BX, AX
+	INCQ   SI
+	INCQ   DI
+	DECQ   CX
+	JMP    ctail1
+
+cdone:
+	NOTL       AX
+	VZEROUPPER
+	MOVL       AX, ret+64(FP)
+	RET

@@ -19,9 +19,10 @@ import (
 // they add up to: enough to amortize the per-burst costs (one SendBatch
 // call, one queue lock) without letting a 1 GB message pin a gigabyte of
 // buffers. The byte bound keeps a burst of 64 KB segments inside the cache:
-// every LLP reads each buffer again (simnet and rudp copy it, rudp CRCs it),
-// and a 2 MB burst written whole before the first is read back measured 9%
-// less goodput on a 1 MiB message than four-segment bursts.
+// the wire below reads each buffer again (simnet copies it into its own
+// packet buffer, the kernel UDP path into its send arena), and a 2 MB burst
+// written whole before the first is read back measured 9% less goodput on a
+// 1 MiB message than four-segment bursts.
 const (
 	maxBatchSegments = 32
 	maxBatchBytes    = 256 << 10
@@ -51,23 +52,34 @@ const (
 // wire MTU. Loss of a wire fragment kills one segment, not the message —
 // which is what lets Write-Record place the surviving segments.
 //
-// The send path is a batched, pool-backed pipeline: each segment is encoded
-// into its own buffer drawn from a per-channel pool, CRC'd, and the burst is
-// handed to the LLP's SendBatch; the receive path pulls bursts through its
-// RecvBatch and hands consumed buffers back through its Recycle. There is
-// no per-channel send lock and no shared send buffer, so concurrent posters
-// on one QP proceed independently — they contend only on the pool's
-// lock-free free list and (under simnet) one queue lock per batch.
+// The send path is a batched, pool-backed pipeline that reads each payload
+// byte once: each segment's header is written into its own buffer and its
+// payload gathered behind it by a copy that checksums as it goes
+// (nio.Vec.AppendRangeCRC), so the segment's CRC32C is known the moment its
+// last byte lands. Over an unreliable LLP the buffer comes from the
+// channel's own pool, the CRC is appended as the trailer, and the burst goes
+// to the LLP's SendBatch. Over rudp the buffer is one of rudp's frame
+// buffers (FramePool) and the burst goes to SendFrames with the running
+// CRCs: rudp appends its trailer in place and finishes the frame CRC over
+// those few bytes, so the payload is not copied or read again before the
+// wire. The receive path pulls bursts through the LLP's RecvBatch and hands
+// consumed buffers back through its Recycle. There is no per-channel send
+// lock and no shared send buffer, so concurrent posters on one QP proceed
+// independently — they contend only on the pool's striped free lists and
+// (under simnet) one queue lock per batch.
 type DatagramChannel struct {
 	ep transport.Datagram
 	// trailer is the per-segment CRC32C trailer length: crcx.Size over an
 	// unreliable LLP, 0 over rudp (see the type comment). Fixed at
 	// construction; MaxSegment, send and parseBatch all read it.
 	trailer int
+	// rd is the LLP when it is a bare rudp endpoint: segments are built in
+	// its frame buffers and sent through its SendFrames. nil otherwise.
+	rd *rudp.Endpoint
 
-	pool     *nio.Pool // segment wire buffers, capacity ep.MaxDatagram()
+	pool     *nio.Pool // segment buffers: the channel's own (capacity ep.MaxDatagram()), or rd's frame pool
 	burst    int       // segments per send burst: both bounds, at this LLP's MaxDatagram
-	batchBuf sync.Pool // *[][]byte scratch, capacity maxBatchSegments
+	batchBuf sync.Pool // *sendBurst staging for send
 	recvBuf  sync.Pool // *recvScratch staging for RecvBatch
 
 	// lastPoolHits/Misses are the endpoint pool counters as of the last
@@ -98,6 +110,14 @@ type DatagramChannel struct {
 // side's maxBatchSegments so a full send burst drains in one receive burst.
 const maxRecvBurst = maxBatchSegments
 
+// sendBurst stages one send burst: the segment buffers and, for rudp's
+// SendFrames, each one's CRC32C. Pooled per channel so the send path
+// allocates nothing.
+type sendBurst struct {
+	pkts [maxBatchSegments][]byte
+	crcs [maxBatchSegments]uint32
+}
+
 // recvScratch is the staging area RecvBatch pulls raw datagrams into before
 // CRC verification; pooled per channel so the receive path allocates nothing.
 type recvScratch struct {
@@ -109,14 +129,18 @@ type recvScratch struct {
 // an rudp.Endpoint for the reliable-datagram mode) and fixes the segment
 // framing from it: no CRC trailer over rudp, the CRC32C trailer otherwise.
 func NewDatagramChannel(ep transport.Datagram) *DatagramChannel {
-	trailer := crcx.Size
-	if _, ok := ep.(*rudp.Endpoint); ok {
-		trailer = 0
+	trailer, rd := crcx.Size, (*rudp.Endpoint)(nil)
+	var pool *nio.Pool
+	if r, ok := ep.(*rudp.Endpoint); ok {
+		trailer, rd, pool = 0, r, r.FramePool()
+	} else {
+		pool = nio.NewPool(ep.MaxDatagram())
 	}
 	ch := &DatagramChannel{
 		ep:            ep,
 		trailer:       trailer,
-		pool:          nio.NewPool(ep.MaxDatagram()),
+		rd:            rd,
+		pool:          pool,
 		burst:         max(1, min(maxBatchSegments, maxBatchBytes/ep.MaxDatagram())),
 		batches:       telemetry.Default.Counter("diwarp_ddp_batches_total"),
 		segments:      telemetry.Default.Counter("diwarp_ddp_segments_total"),
@@ -130,10 +154,7 @@ func NewDatagramChannel(ep transport.Datagram) *DatagramChannel {
 		recvPoolHit:   telemetry.Default.Counter("diwarp_ddp_recv_pool_hits_total"),
 		recvPoolMiss:  telemetry.Default.Counter("diwarp_ddp_recv_pool_misses_total"),
 	}
-	ch.batchBuf.New = func() any {
-		b := make([][]byte, 0, maxBatchSegments)
-		return &b
-	}
+	ch.batchBuf.New = func() any { return new(sendBurst) }
 	ch.recvBuf.New = func() any {
 		return &recvScratch{
 			pkts:  make([][]byte, maxRecvBurst),
@@ -158,8 +179,8 @@ func (ch *DatagramChannel) LocalAddr() transport.Addr { return ch.ep.LocalAddr()
 func (ch *DatagramChannel) Close() error { return ch.ep.Close() }
 
 // SendStats reports the channel's send-side counters: bursts handed to the
-// LLP's SendBatch, total wire segments emitted, and the segment-buffer
-// pool's hit/miss counts.
+// LLP, total wire segments emitted, and the segment-buffer pool's hit/miss
+// counts (over rudp, its frame pool's).
 func (ch *DatagramChannel) SendStats() (batches, segments, poolHits, poolMisses int64) {
 	poolHits, poolMisses = ch.pool.Stats()
 	return ch.batches.Load(), ch.segments.Load(), poolHits, poolMisses
@@ -190,11 +211,13 @@ func (ch *DatagramChannel) SendTagged(to transport.Addr, stag memreg.STag, toff 
 }
 
 // send cuts one message into per-segment pooled buffers — header, payload
-// range, and the CRC32C trailer where the binding carries one — and hands
-// them to the LLP in bursts. Buffer ownership: every buffer is drawn from
-// ch.pool, passed down while the LLP call is in flight (the LLP must not
-// retain it, per the transport contract), and returned to the pool here
-// before send returns.
+// range gathered and checksummed in one pass, and the CRC32C trailer where
+// the binding carries one — and hands them to the LLP in bursts. Buffer
+// ownership: over an unreliable LLP every buffer is drawn from ch.pool,
+// passed down while the LLP call is in flight (the LLP must not retain it,
+// per the transport contract), and returned to the pool here before send
+// returns. Over rudp every buffer is a frame buffer rudp's SendFrames takes
+// over, sent or not.
 //
 //diwarp:hotpath
 func (ch *DatagramChannel) send(to transport.Addr, proto *Segment, payload nio.Vec) error {
@@ -205,21 +228,28 @@ func (ch *DatagramChannel) send(to transport.Addr, proto *Segment, payload nio.V
 	proto.MsgLen = uint32(total)
 	maxSeg := ch.ep.MaxDatagram() - proto.HeaderLen() - ch.trailer
 
-	pktsp := ch.batchBuf.Get().(*[][]byte)
-	pkts := (*pktsp)[:0]
+	sb := ch.batchBuf.Get().(*sendBurst)
+	defer ch.batchBuf.Put(sb)
+	k := 0
 	flush := func() error {
-		if len(pkts) == 0 {
+		if k == 0 {
 			return nil
 		}
-		_, err := ch.ep.SendBatch(pkts, to)
-		ch.batches.Inc()
-		ch.segments.Add(int64(len(pkts)))
-		ch.batchHist.Observe(int64(len(pkts)))
-		for i, p := range pkts {
-			ch.pool.Put(p)
-			pkts[i] = nil
+		pkts := sb.pkts[:k]
+		var err error
+		if ch.rd != nil {
+			_, err = ch.rd.SendFrames(pkts, sb.crcs[:k], to)
+		} else {
+			_, err = ch.ep.SendBatch(pkts, to)
+			for _, p := range pkts {
+				ch.pool.Put(p)
+			}
 		}
-		pkts = pkts[:0]
+		ch.batches.Inc()
+		ch.segments.Add(int64(k))
+		ch.batchHist.Observe(int64(k))
+		clear(pkts)
+		k = 0
 		return err
 	}
 	off := 0
@@ -227,27 +257,21 @@ func (ch *DatagramChannel) send(to transport.Addr, proto *Segment, payload nio.V
 		n := min(maxSeg, total-off)
 		proto.Last = off+n == total
 		pkt := AppendHeader(ch.pool.Get(), proto)
-		pkt = payload.AppendRange(pkt, off, n)
+		pkt, crc := payload.AppendRangeCRC(pkt, off, n, crcx.Checksum(pkt))
 		if ch.trailer != 0 {
-			pkt = nio.PutU32(pkt, crcx.Checksum(pkt))
+			pkt = nio.PutU32(pkt, crc)
 		}
-		pkts = append(pkts, pkt)
+		sb.pkts[k], sb.crcs[k] = pkt, crc
+		k++
 		off += n
 		if proto.Tagged {
 			proto.TO += uint64(n)
 		} else {
 			proto.MO += uint32(n)
 		}
-		if proto.Last || len(pkts) == ch.burst {
-			if err := flush(); err != nil {
-				*pktsp = pkts
-				ch.batchBuf.Put(pktsp)
+		if proto.Last || k == ch.burst {
+			if err := flush(); err != nil || proto.Last {
 				return err
-			}
-			if proto.Last {
-				*pktsp = pkts
-				ch.batchBuf.Put(pktsp)
-				return nil
 			}
 		}
 	}

@@ -46,6 +46,48 @@ func TestEagerRoundTripAllocFree(t *testing.T) {
 	}
 }
 
+// TestEagerRoundTripAllocFreeRD is TestEagerRoundTripAllocFree over rudp on
+// simnet, the shape of msg_mix_rd's eager messages: a 4 KiB message fills
+// less than a quarter of simnet's 64.5 KB receive buffer, so rudp's
+// copy-break hands it up in a buffer from its class pool, and ddp built the
+// frame it arrived in straight in rudp's frame pool. A warm round trip —
+// both, the ACKs and the credit traffic included — allocates nothing.
+func TestEagerRoundTripAllocFreeRD(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random")
+	}
+	got := make(chan struct{}, 1)
+	net := simnet.New(simnet.Config{})
+	open := func(name string, h func(Message)) *Endpoint {
+		ep, err := net.OpenDatagram(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		me, err := Open(rudp.New(ep), Config{Reliable: true, Handler: h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { me.Close() })
+		return me
+	}
+	src := open("a", func(m Message) { m.Release() })
+	dst := open("b", func(m Message) { m.Release(); got <- struct{}{} })
+	to := dst.LocalAddr()
+	payload := make([]byte, 4096)
+	roundTrip := func() {
+		if err := src.Send(to, payload); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	}
+	for i := 0; i < 4*DefaultEagerCredits; i++ { // warm pools, peer state, cwnd and credit grants
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(500, roundTrip); allocs != 0 {
+		t.Fatalf("eager round trip over rudp allocates %.2f times per message, want 0", allocs)
+	}
+}
+
 // goroutinesCreatedBy returns the stacks of every live goroutine whose
 // creator is fn.
 func goroutinesCreatedBy(fn string) []string {

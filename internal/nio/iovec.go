@@ -7,7 +7,12 @@
 // the send path (gather) and the placement path (scatter).
 package nio
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/crcx"
+)
 
 // Vec is a gather/scatter I/O vector: an ordered list of byte slices that
 // together form one logical message. The zero value is an empty vector.
@@ -104,6 +109,36 @@ func (v Vec) AppendRange(dst []byte, off, n int) []byte {
 		n -= take
 	}
 	return dst
+}
+
+// AppendRangeCRC is AppendRange that also adds the appended bytes to the
+// running CRC32C crc, in the same pass over them (crcx.CopyUpdate), and
+// returns the extended slice and the updated CRC. A send path that seeds
+// crc with the CRC of what dst already holds ends with the CRC of the whole
+// buffer without reading it again.
+//
+//diwarp:hotpath
+func (v Vec) AppendRangeCRC(dst []byte, off, n int, crc uint32) ([]byte, uint32) {
+	if off < 0 || n < 0 || off+n > v.Len() {
+		rangePanic(off, n, v.Len())
+	}
+	dst = slices.Grow(dst, n)
+	for _, s := range v {
+		if n == 0 {
+			break
+		}
+		if off >= len(s) {
+			off -= len(s)
+			continue
+		}
+		take := min(len(s)-off, n)
+		k := len(dst)
+		dst = dst[:k+take]
+		crc = crcx.CopyUpdate(dst[k:], s[off:off+take], crc)
+		off = 0
+		n -= take
+	}
+	return dst, crc
 }
 
 // rangePanic is AppendRange's cold failure path, outlined so the annotated

@@ -2,6 +2,7 @@ package nio
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -173,6 +174,44 @@ func TestVecAppendRangeAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendRange allocates %.2f times per run, want 0", allocs)
+	}
+}
+
+// TestVecAppendRangeCRCMatchesAppendRange: the fused gather appends exactly
+// AppendRange's bytes, and its CRC, seeded with the CRC of the prefix, is
+// the CRC of the whole result — across segment boundaries and at lengths
+// on both sides of the folding kernel's 256-byte floor.
+func TestVecAppendRangeCRCMatchesAppendRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	v := VecOf(make([]byte, 13), make([]byte, 0), make([]byte, 700), make([]byte, 7), make([]byte, 2000))
+	for _, s := range v {
+		rng.Read(s)
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	total := v.Len()
+	for trial := 0; trial < 500; trial++ {
+		off := rng.Intn(total + 1)
+		n := rng.Intn(total - off + 1)
+		prefix := []byte("prefix")
+		want := v.AppendRange(append([]byte(nil), prefix...), off, n)
+		got, crc := v.AppendRangeCRC(append([]byte(nil), prefix...), off, n, crc32.Checksum(prefix, castagnoli))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendRangeCRC(%d, %d) diverges from AppendRange", off, n)
+		}
+		if wantCRC := crc32.Checksum(want, castagnoli); crc != wantCRC {
+			t.Fatalf("AppendRangeCRC(%d, %d): CRC %08x, want %08x", off, n, crc, wantCRC)
+		}
+	}
+}
+
+func TestVecAppendRangeCRCAllocFree(t *testing.T) {
+	v := VecOf(make([]byte, 100), make([]byte, 1000))
+	dst := make([]byte, 0, 1024)
+	allocs := testing.AllocsPerRun(500, func() {
+		dst, _ = v.AppendRangeCRC(dst[:0], 37, 900, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendRangeCRC allocates %.2f times per run, want 0", allocs)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crcx"
 	"repro/internal/nio"
 	"repro/internal/transport"
 )
@@ -227,12 +228,13 @@ func TestAcksLeaveBeforeDeliveryWhenQueueFull(t *testing.T) {
 }
 
 // TestInnerPoolBalanced pins buffer ownership end to end: the payload handed
-// up is the inner endpoint's own buffer, Recycle returns it there, and every
-// buffer this layer is still holding when a conversation ends — parked in a
-// reassembly ring, waiting in the delivery queue — goes back too, whether
-// the end is Close, eviction, or the peer starting over under a new epoch.
+// up is the inner endpoint's own buffer — or, under a quarter of it, a
+// copy-break buffer from the endpoint's class pools — Recycle returns each
+// to its own pool, and every buffer this layer is still holding when a
+// conversation ends — parked in a reassembly ring, waiting in the delivery
+// queue, or a sent frame awaiting its ACK — goes back too, whether the end
+// is Close, eviction, or the peer starting over under a new epoch.
 func TestInnerPoolBalanced(t *testing.T) {
-	const size = memBuf / 2 // ≥ a quarter of the buffer: handed up uncopied
 	open := func(t *testing.T, cfg Config) (*memNet, *memEP, *memEP, *Endpoint) {
 		net := newMemNet()
 		raw, ib := net.open(), net.open()
@@ -251,95 +253,143 @@ func TestInnerPoolBalanced(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	balanced := func(t *testing.T, ib *memEP) {
+	balanced := func(t *testing.T, ib *memEP, b *Endpoint) {
 		t.Helper()
 		if out := ib.pool.Outstanding(); out != 0 {
 			t.Fatalf("inner receive pool: %d buffers never came back", out)
 		}
-	}
-
-	t.Run("recv and recycle", func(t *testing.T) {
-		_, raw, ib, b := open(t, Config{})
-		const n = 3 * recvBurst
-		for i := 0; i < n; i += recvBurst {
-			raw.SendBatch(dataBurst(7, uint32(i+1), recvBurst, size), ib.addr)
+		if out := b.PoolOutstanding(); out != 0 {
+			t.Fatalf("endpoint's own pools: %d buffers never came back", out)
 		}
-		for i := 0; i < n; i++ {
-			p, _, err := b.Recv(time.Second)
-			if err != nil {
-				t.Fatal(err)
+	}
+	// held reports how many buffers the receiver holds: inner buffers
+	// handed up in place, or copy-break buffers, by payload size.
+	held := func(ib *memEP, b *Endpoint) int64 { return ib.pool.Outstanding() + b.PoolOutstanding() }
+
+	for _, c := range []struct {
+		prefix string
+		size   int
+		capOf  int
+	}{
+		{"", memBuf / 2, memBuf},                       // ≥ a quarter of the buffer: handed up uncopied
+		{"copy-break: ", 100, classCap(classFor(100))}, // under a quarter: copied into a class buffer
+	} {
+		size := c.size
+		t.Run(c.prefix+"recv and recycle", func(t *testing.T) {
+			_, raw, ib, b := open(t, Config{})
+			const n = 3 * recvBurst
+			for i := 0; i < n; i += recvBurst {
+				raw.SendBatch(dataBurst(7, uint32(i+1), recvBurst, size), ib.addr)
 			}
-			if cap(p) != memBuf {
-				t.Fatalf("payload capacity %d, want the inner buffer's %d: it was copied", cap(p), memBuf)
+			for i := 0; i < n; i++ {
+				p, _, err := b.Recv(time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cap(p) != c.capOf {
+					t.Fatalf("payload capacity %d, want %d", cap(p), c.capOf)
+				}
+				b.Recycle(p)
+			}
+			settled(t, b, n)
+			balanced(t, ib, b)
+			if h, m := b.RecvPoolStats(); h+m != n {
+				t.Fatalf("RecvPoolStats = %d+%d, want the inner pool's %d gets", h, m, n)
+			}
+		})
+
+		t.Run(c.prefix+"close with buffers parked and queued", func(t *testing.T) {
+			_, raw, ib, b := open(t, Config{})
+			// seqs 1-2 wait in the delivery queue; 4-6 park behind the hole at 3.
+			raw.SendBatch(append(dataBurst(7, 1, 2, size), dataBurst(7, 4, 3, size)...), ib.addr)
+			settled(t, b, 5)
+			if out := held(ib, b); out != 5 {
+				t.Fatalf("%d buffers held before Close, want 5 (2 queued, 3 parked)", out)
+			}
+			b.Close()
+			balanced(t, ib, b)
+		})
+
+		t.Run(c.prefix+"eviction", func(t *testing.T) {
+			_, raw, ib, b := open(t, Config{})
+			raw.SendBatch(dataBurst(7, 2, 3, size), ib.addr) // all parked behind seq 1
+			settled(t, b, 3)
+			ent := b.tab.Lookup(raw.addr)
+			if ent == nil {
+				t.Fatal("peer missing")
+			}
+			ent.Unlock()
+			b.evictEntry(ent)
+			balanced(t, ib, b)
+		})
+
+		t.Run(c.prefix+"idle eviction", func(t *testing.T) {
+			_, raw, ib, b := open(t, Config{IdleEvict: 20 * time.Millisecond})
+			raw.SendBatch(dataBurst(7, 2, 3, size), ib.addr)
+			for deadline := time.Now().Add(3 * time.Second); b.Peers() != 0 || b.Snapshot().RecvDatagrams == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("idle peer never evicted")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			balanced(t, ib, b)
+		})
+
+		t.Run(c.prefix+"epoch re-adoption", func(t *testing.T) {
+			_, raw, ib, b := open(t, Config{})
+			raw.SendBatch(dataBurst(7, 2, 3, size), ib.addr) // parked under epoch 7
+			settled(t, b, 3)
+			raw.SendBatch(dataBurst(8, 1, 1, size), ib.addr) // the peer starts over
+			p, _, err := b.Recv(time.Second)
+			if err != nil || p[0] != 1 {
+				t.Fatalf("new conversation's first message: %x, %v", p, err)
 			}
 			b.Recycle(p)
-		}
-		settled(t, b, n)
-		balanced(t, ib)
-		if h, m := b.RecvPoolStats(); h+m != n {
-			t.Fatalf("RecvPoolStats = %d+%d, want the inner pool's %d gets", h, m, n)
-		}
-	})
-
-	t.Run("close with buffers parked and queued", func(t *testing.T) {
-		_, raw, ib, b := open(t, Config{})
-		// seqs 1-2 wait in the delivery queue; 4-6 park behind the hole at 3.
-		raw.SendBatch(append(dataBurst(7, 1, 2, size), dataBurst(7, 4, 3, size)...), ib.addr)
-		settled(t, b, 5)
-		if out := ib.pool.Outstanding(); out != 5 {
-			t.Fatalf("%d inner buffers held before Close, want 5 (2 queued, 3 parked)", out)
-		}
-		b.Close()
-		balanced(t, ib)
-	})
-
-	t.Run("eviction", func(t *testing.T) {
-		_, raw, ib, b := open(t, Config{})
-		raw.SendBatch(dataBurst(7, 2, 3, size), ib.addr) // all parked behind seq 1
-		settled(t, b, 3)
-		ent := b.tab.Lookup(raw.addr)
-		if ent == nil {
-			t.Fatal("peer missing")
-		}
-		ent.Unlock()
-		b.evictEntry(ent)
-		balanced(t, ib)
-	})
-
-	t.Run("idle eviction", func(t *testing.T) {
-		_, raw, ib, b := open(t, Config{IdleEvict: 20 * time.Millisecond})
-		raw.SendBatch(dataBurst(7, 2, 3, size), ib.addr)
-		for deadline := time.Now().Add(3 * time.Second); b.Peers() != 0 || b.Snapshot().RecvDatagrams == 0; {
-			if time.Now().After(deadline) {
-				t.Fatal("idle peer never evicted")
+			if p, _, err := b.Recv(20 * time.Millisecond); err == nil {
+				t.Fatalf("stale epoch delivered %x", p)
 			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		balanced(t, ib)
-	})
+			balanced(t, ib, b)
+		})
+	}
 
-	t.Run("epoch re-adoption", func(t *testing.T) {
-		_, raw, ib, b := open(t, Config{})
-		raw.SendBatch(dataBurst(7, 2, 3, size), ib.addr) // parked under epoch 7
-		settled(t, b, 3)
-		raw.SendBatch(dataBurst(8, 1, 1, size), ib.addr) // the peer starts over
-		p, _, err := b.Recv(time.Second)
-		if err != nil || p[0] != 1 {
-			t.Fatalf("new conversation's first message: %x, %v", p, err)
+	// The send side: frames in a window the peer never acknowledges, and
+	// frames drawn from FramePool for a send that cannot happen, all go back.
+	t.Run("framed send buffers: close", func(t *testing.T) {
+		net := newMemNet()
+		ia, silent := net.open(), net.open() // silent never acknowledges
+		a := New(ia)
+		defer silent.Close()
+		if _, err := a.SendBatch(dataBurst(7, 1, 4, 100), silent.addr); err != nil {
+			t.Fatal(err)
 		}
-		b.Recycle(p)
-		if p, _, err := b.Recv(20 * time.Millisecond); err == nil {
-			t.Fatalf("stale epoch delivered %x", p)
+		frames := [][]byte{a.FramePool().Get()[:50], a.FramePool().Get()[:60]}
+		crcs := []uint32{crcx.Checksum(frames[0]), crcx.Checksum(frames[1])}
+		if n, err := a.SendFrames(frames, crcs, silent.addr); n != 2 || err != nil {
+			t.Fatalf("SendFrames = %d, %v", n, err)
 		}
-		balanced(t, ib)
+		if out := a.PoolOutstanding(); out != 6 {
+			t.Fatalf("%d frames outstanding with 6 unacknowledged, want 6", out)
+		}
+		a.Close()
+		if out := a.PoolOutstanding(); out != 0 {
+			t.Fatalf("%d frames outstanding after Close", out)
+		}
+		late := [][]byte{a.FramePool().Get()[:10]}
+		if _, err := a.SendFrames(late, []uint32{0}, silent.addr); err != transport.ErrClosed {
+			t.Fatalf("SendFrames after Close: %v, want ErrClosed", err)
+		}
+		if out := a.PoolOutstanding(); out != 0 {
+			t.Fatalf("a frame SendFrames refused stayed out of the pool (%d outstanding)", out)
+		}
 	})
 }
 
 // TestSteadyStateAllocFree pins the datapath's allocation count over an
-// allocation-free inner endpoint: SendTo → RecvBatch → Recycle of a payload
-// that fills at least a quarter of the inner buffer allocates nothing at
-// all, on either side, ACK traffic included; a smaller payload costs exactly
-// its one exact-size copy, and the big buffer does not travel with it.
+// allocation-free inner endpoint: SendTo → RecvBatch → Recycle allocates
+// nothing at all, on either side, ACK traffic included, whether the payload
+// fills at least a quarter of the inner buffer and is handed up in it, or is
+// smaller and copied into a buffer from its class pool — the big buffer
+// does not travel with it.
 func TestSteadyStateAllocFree(t *testing.T) {
 	net := newMemNet()
 	ia, ib := net.open(), net.open()
@@ -366,7 +416,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		capOf  func(n int) int
 	}{
 		{"quarter of the buffer or more: uncopied", memBuf/4 - dataTrailerLen, 0, func(int) int { return memBuf }},
-		{"under a quarter: compacted", memBuf/4 - dataTrailerLen - 1, 1, func(n int) int { return n }},
+		{"under a quarter: compacted", memBuf/4 - dataTrailerLen - 1, 0, func(n int) int { return classCap(classFor(n)) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rt := roundTrip(make([]byte, c.size))
@@ -386,6 +436,9 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 	if out := ia.pool.Outstanding() + ib.pool.Outstanding(); out != 0 {
 		t.Fatalf("%d inner buffers outstanding after the run", out)
+	}
+	if out := a.PoolOutstanding() + b.PoolOutstanding(); out != 0 {
+		t.Fatalf("%d frame or class buffers outstanding after the run", out)
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 // peer the burst touched goes out, and only after that is the burst's
 // in-order yield published to the delivery queue, under one lock and one
 // wake-up. A delivered payload is the inner endpoint's own pooled buffer,
-// cut back to the payload prefix; Recycle hands it on to the inner pool.
+// cut back to the payload prefix, or — for a payload under a quarter of
+// that buffer — a copy in one of the endpoint's class pools; Recycle hands
+// each back to its own pool.
 
 const (
 	// recvBurst is how many datagrams one pull takes from the inner
@@ -257,7 +259,7 @@ func (e *Endpoint) handleData(rx *rxBurst, ent *peerEntry, pkt []byte, tf byte) 
 	d := seq - ps.expected
 	switch {
 	case d == 0:
-		payload, kept := handUp(pkt, n)
+		payload, kept := e.handUp(pkt, n)
 		rx.out = append(rx.out, message{payload, ent.Key})
 		ps.expected++
 		// sack bit i stands for seq expected+i; bit 0 is the hole itself.
@@ -278,7 +280,7 @@ func (e *Endpoint) handleData(rx *rxBurst, ent *peerEntry, pkt []byte, tf byte) 
 		if ps.ring == nil {
 			ps.ring = new([windowSize][]byte)
 		}
-		payload, kept := handUp(pkt, n)
+		payload, kept := e.handUp(pkt, n)
 		ps.ring[seq&(windowSize-1)] = payload
 		ps.sack |= 1 << d
 		return kept, true
@@ -295,17 +297,62 @@ func (e *Endpoint) handleData(rx *rxBurst, ent *peerEntry, pkt []byte, tf byte) 
 	return false, true
 }
 
+// Copy-break size classes: capacity 2^k + classHeadroom for k =
+// minClassShift..maxClassShift, 256 B to 16.1 KiB. The headroom fits the
+// headers of the layers above, so a power-of-two application message (a
+// 4 KiB eager message: 4096 + msg's 32 + ddp's 18) stays in its own class;
+// and no inner pool in the tree uses such a size (simnet 2 KiB and 64.5 KB,
+// kernel UDP 2 KiB and 65507 B).
+const (
+	classHeadroom = 128
+	minClassShift = 7
+	maxClassShift = 14
+	numClasses    = maxClassShift - minClassShift + 1
+)
+
+// classCap is class c's buffer capacity.
+func classCap(c int) int { return 1<<(minClassShift+c) + classHeadroom }
+
+// classFor returns the smallest class whose buffers hold n bytes, or -1
+// when none does.
+func classFor(n int) int {
+	if n > classCap(numClasses-1) {
+		return -1
+	}
+	x := max(n-classHeadroom, 1<<minClassShift)
+	return bits.Len(uint(x-1)) - minClassShift
+}
+
+// classOf returns the class whose capacity is exactly c, or -1.
+func classOf(c int) int {
+	x := c - classHeadroom
+	if x < 1<<minClassShift || x > 1<<maxClassShift || x&(x-1) != 0 {
+		return -1
+	}
+	return bits.TrailingZeros(uint(x)) - minClassShift
+}
+
 // handUp turns a received DATA frame into the payload slice delivered
 // upward. A frame that fills at least a quarter of its buffer is handed up
 // in place — the payload is a prefix of the buffer, so its capacity still
-// identifies the buffer to the inner pool. A smaller one is copied out and
-// its buffer freed at once: a 1 KiB datagram must not pin a 64 KiB receive
-// buffer for as long as it waits in a ring or a queue.
-func handUp(pkt []byte, n int) (payload []byte, kept bool) {
-	if len(pkt) < cap(pkt)/4 {
-		return append(make([]byte, 0, n), pkt[:n]...), false
+// identifies the buffer to the inner pool. A smaller one is copied into a
+// buffer of the smallest class that holds it and its big buffer freed at
+// once: a 1 KiB datagram must not pin a 64 KiB receive buffer for as long
+// as it waits in a ring or a queue. So that a capacity names one owner, an
+// inner buffer whose capacity is a class's is copied too, whatever it
+// holds; a payload beyond the largest class gets an exact-size buffer of
+// its own.
+func (e *Endpoint) handUp(pkt []byte, n int) (payload []byte, kept bool) {
+	if len(pkt) >= cap(pkt)/4 && classOf(cap(pkt)) < 0 {
+		return pkt[:n], true
 	}
-	return pkt[:n], true
+	var buf []byte
+	if c := classFor(n); c >= 0 {
+		buf = e.classes[c].Get()
+	} else {
+		buf = make([]byte, 0, n)
+	}
+	return append(buf, pkt[:n]...), false
 }
 
 // releaseRing returns every parked out-of-order buffer to the inner pool
@@ -550,14 +597,18 @@ func (e *Endpoint) RecvBatch(pkts [][]byte, froms []transport.Addr, timeout time
 	return e.dq.popWait(pkts, froms, tch)
 }
 
-// Recycle implements transport.Datagram: a consumed payload goes back to
-// the inner endpoint's receive pool, which recognises its buffer by the
-// capacity the payload prefix still carries. A payload with no room for a
-// trailer behind it is one of handUp's exact-size copies, not a pool buffer,
-// and is left to the collector — its capacity could otherwise coincide with
-// one of the inner pool's size classes and be adopted by it.
+// Recycle implements transport.Datagram, routing a consumed payload by its
+// capacity: a class capacity is a copy-break buffer and goes back to its
+// class pool; anything else with room for a trailer behind the payload is
+// the inner endpoint's buffer cut back to the payload prefix, and goes back
+// to the inner pool, which recognises it by that capacity. handUp never
+// hands up an inner buffer of a class capacity, so no buffer can go to the
+// wrong owner. What is left — an exact-size copy of a payload beyond the
+// largest class — is left to the collector.
 func (e *Endpoint) Recycle(p []byte) {
-	if cap(p)-len(p) >= dataTrailerLen {
+	if c := classOf(cap(p)); c >= 0 {
+		e.classes[c].Put(p)
+	} else if cap(p)-len(p) >= dataTrailerLen {
 		e.inner.Recycle(p)
 	}
 }

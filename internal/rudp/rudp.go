@@ -96,6 +96,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/crcx"
 	"repro/internal/nio"
 	"repro/internal/peertab"
 	"repro/internal/telemetry"
@@ -176,11 +177,15 @@ type Endpoint struct {
 	inner transport.Datagram
 	cfg   Config
 
-	// pool recycles DATA wire buffers (payload + trailer). A buffer lives
-	// from SendBatch until its reference count drains: one reference for
-	// window residency, one per transmission handed to the inner transport
-	// (see pending.refs).
+	// pool recycles DATA frame buffers (payload + trailer). A buffer lives
+	// from FramePool().Get or SendBatch's copy until its reference count
+	// drains: one reference for window residency, one per transmission
+	// handed to the inner transport (see pending.refs).
 	pool *nio.Pool
+	// classes are the copy-break's size-classed pools: a payload too small
+	// for the inner buffer it arrived in is handed up in one of these
+	// (handUp, DESIGN.md §4.14 "The quarter rule").
+	classes [numClasses]*nio.Pool
 	// scratch recycles the per-call staging a send burst is framed into
 	// (*sendScratch): the inner SendBatch is an interface call, so a stack
 	// array handed to it would escape and allocate on every send.
@@ -231,15 +236,17 @@ type Endpoint struct {
 	wg   sync.WaitGroup
 }
 
-// sendScratch stages one stretch of a send burst between framing (under the
-// peer lock) and the inner SendBatch (after it): the framed wire buffers and
-// the window slots whose transmission references they hold. It also carries
+// sendScratch stages a send burst: the frames SendBatch copies a chunk of
+// the caller's datagrams into, with their CRCs, and the window slots whose
+// transmission references one stretch of frames holds between framing
+// (under the peer lock) and the inner SendBatch (after it). It also carries
 // the timer a blocked sender parks on, so that blocking on a full window
 // allocates one only the first time a scratch is used for it.
 type sendScratch struct {
-	bufs [windowSize][]byte
-	pds  [windowSize]*pending
-	tm   *time.Timer // stopped and drained whenever the scratch is idle
+	frames [windowSize][]byte
+	crcs   [windowSize]uint32
+	pds    [windowSize]*pending
+	tm     *time.Timer // stopped and drained whenever the scratch is idle
 }
 
 // peerEntry is one peer's slot in the sharded table; its embedded lock
@@ -465,6 +472,9 @@ func newEndpoint(inner transport.Datagram, cfg Config) *Endpoint {
 		ccEcnMarks:    telemetry.Default.Counter("diwarp_rudp_cc_ecn_marks_total"),
 		ccMDEvents:    telemetry.Default.Counter("diwarp_rudp_cc_md_events_total"),
 	}
+	for c := range e.classes {
+		e.classes[c] = nio.NewPool(classCap(c))
+	}
 	e.ccCwnd.Set(initialCwnd)
 	e.dq.ring = make([]message, deliveryDepth)
 	e.dq.avail = make(chan struct{}, 1)
@@ -582,17 +592,11 @@ func (e *Endpoint) admitEpoch(ent *peerEntry, epoch byte, isData bool, seq uint3
 	return false
 }
 
-// SendBatch implements transport.Datagram. Under one acquisition of the
-// peer lock it frames as many of the burst's datagrams as the ring and the
-// congestion window admit — one clock reading, one wheel arm — and hands
-// that stretch to the inner endpoint in one SendBatch call, so a burst from
-// the layer above reaches sendmmsg/GSO as a burst. It blocks for window
-// space only between such stretches. It returns ErrPeerDead if the peer
-// stopped acknowledging — in which case the peer's state is evicted, so the
-// next send to the same address starts a fresh conversation — and, with
-// Config.MaxPeers set, peertab.ErrCapacity for a new peer that does not fit.
-// A datagram counted as sent is in the window and will be delivered or
-// surface as ErrPeerDead, whatever the inner send reported.
+// SendBatch implements transport.Datagram. The caller keeps its buffers,
+// so each datagram is first copied into a frame buffer from the frame pool
+// and checksummed in the same pass (crcx.CopyUpdate), outside any lock;
+// the frames then take SendFrames' path. It returns transport.ErrTooLarge,
+// having sent nothing, if any datagram exceeds MaxDatagram.
 func (e *Endpoint) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
 	for max, i := e.MaxDatagram(), 0; i < len(pkts); i++ {
 		if len(pkts[i]) > max {
@@ -603,23 +607,79 @@ func (e *Endpoint) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
 	defer e.scratch.Put(sc)
 	sent := 0
 	for sent < len(pkts) {
+		k := min(len(pkts)-sent, windowSize)
+		for i, p := range pkts[sent : sent+k] {
+			frame := e.pool.Get()[:len(p)]
+			sc.crcs[i] = crcx.CopyUpdate(frame, p, 0)
+			sc.frames[i] = frame
+		}
+		n, err := e.sendFrames(sc.frames[:k], sc.crcs[:k], to, sc)
+		clear(sc.frames[:k])
+		sent += n
+		if err != nil {
+			return sent, err
+		}
+	}
+	return sent, nil
+}
+
+// FramePool is the pool DATA frames are built in: a layer above that lays
+// its datagram out itself — ddp gathering a segment — draws the buffer
+// here, writes at most MaxDatagram bytes into it, and hands it to
+// SendFrames. The buffer has room for the DATA trailer behind them.
+func (e *Endpoint) FramePool() *nio.Pool { return e.pool }
+
+// SendFrames sends datagrams already laid out in buffers drawn from
+// FramePool, crcs[i] being the CRC32C of frames[i]: each is framed in place
+// — the trailer appended and the CRC finished over it — so no payload byte
+// is copied or read again here. The endpoint takes every frame, whatever
+// SendFrames returns: a sent one lives in the send window until its ACK, an
+// unsent one goes back to the pool. frames' elements are overwritten with
+// the framed buffers, which the caller must not touch.
+//
+// Under one acquisition of the peer lock it frames as many of the burst's
+// datagrams as the ring and the congestion window admit — one clock
+// reading, one wheel arm — and hands that stretch to the inner endpoint in
+// one SendBatch call, so a burst from the layer above reaches
+// sendmmsg/GSO as a burst. It blocks for window space only between such
+// stretches. It returns ErrPeerDead if the peer stopped acknowledging — in
+// which case the peer's state is evicted, so the next send to the same
+// address starts a fresh conversation — and, with Config.MaxPeers set,
+// peertab.ErrCapacity for a new peer that does not fit. A datagram counted
+// as sent is in the window and will be delivered or surface as
+// ErrPeerDead, whatever the inner send reported.
+func (e *Endpoint) SendFrames(frames [][]byte, crcs []uint32, to transport.Addr) (int, error) {
+	for max, i := e.MaxDatagram(), 0; i < len(frames); i++ {
+		if len(frames[i]) > max {
+			return e.dropFrames(frames, 0, transport.ErrTooLarge)
+		}
+	}
+	sc := e.scratch.Get().(*sendScratch)
+	defer e.scratch.Put(sc)
+	return e.sendFrames(frames, crcs, to, sc)
+}
+
+// sendFrames is SendFrames after the size check, staging through sc.
+func (e *Endpoint) sendFrames(frames [][]byte, crcs []uint32, to transport.Addr, sc *sendScratch) (int, error) {
+	sent := 0
+	for sent < len(frames) {
 		if e.closed.Load() {
-			return sent, transport.ErrClosed
+			return e.dropFrames(frames, sent, transport.ErrClosed)
 		}
 		ent, err := e.lockPeer(to)
 		if err != nil {
-			return sent, err
+			return e.dropFrames(frames, sent, err)
 		}
 		ps := &ent.V
 		if ps.dead != nil {
 			err := ps.dead
 			ent.Unlock()
 			e.evictEntry(ent)
-			return sent, err
+			return e.dropFrames(frames, sent, err)
 		}
 		var now time.Time
 		k := 0
-		for ; sent+k < len(pkts); k++ {
+		for ; sent+k < len(frames); k++ {
 			// The next seq's ring slot is free exactly when seq-windowSize
 			// has been acked (seqs are consecutive), so slot occupancy is the
 			// window check. refs must also have drained: a retransmission of
@@ -633,18 +693,19 @@ func (e *Endpoint) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
 			if k == 0 {
 				now = time.Now()
 			}
-			buf := AppendData(e.pool.Get(), ps.txEpoch, ps.nextSeq, pkts[sent+k])
+			buf := appendTrailer(frames[sent+k], crcs[sent+k], ps.txEpoch, ps.nextSeq)
+			frames[sent+k] = buf
 			pd.payload, pd.lastSent, pd.seq, pd.retries, pd.inUse = buf, now, ps.nextSeq, 0, true
 			pd.refs.Store(2) // window residency + the transmission below
 			ps.nextSeq++
 			ps.unackedN++
-			sc.bufs[k], sc.pds[k] = buf, pd
+			sc.pds[k] = pd
 		}
 		if k == 0 {
 			wait := ps.sendWait
 			ent.Unlock()
 			if !e.waitSendSlot(wait, sc) {
-				return sent, transport.ErrClosed
+				return e.dropFrames(frames, sent, transport.ErrClosed)
 			}
 			continue
 		}
@@ -653,17 +714,35 @@ func (e *Endpoint) SendBatch(pkts [][]byte, to transport.Addr) (int, error) {
 		}
 		ent.Touch(now.UnixNano())
 		ent.Unlock()
-		n, err := e.inner.SendBatch(sc.bufs[:k], to)
-		for i := 0; i < k; i++ {
-			e.releaseRef(sc.pds[i], sc.bufs[i])
-			sc.bufs[i], sc.pds[i] = nil, nil
+		stretch := frames[sent : sent+k]
+		n, err := e.inner.SendBatch(stretch, to)
+		for i, buf := range stretch {
+			e.releaseRef(sc.pds[i], buf)
+			sc.pds[i] = nil
 		}
 		if err != nil {
+			e.putFrames(frames[sent+k:])
 			return sent + n, err
 		}
 		sent += k
 	}
 	return sent, nil
+}
+
+// dropFrames returns frames[from:] — frames that never entered the send
+// window — to the frame pool, and reports from and err as the send's
+// result.
+func (e *Endpoint) dropFrames(frames [][]byte, from int, err error) (int, error) {
+	e.putFrames(frames[from:])
+	return from, err
+}
+
+// putFrames returns frames that never entered the send window to the frame
+// pool.
+func (e *Endpoint) putFrames(frames [][]byte) {
+	for _, f := range frames {
+		e.pool.Put(f)
+	}
 }
 
 // SendTo implements transport.Datagram: SendBatch of one.
@@ -978,10 +1057,20 @@ func (e *Endpoint) SendErrors() uint64 {
 	return uint64(e.ackSendFail.Load() + e.dataSendFail.Load())
 }
 
-// PoolOutstanding reports how many DATA wire buffers are currently checked
-// out of the send pool — the chaos harness's leak invariant: at quiesce
-// (everything flushed or every peer evicted, endpoint closed) it must be 0.
-func (e *Endpoint) PoolOutstanding() int64 { return e.pool.Outstanding() }
+// PoolOutstanding reports how many of the endpoint's own buffers are
+// checked out: DATA frames out of the frame pool (in a send window, or
+// drawn by a layer above and not yet handed to SendFrames) and copy-break
+// payloads out of the class pools (in a ring, the delivery queue, or with
+// the consumer until Recycle) — the chaos harness's leak invariant: at
+// quiesce (everything flushed and consumed, or every peer evicted, endpoint
+// closed) it must be 0.
+func (e *Endpoint) PoolOutstanding() int64 {
+	n := e.pool.Outstanding()
+	for _, c := range e.classes {
+		n += c.Outstanding()
+	}
+	return n
+}
 
 // Peers reports the current peer-table occupancy.
 func (e *Endpoint) Peers() int { return e.tab.Len() }
@@ -1004,11 +1093,11 @@ func (e *Endpoint) MaxDatagram() int { return e.inner.MaxDatagram() - dataTraile
 func (e *Endpoint) PathMTU() int { return e.inner.PathMTU() }
 
 // Close implements transport.Datagram, closing the underlying endpoint and
-// recycling every buffer this layer still holds — wire buffers sitting in a
-// send window, inner receive buffers parked in a reassembly ring or waiting
-// undelivered in the delivery queue — so a closed endpoint leaves both its
-// own pool and the inner one balanced even when peers never acked and the
-// application never received.
+// recycling every buffer this layer still holds — frames sitting in a send
+// window, inner receive buffers and copy-break payloads parked in a
+// reassembly ring or waiting undelivered in the delivery queue — so a
+// closed endpoint leaves its own pools and the inner one balanced even when
+// peers never acked and the application never received.
 func (e *Endpoint) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil

@@ -2,6 +2,7 @@ package rudp
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/crcx"
 	"repro/internal/nio"
@@ -24,6 +25,9 @@ const (
 	// dataTrailerLen is what a DATA frame carries behind its payload:
 	// seq(4) epoch(1) type/flags(1) crc32c(4). It is also the shortest frame.
 	dataTrailerLen = 10
+	// dataFieldsLen is the part of the DATA trailer the CRC covers:
+	// seq(4) epoch(1) type/flags(1).
+	dataFieldsLen = dataTrailerLen - crcx.Size
 	// ackLen is the whole ACK frame: cumAck(4) sack(8) epoch(1)
 	// type/flags(1) crc32c(4).
 	ackLen = 18
@@ -35,14 +39,25 @@ const (
 
 // AppendData appends one DATA frame — payload, then the seq/epoch/type
 // trailer, then the CRC32C of all of it — to dst and returns the extended
-// slice. It is the one DATA encoder: the send path, the fuzz seeds, the
-// many-peer soak's hand-rolled senders and the tests all frame through it.
+// slice. The payload is copied and checksummed in one pass, then framed by
+// appendTrailer, the one DATA trailer writer SendBatch and SendFrames frame
+// through too: the fuzz seeds, the many-peer soak's hand-rolled senders and
+// the tests build the same bytes the endpoint sends.
 func AppendData(dst []byte, epoch byte, seq uint32, payload []byte) []byte {
 	start := len(dst)
-	dst = append(dst, payload...)
-	dst = nio.PutU32(dst, seq)
-	dst = append(dst, epoch, typeData)
-	return nio.PutU32(dst, crcx.Checksum(dst[start:]))
+	dst = slices.Grow(dst, len(payload)+dataTrailerLen)[:start+len(payload)]
+	crc := crcx.CopyUpdate(dst[start:], payload, 0)
+	return appendTrailer(dst, crc, epoch, seq)
+}
+
+// appendTrailer ends a DATA frame whose payload frame already holds, crc
+// being the payload's CRC32C: it appends seq, epoch and type, finishes the
+// CRC over those six bytes — CRC32C composes, so the payload is not read
+// again — and appends it.
+func appendTrailer(frame []byte, crc uint32, epoch byte, seq uint32) []byte {
+	frame = nio.PutU32(frame, seq)
+	frame = append(frame, epoch, typeData)
+	return nio.PutU32(frame, crcx.Update(crc, frame[len(frame)-dataFieldsLen:]))
 }
 
 // appendAck appends one ACK frame to dst: every DATA with seq ≤ cum is
